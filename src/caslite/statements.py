@@ -140,10 +140,6 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
     return rights_from_list(statement.body["listing"].get(subject, []))
 
 
-def statement_assertion(statement: SignedStatement):
-    return assertion_from_map(statement.body["assertion"])
-
-
 class StatementFetcher:
     """Lazily refreshed view of one resource_rights statement.
 

@@ -45,13 +45,18 @@ def write_frame(sock: socket.socket, doc: Any) -> None:
     sock.sendall(struct.pack(">I", len(data)) + data)
 
 
-def _read_exactly(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
-    while len(buf) < count:
-        part = sock.recv(count - len(buf))
-        if not part:
-            return None if not buf else buf  # caller distinguishes clean EOF
-        buf += part
+def _read_exactly(sock: socket.socket, count: int) -> bytearray | None:
+    """Fill ``count`` bytes; None on end of stream before the first byte."""
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        received = sock.recv_into(view[got:])
+        if not received:
+            if got == 0:
+                return None
+            raise FrameError("connection closed mid-frame", recoverable=False)
+        got += received
     return buf
 
 
@@ -60,13 +65,11 @@ def read_frame(sock: socket.socket) -> Any | None:
     header = _read_exactly(sock, 4)
     if header is None:
         return None
-    if len(header) < 4:
-        raise FrameError("connection closed mid-frame", recoverable=False)
     (length,) = struct.unpack(">I", header)
     if length == 0 or length > MAX_FRAME:
         raise FrameError(f"bad frame length {length}", recoverable=False)
     data = _read_exactly(sock, length)
-    if data is None or len(data) < length:
+    if data is None:
         raise FrameError("connection closed mid-frame", recoverable=False)
     try:
         return parse_canonical(data)
@@ -143,7 +146,12 @@ class FrameServer:
                         return
                     response = outer._dispatch(doc)
                     try:
-                        write_frame(self.request, response)
+                        try:
+                            write_frame(self.request, response)
+                        except FrameError as exc:
+                            # Nothing was sent, so the stream is still in step.
+                            write_frame(self.request,
+                                        error_response("ResponseTooLarge", exc.message))
                     except OSError:
                         return
 
@@ -176,11 +184,10 @@ class FrameServer:
         return str(host), int(port)
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
 
     def stop(self) -> None:
         self._server.shutdown()

@@ -13,7 +13,7 @@ from caslite.assertions import (
     issue_assertion,
     issue_restricted_proxy,
 )
-from caslite.credentials import CredentialChain, chain_to_map, issue_proxy
+from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import (
     DeniedError,
     NotFound,
@@ -75,6 +75,30 @@ def test_tampered_chain_denies_at_credential(world):
     grafted = CredentialChain(eec=stranger.eec, links=chain.links)
     decision = service.authorize(grafted, "read", "vo://esg/data/public/a.nc", NOW)
     assert not decision.allow and decision.stage == "credential"
+
+
+def test_flipped_signed_hex_digit_denies_after_allow(world):
+    """An allowed chain leaves its signatures in the verification memo; the same
+    chain with one hex digit of a signed field changed must still be denied."""
+    service = ResourceService(push_config(world))
+    chain = assertion_chain(world, "alice")
+    obj = "vo://esg/data/public/a.nc"
+    assert service.authorize(chain, "read", obj, NOW).allow
+    doc = chain_to_map(chain)
+    fields = [(doc["eec"]["keys"], "public_part")]
+    for link in doc["links"]:
+        fields.append((link["keys"], "public_part"))
+        if "extension" in link:
+            fields.append((link, "extension"))
+    for holder, name in fields:
+        original = holder[name]
+        middle = len(original) // 2
+        digit = "1" if original[middle] == "0" else "0"
+        holder[name] = original[:middle] + digit + original[middle + 1:]
+        decision = service.authorize(chain_from_map(doc), "read", obj, NOW)
+        assert not decision.allow and decision.stage == "credential", name
+        holder[name] = original
+    assert service.authorize(chain_from_map(doc), "read", obj, NOW).allow
 
 
 def test_foreign_subject_assertion_denies_at_credential(world):

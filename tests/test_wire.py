@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 import pytest
 
 from caslite import wire
 from caslite.canonical import canonical_json
-from caslite.errors import MalformedMessage, ServerError
+from caslite.errors import FrameError, MalformedMessage, ServerError
 
 
 @pytest.fixture()
@@ -101,3 +102,56 @@ def test_server_port_zero_picks_ephemeral(echo_server):
     host, port = echo_server.endpoint
     assert port != 0
     assert canonical_json({"x": 1}) == b'{"x":1}'
+
+
+def test_oversized_response_becomes_an_error_frame(monkeypatch):
+    def handler(kind, payload, chain):
+        if kind == "big":
+            return {"blob": "x" * 4096}
+        return {"pong": True}
+
+    monkeypatch.setattr(wire, "MAX_FRAME", 1024)
+    server = wire.FrameServer(("127.0.0.1", 0), handler)
+    server.start()
+    try:
+        with pytest.raises(ServerError) as info:
+            wire.call(server.endpoint, "big", {})
+        assert info.value.code == "ResponseTooLarge"
+        assert wire.call(server.endpoint, "ping", {}) == {"pong": True}
+        with socket.create_connection(server.endpoint, timeout=5) as sock:
+            wire.write_frame(sock, {"kind": "big", "payload": {}})
+            assert wire.read_frame(sock)["error"]["code"] == "ResponseTooLarge"
+            wire.write_frame(sock, {"kind": "ping", "payload": {}})
+            assert wire.read_frame(sock) == {"ok": True, "body": {"pong": True}}
+    finally:
+        server.stop()
+
+
+def test_frame_delivered_one_byte_at_a_time():
+    doc = {"kind": "hello", "payload": {"text": "drip" * 50}}
+    data = canonical_json(doc)
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        frame = struct.pack(">I", len(data)) + data
+        sender = threading.Thread(target=lambda: [writer.sendall(frame[i:i + 1])
+                                                  for i in range(len(frame))])
+        sender.start()
+        assert wire.read_frame(reader) == doc
+        sender.join()
+        writer.shutdown(socket.SHUT_WR)
+        assert wire.read_frame(reader) is None
+
+
+@pytest.mark.parametrize("cut", [2, 4, 10])
+def test_truncated_frame_is_a_frame_error(cut):
+    data = canonical_json({"kind": "hello", "payload": {}})
+    frame = struct.pack(">I", len(data)) + data
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        writer.sendall(frame[:cut])
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises(FrameError) as info:
+            wire.read_frame(reader)
+        assert not info.value.recoverable
