@@ -14,34 +14,26 @@ resource host: the answer is only as trustworthy as the channel to it.
 
 from __future__ import annotations
 
-import argparse
 import logging
-import signal
-import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 from . import wire
-from .assertions import PolicyAssertion, assertion_from_map, verify_assertion
-from .credentials import load_chain, chain_to_map
-from .errors import MalformedMessage, SourceUnavailable, StaleStatement
+from .assertions import PolicyAssertion, assertion_from_map
+from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
 from .keys import KeyMaterial
 from .policy import (
     Identity,
     SitePolicy,
-    decide,
-    load_site,
     validate_action,
     validate_concrete,
     validate_identity,
 )
-from .statements import StatementFetcher, listing_rights
+from .statements import StatementFetcher
+from .vault import PULL_NAMESPACE, judge, service_parser, service_settings
 
 logger = logging.getLogger(__name__)
-
-PULL_NAMESPACE = "vo://**"
 
 
 @dataclass(frozen=True)
@@ -86,42 +78,22 @@ def decide_local(
 ) -> DecisionAnswer:
     """Combine local and community policy into one yes/no answer.
 
-    A presented assertion is verified and bound to the query identity before
-    use. Without one, a configured pull source supplies the community half;
-    with neither, the answer is deny.
+    This is :func:`caslite.vault.judge` without chain verification. A
+    presented assertion is verified and bound to the query identity before
+    use; as this service carries no group rights map, a membership assertion
+    denies. Without an assertion, a configured pull source supplies the
+    community half; with neither, the answer is deny.
     """
     if q.attributes:
         logger.debug("attributes for %s ignored by core decision: %s",
                      q.identity, sorted(q.attributes))
-    if q.assertion is not None:
-        verdict = verify_assertion(q.assertion, cas_public, cas_identity, now)
-        if not verdict.ok:
-            return DecisionAnswer(allow=False, reason=f"assertion rejected: {verdict.failure}")
-        if q.assertion.subject != q.identity:
-            return DecisionAnswer(
-                allow=False,
-                reason=f"assertion subject {q.assertion.subject} does not match "
-                       f"query identity {q.identity}",
-            )
-        if q.assertion.mode != "rights":
-            return DecisionAnswer(
-                allow=False,
-                reason="membership assertions need a local group rights map, "
-                       "which this service does not carry",
-            )
-        asserted = q.assertion.rights
-        issuer = q.assertion.issuer
-    elif fetcher is not None:
-        try:
-            statement = fetcher.current(now)
-        except (SourceUnavailable, StaleStatement) as exc:
-            return DecisionAnswer(allow=False, reason=f"{exc.code}: {exc.message}")
-        asserted = listing_rights(statement, q.identity)
-        issuer = cas_identity
-    else:
-        return DecisionAnswer(allow=False, reason="no community policy available")
-
-    decision = decide(site, issuer, asserted, q.identity, q.action, q.object)
+    try:
+        decision = judge(site, cas_public, cas_identity, q.identity, q.action, q.object, now,
+                         assertion=q.assertion, fetcher=fetcher)
+    except DeniedError as exc:
+        return DecisionAnswer(allow=False, reason=exc.decision.reason)
+    except (SourceUnavailable, StaleStatement) as exc:
+        return DecisionAnswer(allow=False, reason=f"{exc.code}: {exc.message}")
     if decision.allow:
         return DecisionAnswer(allow=True, reason="ok")
     return DecisionAnswer(allow=False, reason=f"{decision.stage}: {decision.reason}")
@@ -194,41 +166,10 @@ class AuthzServer:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="caslite-authz", description="Run a local authorization decision service."
-    )
-    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
-    parser.add_argument("--site", required=True, type=Path, help="site policy file")
-    parser.add_argument("--cas-key", required=True, type=Path,
-                        help="community server credential file (public part is used)")
-    parser.add_argument("--pull-source", default=None, help="HOST:PORT of authority or mirror")
-    parser.add_argument("--pull-namespace", default=PULL_NAMESPACE,
-                        help="namespace queried on the pull path; must match a "
-                             "mirror subscription when pulling through one")
-    parser.add_argument("--chain", type=Path, default=None,
-                        help="client chain used to authenticate pull queries")
+    parser = service_parser("caslite-authz", "Run a local authorization decision service.")
     args = parser.parse_args(argv)
-
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    cas_chain = load_chain(args.cas_key)
-    cfg = AuthzConfig(
-        site=load_site(args.site),
-        cas_public=cas_chain.innermost_keys().public(),
-        cas_identity=cas_chain.subject,
-        pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
-        pull_namespace=args.pull_namespace,
-        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
-    )
-    server = AuthzServer(wire.parse_endpoint(args.listen), cfg)
-    server.start()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    return 0
+    cfg = AuthzConfig(**service_settings(args))
+    return wire.run_service(lambda: AuthzServer(wire.parse_endpoint(args.listen), cfg))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -196,28 +195,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="client chain used to authenticate to the authority")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     subscriptions = json.loads(args.subscriptions.read_text(encoding="utf-8"))
     if not isinstance(subscriptions, list):
         raise SystemExit("subscriptions file must contain a JSON list")
-    client_chain = chain_to_map(load_chain(args.chain)) if args.chain else None
-    cache = StatementCache(CacheConfig(
+    config = CacheConfig(
         authority=wire.parse_endpoint(args.authority),
         refresh_interval=args.refresh,
         max_age=args.max_age,
         subscriptions=subscriptions,
-        client_chain=client_chain,
-    ))
-    server = CacheServer(wire.parse_endpoint(args.listen), cache)
-    server.start()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    return 0
+        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
+    )
+    # Built inside the runner: StatementCache fetches (and may log) on construction.
+    return wire.run_service(
+        lambda: CacheServer(wire.parse_endpoint(args.listen), StatementCache(config)))
 
 
 if __name__ == "__main__":

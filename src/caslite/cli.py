@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -87,16 +86,6 @@ def proxy_init_main(argv: list[str] | None = None) -> int:
 
 # --- caslite-get-cred -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClientConfig:
-    """Where a client talks to and which credential files it uses."""
-
-    server: str
-    chain_path: Path
-    anchors_path: Path
-    out_path: Path
-
-
 def _parse_requested(items: list[str]) -> list[dict]:
     rights = []
     for item in items:
@@ -131,11 +120,10 @@ def get_cred_main(argv: list[str] | None = None) -> int:
         requested = _parse_requested(args.request) if args.request else None
     except CasliteError as exc:
         parser.error(str(exc))
-    config = ClientConfig(args.server, args.chain, args.anchors, args.out)
 
     try:
-        chain = load_chain(config.chain_path)
-        anchors = load_anchors(config.anchors_path)
+        chain = load_chain(args.chain)
+        anchors = load_anchors(args.anchors)
         chain_doc = chain_to_map(chain)
         if args.mode == "assertion":
             payload: dict[str, Any] = {
@@ -145,15 +133,15 @@ def get_cred_main(argv: list[str] | None = None) -> int:
             }
             if requested is not None:
                 payload["requested"] = requested
-            body = wire.call(config.server, "get_credential", payload, chain=chain_doc)
+            body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             assertion = assertion_from_map(body["assertion"])
             verify_chain(chain, anchors, int(time.time()))
             new_chain = embed_in_proxy(chain, assertion)
         else:
             payload = {"mode": "restricted_proxy", "lifetime": args.lifetime}
-            body = wire.call(config.server, "get_credential", payload, chain=chain_doc)
+            body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             new_chain = chain_from_map(body["chain"])
-        save_chain(new_chain, config.out_path)
+        save_chain(new_chain, args.out)
     except ServerError as exc:
         print(f"server error: {exc.code}: {exc.message}", file=sys.stderr)
         print(exc.code)
@@ -161,7 +149,7 @@ def get_cred_main(argv: list[str] | None = None) -> int:
     except (CasliteError, OSError) as exc:
         return _fail(str(exc))
     _emit({
-        "written": str(config.out_path),
+        "written": str(args.out),
         "mode": args.mode,
         "subject": new_chain.subject,
         "links": len(new_chain.links),

@@ -279,7 +279,8 @@ def verify_chain(
 
     Returns the authenticated subject (always the end-entity identity), the
     intersection of link restrictions, and all extension payloads outermost
-    last. Unknown extension payloads never cause failure.
+    last. Unknown extension payloads never cause failure. Every link's
+    signature and nesting are checked before any link's validity window.
     """
     eec = chain.eec
     eec_is_anchor = any(
@@ -298,19 +299,9 @@ def verify_chain(
         ):
             raise BadSignature("end-entity signature does not verify", index=0)
     _check_time(eec.not_before, eec.not_after, now, index=0)
-
-    parent_keys = eec.keys
-    parent_interval = (eec.not_before, eec.not_after)
+    check_chain_internal(chain)
     for index, link in enumerate(chain.links, start=1):
-        if not verify_payload(parent_keys, link.signature, link.signing_payload()):
-            raise BadSignature(f"link {index} signature does not verify", index=index)
-        if link.not_before < parent_interval[0] or link.not_after > parent_interval[1]:
-            raise BrokenNesting(
-                f"link {index} validity escapes its parent's interval", index=index
-            )
         _check_time(link.not_before, link.not_after, now, index=index)
-        parent_keys = link.keys
-        parent_interval = (link.not_before, link.not_after)
 
     return VerifiedChain(
         subject=eec.subject,

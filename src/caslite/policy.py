@@ -441,7 +441,7 @@ class EnforcementDecision:
             raise MalformedMessage("an allow decision carries no failing stage")
 
 
-def _deny(stage: str, reason: str) -> EnforcementDecision:
+def deny(stage: str, reason: str) -> EnforcementDecision:
     return EnforcementDecision(allow=False, stage=stage, reason=reason)
 
 
@@ -465,13 +465,13 @@ def decide(
     validate_concrete(obj)
     account = site.vo_accounts.get(issuer)
     if account is None:
-        return _deny("credential", f"issuer {issuer} is not mapped to a local account")
+        return deny("credential", f"issuer {issuer} is not mapped to a local account")
     if not rights_match(site.site_rights.get(account, frozenset()), action, obj):
-        return _deny("site_vo", f"site grants the community no {action} on {obj}")
+        return deny("site_vo", f"site grants the community no {action} on {obj}")
     if not rights_match(asserted, action, obj):
-        return _deny("vo_user", f"no asserted community right matches {action} on {obj}")
+        return deny("vo_user", f"no asserted community right matches {action} on {obj}")
     if user in site.blacklist:
-        return _deny("site_user", f"user {user} is blacklisted at this site")
+        return deny("site_user", f"user {user} is blacklisted at this site")
     return EnforcementDecision(allow=True, stage=None, reason="ok")
 
 

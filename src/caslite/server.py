@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -269,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--audit", type=Path, default=None, help="audit log path")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     config = ServerConfig(
         listen=wire.parse_endpoint(args.listen),
         db_path=args.db,
@@ -279,16 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         default_lifetime=args.default_lifetime,
         audit_path=args.audit,
     )
-    server = CasServer(config)
-    server.start()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    return 0
+    return wire.run_service(lambda: CasServer(config))
 
 
 if __name__ == "__main__":

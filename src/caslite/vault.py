@@ -12,13 +12,15 @@ as an embedded assertion or as a restriction on a chain rooted at the
 community server. Pull mode takes a bare user chain and fetches a signed
 rights listing from the authority or a mirror instead; any verification
 failure, staleness, or source failure denies. No code path defaults to allow.
+
+:func:`judge` is the one decision pipeline: push, pull and the decision
+service (:mod:`caslite.authz`, which has no chain to verify) all end in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -26,10 +28,11 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .assertions import extract_from_proxy, verify_assertion
+from .assertions import PolicyAssertion, extract_from_proxy, verify_assertion
 from .canonical import from_hex, to_hex
 from .credentials import (
     CredentialChain,
+    VerifiedChain,
     chain_from_map,
     chain_to_map,
     load_anchors,
@@ -45,6 +48,7 @@ from .policy import (
     Right,
     SitePolicy,
     decide,
+    deny,
     load_group_rights,
     load_site,
     split_pattern,
@@ -55,10 +59,6 @@ from .statements import StatementFetcher, listing_rights
 logger = logging.getLogger(__name__)
 
 PULL_NAMESPACE = "vo://**"
-
-
-def _deny(stage: str, reason: str) -> EnforcementDecision:
-    return EnforcementDecision(allow=False, stage=stage, reason=reason)
 
 
 class ObjectStore:
@@ -130,6 +130,82 @@ def _unrestricted_for(obj: str) -> frozenset:
     return frozenset(Right(a, f"{scheme}://**") for a in ACTIONS)
 
 
+def assertion_rights(
+    assertion: PolicyAssertion,
+    user: Identity,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+    group_rights: Mapping[str, frozenset] | None,
+    now: int,
+) -> frozenset:
+    """Verify a presented assertion, bind it to ``user`` and return the rights
+    it asserts. Membership mode maps groups through ``group_rights``. Raises
+    :class:`DeniedError` when the assertion cannot vouch for ``user``."""
+    verdict = verify_assertion(assertion, cas_public, cas_identity, now)
+    if not verdict.ok:
+        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    if assertion.subject != user:
+        raise DeniedError(deny(
+            "credential",
+            f"assertion subject {assertion.subject} does not match "
+            f"authenticated identity {user}",
+        ))
+    if assertion.mode == "rights":
+        return assertion.rights
+    if group_rights is None:
+        raise DeniedError(deny(
+            "vo_user", "membership assertion presented but no group rights are configured"
+        ))
+    return frozenset().union(*(group_rights.get(name, frozenset()) for name in assertion.groups))
+
+
+def judge(
+    site: SitePolicy,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+    user: Identity,
+    action: str,
+    obj: str,
+    now: int,
+    *,
+    assertion: PolicyAssertion | None = None,
+    group_rights: Mapping[str, frozenset] | None = None,
+    community_chain: VerifiedChain | None = None,
+    fetcher: StatementFetcher | None = None,
+) -> EnforcementDecision:
+    """Decide one request by the authenticated ``user``: allow exactly when it
+    lies in site ∩ community − blacklist.
+
+    The community half comes from the first source given: a presented
+    assertion, a verified chain the community issued itself, or a rights
+    listing pulled through ``fetcher``. Every source is checked against
+    ``cas_identity``, which is therefore the issuer. Raises
+    :class:`DeniedError` when no source vouches for ``user``; the fetcher's
+    SourceUnavailable and StaleStatement pass through.
+    """
+    if assertion is not None:
+        asserted = assertion_rights(assertion, user, cas_public, cas_identity, group_rights, now)
+    elif community_chain is not None and community_chain.subject == cas_identity:
+        # Restricted-proxy model: the only identity visible is the community
+        # server's, so per-user site policy cannot distinguish the bearer.
+        asserted = community_chain.effective_restriction
+        if asserted is None:
+            asserted = _unrestricted_for(obj)
+    elif fetcher is not None:
+        asserted = listing_rights(fetcher.current(now), user)
+    else:
+        raise DeniedError(deny("credential", "no community policy available"))
+    return decide(site, cas_identity, asserted, user, action, obj)
+
+
+def _credential(label: str, check, *args):
+    """Run one credential check; any failure denies at stage credential."""
+    try:
+        return check(*args)
+    except CasliteError as exc:
+        raise DeniedError(deny("credential", f"{label}: {exc.code}: {exc.message}")) from None
+
+
 def enforce(
     cfg: ResourceConfig,
     chain: CredentialChain,
@@ -137,49 +213,16 @@ def enforce(
     obj: str,
     now: int,
 ) -> EnforcementDecision:
-    """Run the four-stage pipeline for one push-mode request."""
+    """Push mode: the community half travels in ``chain``, as an embedded
+    assertion or as a chain the community server issued itself."""
     try:
-        verified = verify_chain(chain, cfg.anchors, now)
-    except CasliteError as exc:
-        return _deny("credential", f"chain rejected: {exc.code}: {exc.message}")
-    try:
-        assertion = extract_from_proxy(chain)
-    except CasliteError as exc:
-        return _deny("credential", f"carried assertion unreadable: {exc.code}: {exc.message}")
-
-    if assertion is not None:
-        verdict = verify_assertion(assertion, cfg.cas_public, cfg.cas_identity, now)
-        if not verdict.ok:
-            return _deny("credential", f"assertion rejected: {verdict.failure}")
-        if assertion.subject != verified.subject:
-            return _deny(
-                "credential",
-                f"assertion subject {assertion.subject} does not match "
-                f"authenticated identity {verified.subject}",
-            )
-        issuer = assertion.issuer
-        user = verified.subject
-        if assertion.mode == "rights":
-            asserted = assertion.rights
-        else:
-            if cfg.group_rights is None:
-                return _deny("vo_user", "membership assertion presented but no group "
-                                        "rights are configured")
-            asserted = frozenset()
-            for name in assertion.groups:
-                asserted |= cfg.group_rights.get(name, frozenset())
-    elif verified.subject == cfg.cas_identity:
-        # Restricted-proxy model: the only identity visible is the community
-        # server's, so per-user site policy cannot distinguish the bearer.
-        issuer = verified.subject
-        user = verified.subject
-        asserted = verified.effective_restriction
-        if asserted is None:
-            asserted = _unrestricted_for(obj)
-    else:
-        return _deny("credential", "chain carries no community policy")
-
-    return decide(cfg.site, issuer, asserted, user, action, obj)
+        verified = _credential("chain rejected", verify_chain, chain, cfg.anchors, now)
+        assertion = _credential("carried assertion unreadable", extract_from_proxy, chain)
+        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, verified.subject, action, obj,
+                     now, assertion=assertion, group_rights=cfg.group_rights,
+                     community_chain=verified)
+    except DeniedError as exc:
+        return exc.decision
 
 
 def pull_authorize(
@@ -190,16 +233,15 @@ def pull_authorize(
     now: int,
     fetcher: StatementFetcher,
 ) -> EnforcementDecision:
-    """Authenticate a bare user chain and authorize it from a fetched rights
-    listing. Raises SourceUnavailable/StaleStatement when no trustworthy
-    listing can be had; both amount to deny."""
+    """Pull mode: authenticate a bare user chain and authorize it from a
+    fetched rights listing. Raises SourceUnavailable/StaleStatement when no
+    trustworthy listing can be had; both amount to deny."""
     try:
-        verified = verify_chain(chain, cfg.anchors, now)
-    except CasliteError as exc:
-        return _deny("credential", f"chain rejected: {exc.code}: {exc.message}")
-    statement = fetcher.current(now)
-    asserted = listing_rights(statement, verified.subject)
-    return decide(cfg.site, cfg.cas_identity, asserted, verified.subject, action, obj)
+        verified = _credential("chain rejected", verify_chain, chain, cfg.anchors, now)
+        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, verified.subject, action, obj,
+                     now, fetcher=fetcher)
+    except DeniedError as exc:
+        return exc.decision
 
 
 class ResourceService:
@@ -293,53 +335,51 @@ class VaultServer:
         self._frame_server.stop()
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="caslite-vault", description="Run a community-aware file service."
-    )
+def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """Command line with the flags the vault and the decision service share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
     parser.add_argument("--site", required=True, type=Path, help="site policy file")
     parser.add_argument("--cas-key", required=True, type=Path,
                         help="community server credential file (public part is used)")
-    parser.add_argument("--mode", required=True, choices=("push", "pull"))
     parser.add_argument("--pull-source", default=None, help="HOST:PORT of authority or mirror")
     parser.add_argument("--pull-namespace", default=PULL_NAMESPACE,
                         help="namespace queried on the pull path; must match a "
                              "mirror subscription when pulling through one")
+    parser.add_argument("--chain", type=Path, default=None,
+                        help="client chain used to authenticate pull queries")
+    return parser
+
+
+def service_settings(args: argparse.Namespace) -> dict:
+    """The config fields set by :func:`service_parser`'s flags."""
+    cas_chain = load_chain(args.cas_key)
+    return dict(
+        site=load_site(args.site),
+        cas_public=cas_chain.innermost_keys().public(),
+        cas_identity=cas_chain.subject,
+        pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
+        pull_namespace=args.pull_namespace,
+        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = service_parser("caslite-vault", "Run a community-aware file service.")
+    parser.add_argument("--mode", required=True, choices=("push", "pull"))
     parser.add_argument("--groups", type=Path, default=None,
                         help="group name to rights map for membership-mode assertions")
     parser.add_argument("--anchors", type=Path, default=None,
                         help="trust anchor file for verifying presented chains")
-    parser.add_argument("--chain", type=Path, default=None,
-                        help="client chain used to authenticate pull queries")
     args = parser.parse_args(argv)
-
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    cas_chain = load_chain(args.cas_key)
-    client_chain = None
-    if args.chain is not None:
-        client_chain = chain_to_map(load_chain(args.chain))
     cfg = ResourceConfig(
-        site=load_site(args.site),
-        cas_public=cas_chain.innermost_keys().public(),
-        cas_identity=cas_chain.subject,
+        **service_settings(args),
         anchors=load_anchors(args.anchors) if args.anchors else (),
         mode=args.mode,
-        pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
-        pull_namespace=args.pull_namespace,
         group_rights=load_group_rights(args.groups) if args.groups else None,
-        client_chain=client_chain,
     )
-    server = VaultServer(wire.parse_endpoint(args.listen), ResourceService(cfg))
-    server.start()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.stop()
-    return 0
+    return wire.run_service(
+        lambda: VaultServer(wire.parse_endpoint(args.listen), ResourceService(cfg)))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ answer malformed frames with an error response rather than dropping dead.
 from __future__ import annotations
 
 import logging
+import signal
 import socket
 import socketserver
 import struct
@@ -194,3 +195,21 @@ class FrameServer:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+
+
+def run_service(make_server: Callable[[], Any]) -> int:
+    """Body of every service's ``main()``: log to stderr, build the server,
+    start it, serve until SIGTERM or Ctrl-C, then stop it. Returns the exit
+    code, 0. Logging and the SIGTERM handler are set up before the server is
+    built, so neither its start-up messages nor an early SIGTERM are lost."""
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
+    stopping = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stopping.set())
+    server = make_server()
+    server.start()
+    try:
+        stopping.wait()
+    except KeyboardInterrupt:
+        pass
+    server.stop()
+    return 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from caslite import wire
@@ -14,13 +16,13 @@ from caslite.authz import (
     query_from_payload,
 )
 from caslite.credentials import chain_to_map
-from caslite.errors import MalformedMessage
+from caslite.errors import DeniedError, MalformedMessage
 from caslite.keys import generate_keys
 from caslite.statements import StatementFetcher
-from caslite.vault import ResourceConfig, ResourceService
+from caslite.vault import ResourceConfig, ResourceService, assertion_rights
 
 import oracles
-from worldlib import ALICE, BOB, CAROL, CAS, NOW, fixture_db
+from worldlib import ALICE, BOB, CAROL, CAS, NOW, USER_NAMES, fixture_db
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,20 @@ def test_bad_signature_denies(world, assertions):
                       object="vo://esg/data/public/a.nc", assertion=assertions[ALICE])
     answer = decide_local(q, world.site, generate_keys().public(), CAS, NOW)
     assert not answer.allow and "BadSignature" in answer.reason
+
+
+def test_membership_assertion_denies_at_vo_user(world):
+    """Without a group rights map a valid membership assertion denies, and the
+    denial is the one the shared assertion check gives the vault."""
+    membership = issue_assertion(fixture_db(), world.cas.keys, CAS, ALICE,
+                                 mode="membership", now=NOW)
+    q = DecisionQuery(identity=ALICE, action="read",
+                      object="vo://esg/data/public/a.nc", assertion=membership)
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+    with pytest.raises(DeniedError) as shared:
+        assertion_rights(membership, ALICE, world.cas.keys.public(), CAS, None, NOW)
+    assert shared.value.decision.stage == "vo_user"
+    assert not answer.allow and answer.reason == shared.value.decision.reason
 
 
 def test_no_policy_available_denies(world):
@@ -95,6 +111,26 @@ def test_decision_matches_inline_enforcement(world, assertions):
         answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
         decision = service.authorize(chains[user], action, obj, NOW)
         assert answer.allow == decision.allow, (user, action, obj)
+
+
+def test_pulled_decision_matches_pull_enforcement(world, cas_server):
+    """Answers from a pulled listing equal pull-mode vault decisions."""
+    cfg = ResourceConfig(site=world.site, cas_public=world.cas.keys.public(),
+                         cas_identity=CAS, anchors=world.anchors, mode="pull",
+                         pull_source=cas_server.endpoint, pull_namespace="vo://esg/**",
+                         client_chain=chain_to_map(world.proxy("alice")))
+    service = ResourceService(cfg)
+    fetcher = StatementFetcher(cas_server.endpoint, "vo://esg/**", world.cas.keys.public(),
+                               chain_to_map(world.proxy("alice")))
+    shorts = {user: short for short, user in USER_NAMES.items()}
+    now = int(time.time())
+    for user, action, obj in oracles.universe():
+        q = DecisionQuery(identity=user, action=action, object=obj)
+        answer = decide_local(q, world.site, world.cas.keys.public(), CAS, now, fetcher)
+        decision = service.authorize(world.proxy(shorts[user]), action, obj, now)
+        assert answer.allow == decision.allow, (user, action, obj)
+        if not decision.allow:
+            assert answer.reason == f"{decision.stage}: {decision.reason}"
 
 
 def test_query_payload_strictness():
