@@ -151,6 +151,12 @@ class FrameError(CasliteError):
         self.recoverable = recoverable
 
 
+class ResponseTooLarge(CasliteError):
+    """The answer would not fit in one frame of ``wire.MAX_FRAME`` bytes."""
+
+    code = "ResponseTooLarge"
+
+
 class ServerError(CasliteError):
     """Client-side reconstruction of an error response."""
 

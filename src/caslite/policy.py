@@ -12,14 +12,20 @@ Object patterns are deliberately small: a scheme-prefixed path, optionally
 ending in ``/**`` which matches the whole subtree segment-wise, so
 ``vo://a/b/**`` matches ``vo://a/b/c`` but not ``vo://a/b2``. Patterns
 without the wildcard match one concrete path exactly.
+
+Each pattern is parsed once: a :class:`Right` keeps its (scheme, segments,
+wildcard) from construction, and ``decide`` parses the request object once,
+so matching, covering and intersecting only compare tuples. The functions
+taking pattern strings parse them and share the same matcher.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .canonical import canonical_json, parse_canonical, write_atomic
 from .errors import (
@@ -49,7 +55,7 @@ def validate_identity(name: Any) -> Identity:
 
 
 def validate_action(action: Any) -> str:
-    if action not in ACTIONS:
+    if not isinstance(action, str) or action not in ACTIONS:
         raise MalformedMessage(f"unknown action {action!r}")
     return action
 
@@ -63,100 +69,136 @@ def split_pattern(pattern: str) -> tuple[str, tuple[str, ...], bool]:
     match = _SCHEME_RE.fullmatch(pattern)
     if not match:
         raise MalformedPattern(f"pattern {pattern!r} lacks a scheme:// prefix")
-    scheme, rest = match.group(1), match.group(2)
-    segments = tuple(rest.split("/")) if rest else ()
+    scheme, rest = match.groups()
+    segments = rest.split("/") if rest else []
     wildcard = bool(segments) and segments[-1] == "**"
     if wildcard:
-        segments = segments[:-1]
-    if not wildcard and not segments:
+        segments.pop()
+    elif not segments:
         raise MalformedPattern(f"pattern {pattern!r} has an empty path")
-    for seg in segments:
-        if not seg:
-            raise MalformedPattern(f"pattern {pattern!r} has an empty segment")
-        if seg == "**":
-            raise MalformedPattern(f"wildcard only allowed as the final segment: {pattern!r}")
-    return scheme, segments, wildcard
+    if "" in segments:
+        raise MalformedPattern(f"pattern {pattern!r} has an empty segment")
+    if "**" in segments:
+        raise MalformedPattern(f"wildcard only allowed as the final segment: {pattern!r}")
+    return scheme, tuple(segments), wildcard
+
+
+class Pattern(NamedTuple):
+    """A parsed pattern, for the matcher's string-taking entry points."""
+
+    scheme: str
+    segments: tuple[str, ...]
+    wildcard: bool
+
+
+def _parse(pattern: Any) -> Pattern:
+    return Pattern(*split_pattern(pattern))
+
+
+def _concrete(path: Any) -> Pattern:
+    parsed = _parse(path)
+    if parsed.wildcard:
+        raise MalformedPattern(f"object path must be concrete: {path!r}")
+    return parsed
 
 
 def validate_concrete(path: Any) -> str:
-    scheme, segments, wildcard = split_pattern(path)
-    if wildcard:
-        raise MalformedPattern(f"object path must be concrete: {path!r}")
+    _concrete(path)
     return path
+
+
+def _covers(outer, inner) -> bool:
+    """The one matcher. ``outer`` and ``inner`` are parsed patterns, each a
+    :class:`Pattern` or a :class:`Right`; true iff every path matched by
+    ``inner`` is matched by ``outer``. For a concrete ``inner`` that is
+    exactly "``outer`` matches ``inner``"."""
+    if outer.scheme != inner.scheme:
+        return False
+    if outer.wildcard:
+        return inner.segments[: len(outer.segments)] == outer.segments
+    return not inner.wildcard and inner.segments == outer.segments
 
 
 def pattern_matches(pattern: str, obj: str) -> bool:
     """True iff ``pattern`` matches the concrete object path ``obj``."""
-    p_scheme, p_segs, p_wild = split_pattern(pattern)
-    o_scheme, o_segs, o_wild = split_pattern(obj)
-    if o_wild:
-        raise MalformedPattern(f"object path must be concrete: {obj!r}")
-    if p_scheme != o_scheme:
-        return False
-    if p_wild:
-        return o_segs[: len(p_segs)] == p_segs
-    return o_segs == p_segs
+    return _covers(_parse(pattern), _concrete(obj))
 
 
 def pattern_covers(outer: str, inner: str) -> bool:
     """True iff every path matched by ``inner`` is matched by ``outer``."""
-    out_scheme, out_segs, out_wild = split_pattern(outer)
-    in_scheme, in_segs, in_wild = split_pattern(inner)
-    if out_scheme != in_scheme:
-        return False
-    if out_wild:
-        return in_segs[: len(out_segs)] == out_segs
-    return not in_wild and in_segs == out_segs
-
-
-def pattern_intersect(a: str, b: str) -> str | None:
-    """The pattern matching exactly the paths matched by both, or None."""
-    if pattern_covers(a, b):
-        return b
-    if pattern_covers(b, a):
-        return a
-    return None
+    return _covers(_parse(outer), _parse(inner))
 
 
 # --- rights -------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Right:
+    """One action on one object pattern.
+
+    The pattern is parsed once, here: ``scheme``, ``segments`` and
+    ``wildcard`` are derived from ``object`` and take no part in equality,
+    hashing, ordering or repr.
+    """
+
     action: str
     object: str
+    scheme: str = field(init=False, compare=False, repr=False)
+    segments: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    wildcard: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_action(self.action)
-        split_pattern(self.object)
+        scheme, segments, wildcard = split_pattern(self.object)
+        _setattr(self, "scheme", scheme)
+        _setattr(self, "segments", segments)
+        _setattr(self, "wildcard", wildcard)
 
 
 RightsSet = frozenset  # of Right
 
 
+def _by_action(rights: Iterable[Right]) -> dict[str, list[Right]]:
+    out: dict[str, list[Right]] = {}
+    for right in rights:
+        out.setdefault(right.action, []).append(right)
+    return out
+
+
+def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:
+    """``target`` is an already validated concrete path."""
+    for right in rights:
+        if right.action == action and _covers(right, target):
+            return True
+    return False
+
+
 def matches(right: Right, action: str, obj: str) -> bool:
     """True iff ``right`` permits ``action`` on the concrete path ``obj``."""
-    validate_action(action)
-    if right.action != action:
-        validate_concrete(obj)
-        return False
-    return pattern_matches(right.object, obj)
+    return rights_match((right,), action, obj)
 
 
 def rights_match(rights: Iterable[Right], action: str, obj: str) -> bool:
-    return any(matches(r, action, obj) for r in rights)
+    validate_action(action)
+    return _any_matches(rights, action, _concrete(obj))
 
 
 def intersect_rights(a: Iterable[Right], b: Iterable[Right]) -> frozenset[Right]:
     """Semantic intersection: the result matches a request exactly when both
-    inputs match it, narrowing patterns where they overlap."""
+    inputs match it, narrowing patterns where they overlap.
+
+    Prefix-only patterns overlap only when one covers the other, so each
+    common right is the narrower input right itself."""
+    b_by_action = _by_action(b)
     out = set()
     for ra in a:
-        for rb in b:
-            if ra.action != rb.action:
-                continue
-            common = pattern_intersect(ra.object, rb.object)
-            if common is not None:
-                out.add(Right(ra.action, common))
+        for rb in b_by_action.get(ra.action, ()):
+            if _covers(ra, rb):
+                out.add(rb)
+            elif _covers(rb, ra):
+                out.add(ra)
     return frozenset(out)
 
 
@@ -166,18 +208,21 @@ def rights_covers(broad: Iterable[Right], narrow: Iterable[Right]) -> bool:
     With prefix-only patterns a right is covered by a union exactly when a
     single element covers it, so the per-right check is complete.
     """
-    broad = list(broad)
+    broad_by_action = _by_action(broad)
     return all(
-        any(rb.action == rn.action and pattern_covers(rb.object, rn.object) for rb in broad)
+        any(_covers(rb, rn) for rb in broad_by_action.get(rn.action, ()))
         for rn in narrow
     )
 
 
+_RIGHT_KEY = attrgetter("action", "object")
+
+
 def rights_to_list(rights: Iterable[Right]) -> list[dict[str, str]]:
-    return [
-        {"action": r.action, "object": r.object}
-        for r in sorted(set(rights))
-    ]
+    """Sorted by (action, object), which is also ``Right``'s own order."""
+    if not isinstance(rights, (set, frozenset)):
+        rights = set(rights)
+    return [{"action": r.action, "object": r.object} for r in sorted(rights, key=_RIGHT_KEY)]
 
 
 def rights_from_list(doc: Any) -> frozenset[Right]:
@@ -462,13 +507,13 @@ def decide(
     grants the user no such right), site_user (blacklist).
     """
     validate_action(action)
-    validate_concrete(obj)
+    target = _concrete(obj)
     account = site.vo_accounts.get(issuer)
     if account is None:
         return deny("credential", f"issuer {issuer} is not mapped to a local account")
-    if not rights_match(site.site_rights.get(account, frozenset()), action, obj):
+    if not _any_matches(site.site_rights.get(account, frozenset()), action, target):
         return deny("site_vo", f"site grants the community no {action} on {obj}")
-    if not rights_match(asserted, action, obj):
+    if not _any_matches(asserted, action, target):
         return deny("vo_user", f"no asserted community right matches {action} on {obj}")
     if user in site.blacklist:
         return deny("site_user", f"user {user} is blacklisted at this site")

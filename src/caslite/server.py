@@ -42,6 +42,7 @@ from .errors import (
     CasliteError,
     LifetimeTooLong,
     MalformedMessage,
+    ResponseTooLarge,
     UnknownSubject,
 )
 from .policy import (
@@ -73,12 +74,16 @@ class ServerConfig:
 
 
 class AuditLog:
-    """Append-only JSON-lines log with monotone timestamps per file."""
+    """Append-only JSON-lines log with monotone timestamps per file.
+
+    The file is opened in append mode on the first record and kept open;
+    ``close`` releases it, and a record appended after that reopens it."""
 
     def __init__(self, path: Path):
         self._path = path
         self._lock = threading.Lock()
         self._last_ts = 0.0
+        self._handle = None
 
     def append(self, caller: str, kind: str, outcome: str, detail: str) -> None:
         with self._lock:
@@ -91,9 +96,16 @@ class AuditLog:
                 "outcome": outcome,
                 "detail": detail,
             }
-            with open(self._path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
+            if self._handle is None:
+                self._handle = open(self._path, "a", encoding="utf-8")
+            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 class CasServer:
@@ -236,6 +248,11 @@ class CasServer:
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,
         )
+        size = statement.response_size()
+        if size > wire.MAX_FRAME:
+            raise ResponseTooLarge(
+                f"statement response of {size} bytes exceeds the {wire.MAX_FRAME}-byte frame limit"
+            )
         return {"statement": statement_to_map(statement)}
 
     # --- lifecycle ---------------------------------------------------------------
@@ -250,6 +267,7 @@ class CasServer:
         if self._frame_server is not None:
             self._frame_server.stop()
             self._frame_server = None
+        self._audit.close()
 
 
 def main(argv: list[str] | None = None) -> int:

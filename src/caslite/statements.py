@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .canonical import canonical_json, from_hex, to_hex
@@ -33,15 +33,36 @@ STATEMENT_FORMAT = "statement/1"
 QUERY_KINDS = ("user_rights", "resource_rights")
 
 
+class _ParsedEntries:
+    """The listing entries of one statement parsed so far, by subject, and
+    one ``Right`` object per distinct right among them: most entries repeat
+    the same group grants, so they share their rights."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.by_subject: dict[str, frozenset] = {}
+        self.shared: dict = {}
+
+
 @dataclass(frozen=True)
 class SignedStatement:
-    """An authority-signed answer to a query, kept verbatim by caches."""
+    """An authority-signed answer to a query, kept verbatim by caches.
+
+    The last two fields are memos of this object, not part of its value, and
+    take no part in equality: ``payload_size`` is the length of the signing
+    payload when the statement was signed here, and ``_parsed`` holds the
+    listing entries parsed so far (see :func:`listing_rights`).
+    """
 
     query: dict
     body: dict
     issued_at: int
     expires_at: int
     signature: bytes
+    payload_size: int | None = field(default=None, compare=False, repr=False)
+    _parsed: _ParsedEntries = field(
+        default_factory=_ParsedEntries, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.expires_at > self.issued_at:
@@ -49,6 +70,19 @@ class SignedStatement:
 
     def signing_payload(self) -> bytes:
         return canonical_json(_statement_payload(self))
+
+    def response_size(self) -> int:
+        """Bytes of the wire response ``{ok, body: {statement}}`` carrying this
+        statement: the signing payload plus the signature field and the
+        envelope, a fixed number of bytes for a given signature length."""
+        payload = self.payload_size
+        if payload is None:
+            payload = len(self.signing_payload())
+        signature = {"signature": to_hex(self.signature)}
+        envelope = canonical_json(wire.ok_response({"statement": signature}))
+        # The payload's closing brace gives way to a comma before the
+        # signature field, which sorts after every payload key.
+        return payload + len(envelope) - 1
 
     def fresh_at(self, now: int) -> bool:
         return now < self.expires_at
@@ -71,10 +105,9 @@ def validate_query(payload: Any) -> dict:
 def sign_statement(
     keys: KeyMaterial, query: dict, body: dict, issued_at: int, expires_at: int
 ) -> SignedStatement:
-    unsigned = SignedStatement(query, body, issued_at, expires_at, b"")
+    payload = SignedStatement(query, body, issued_at, expires_at, b"").signing_payload()
     return SignedStatement(
-        query, body, issued_at, expires_at,
-        sign_payload(keys, unsigned.signing_payload()),
+        query, body, issued_at, expires_at, sign_payload(keys, payload), len(payload),
     )
 
 
@@ -136,8 +169,26 @@ def statement_bytes(s: SignedStatement) -> bytes:
 
 
 def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
-    """A subject's entry in a resource_rights listing; absent means none."""
-    return rights_from_list(statement.body["listing"].get(subject, []))
+    """A subject's entry in a resource_rights listing; absent means none.
+
+    An entry is parsed on first use, once per statement object, and kept with
+    that object, so a refreshed statement never answers from an older listing.
+    Only the entries asked for are parsed: holding every member's rights of a
+    large listing would cost megabytes in each consumer."""
+    parsed = statement._parsed
+    rights = parsed.by_subject.get(subject)
+    if rights is not None:
+        return rights
+    entry = statement.body["listing"].get(subject)
+    if entry is None:
+        return frozenset()
+    with parsed.lock:
+        rights = parsed.by_subject.get(subject)
+        if rights is None:
+            shared = parsed.shared
+            rights = frozenset(shared.setdefault(r, r) for r in rights_from_list(entry))
+            parsed.by_subject[subject] = rights
+    return rights
 
 
 class StatementFetcher:

@@ -18,7 +18,7 @@ import threading
 from typing import Any, Callable
 
 from .canonical import canonical_json, parse_canonical
-from .errors import CasliteError, FrameError, MalformedMessage, ServerError
+from .errors import CasliteError, FrameError, MalformedMessage, ResponseTooLarge, ServerError
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ class FrameServer:
                         except FrameError as exc:
                             # Nothing was sent, so the stream is still in step.
                             write_frame(self.request,
-                                        error_response("ResponseTooLarge", exc.message))
+                                        error_response(ResponseTooLarge.code, exc.message))
                     except OSError:
                         return
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from caslite.errors import (
     NotAuthorized,
     UnknownSubject,
 )
+from caslite.assertions import assertion_from_map, assertion_to_map, issue_assertion
 from caslite.policy import (
     EnforcementDecision,
     Right,
@@ -26,6 +29,8 @@ from caslite.policy import (
     pattern_covers,
     pattern_matches,
     rights_covers,
+    rights_from_list,
+    rights_to_list,
     save_database,
     site_from_map,
     site_to_map,
@@ -33,7 +38,7 @@ from caslite.policy import (
 )
 
 import oracles
-from worldlib import ALICE, ANN, BOB, CAROL, CAS, OWNER, fixture_db, fixture_site, rights
+from worldlib import ALICE, ANN, BOB, CAROL, CAS, NOW, OWNER, fixture_db, fixture_site, rights
 
 
 @pytest.fixture()
@@ -211,6 +216,163 @@ def test_intersection_is_pointwise_conjunction(a, b):
                 oracles.naive_rights_match(pairs(b), action, obj)
             assert oracles.naive_rights_match(pairs(both), action, obj) == expected
     assert rights_covers(a, both) and rights_covers(b, both)
+
+
+# --- compiled rights ------------------------------------------------------------------
+#
+# Rights sets of up to 1,000 entries over a small vocabulary, checked against
+# the string-level oracles. The segment "zz" is never drawn, so a path ending
+# in it is matched only by a wildcard whose prefix stops before it.
+
+VOCAB = ["data", "public", "x"]
+
+
+SCHEMES = ["vo", "vo", "vo", "ftp"]
+
+
+def _random_pairs(rnd, count):
+    pairs = []
+    for _ in range(count):
+        scheme = rnd.choice(SCHEMES)
+        segs = [rnd.choice(VOCAB) for _ in range(rnd.randrange(4))]
+        tail = "**" if rnd.random() < 0.7 else rnd.choice(VOCAB + ["leaf"])
+        if tail != "**" or rnd.random() < 0.9:
+            path = f"{scheme}://" + "/".join(["esg"] + segs + [tail])
+        else:
+            path = f"{scheme}://**"
+        pairs.append((rnd.choice(oracles.ACTIONS), path))
+    return pairs
+
+
+def _random_requests(rnd, count):
+    out = []
+    for _ in range(count):
+        segs = [rnd.choice(VOCAB + ["leaf", "zz"]) for _ in range(rnd.randrange(6))]
+        path = f"{rnd.choice(SCHEMES)}://" + "/".join(["esg"] + segs)
+        out.append((rnd.choice(oracles.ACTIONS), path))
+    return out
+
+
+def _pairs(rs):
+    return [(r.action, r.object) for r in rs]
+
+
+def _naive_covers(broad_pairs, narrow_pairs) -> bool:
+    """Every request a narrow right matches is matched by ``broad``: its base
+    path, and for a wildcard also a path below it that no pattern names."""
+    for action, pattern in narrow_pairs:
+        if pattern.endswith("/**"):
+            base = pattern[: -len("/**")]
+            witnesses = [base + "/zz"] if base.endswith(":/") else [base, base + "/zz"]
+        else:
+            witnesses = [pattern]
+        if not all(oracles.naive_rights_match(broad_pairs, action, w) for w in witnesses):
+            return False
+    return True
+
+
+big_sizes = st.integers(0, 1000)
+
+
+@given(seed=st.integers(0, 2**32), n_a=big_sizes, n_b=big_sizes)
+@settings(max_examples=30, deadline=None)
+def test_large_intersection_agrees_with_oracle(seed, n_a, n_b):
+    rnd = random.Random(seed)
+    a = rights(*_random_pairs(rnd, n_a))
+    b = rights(*_random_pairs(rnd, n_b))
+    both = intersect_rights(a, b)
+    assert both <= a | b
+    for action, obj in _random_requests(rnd, 150):
+        expected = oracles.naive_rights_match(_pairs(a), action, obj) and \
+            oracles.naive_rights_match(_pairs(b), action, obj)
+        assert oracles.naive_rights_match(_pairs(both), action, obj) == expected, (action, obj)
+
+
+@given(seed=st.integers(0, 2**32), n_broad=big_sizes, n_narrow=st.integers(0, 200))
+@settings(max_examples=30, deadline=None)
+def test_large_covers_agrees_with_oracle(seed, n_broad, n_narrow):
+    rnd = random.Random(seed)
+    broad = rights(*_random_pairs(rnd, n_broad))
+    narrow = rights(*_random_pairs(rnd, n_narrow))
+    subset = frozenset(rnd.sample(sorted(broad), len(broad) // 2))
+    for big, small in ((broad, narrow), (narrow, broad), (broad, subset), (narrow, narrow & broad)):
+        assert rights_covers(big, small) == _naive_covers(_pairs(big), _pairs(small))
+    assert rights_covers(broad, subset)
+    assert rights_covers(broad, intersect_rights(broad, narrow))
+
+
+@given(seed=st.integers(0, 2**32), n=big_sizes,
+       user=st.sampled_from(oracles.USERS + [OWNER]))
+@settings(max_examples=30, deadline=None)
+def test_large_decide_agrees_with_oracle(seed, n, user):
+    rnd = random.Random(seed)
+    asserted = rights(*_random_pairs(rnd, n))
+    site = fixture_site()
+    requests = _random_requests(rnd, 100) + [
+        (action, obj) for action in oracles.ACTIONS for obj in oracles.OBJECTS[::4]
+    ]
+    for action, obj in requests:
+        decision = decide(site, CAS, asserted, user, action, obj)
+        expected = oracles.naive_decide(CAS, _pairs(asserted), user, action, obj)
+        assert (decision.allow, decision.stage) == expected, (action, obj)
+
+
+def test_right_from_every_path_is_the_same_value(world, tmp_path):
+    action, obj = "read", "vo://esg/data/public/**"
+    direct = Right(action, obj)
+    from_list = next(iter(rights_from_list([{"action": action, "object": obj}])))
+    intersected = next(iter(intersect_rights(
+        rights((action, "vo://esg/data/**")), rights((action, obj), ("write", "vo://esg/**")))))
+    save_database(world.db, tmp_path / "db.json")
+    loaded = next(r for r in load_database(tmp_path / "db.json").grants[BOB] if r == direct)
+    assertion = issue_assertion(world.db, world.cas.keys, CAS, BOB, lifetime=600, now=NOW)
+    (from_assertion,) = assertion_from_map(assertion_to_map(assertion)).rights
+    built = [direct, from_list, intersected, loaded, from_assertion]
+    other = Right("read", "vo://esg/data/**")
+    for right in built:
+        assert right == direct and hash(right) == hash(direct)
+        assert repr(right) == "Right(action='read', object='vo://esg/data/public/**')"
+        assert (right.scheme, right.segments, right.wildcard) == \
+            ("vo", ("esg", "data", "public"), True)
+        assert sorted([right, other]) == [other, right]
+        assert rights_to_list([right, other]) == [
+            {"action": "read", "object": "vo://esg/data/**"},
+            {"action": "read", "object": "vo://esg/data/public/**"},
+        ]
+    assert len(set(built)) == 1
+
+
+def test_rights_sort_by_action_then_object():
+    pairs = [("write", "vo://a/**"), ("read", "vo://b"), ("read", "vo://a/b"),
+             ("list", "vo://z/**")]
+    listed = rights_to_list(rights(*pairs))
+    assert [(d["action"], d["object"]) for d in listed] == sorted(pairs)
+    assert listed == [{"action": r.action, "object": r.object} for r in sorted(rights(*pairs))]
+
+
+@pytest.mark.parametrize("obj", [
+    5, None, 1.5, b"vo://esg/x", ["vo://esg/x"], {"vo": "x"}, ("vo", "x"),
+    "", "vo://", "vo:/x", "VO://x", "vo://a//b", "vo://a/", "vo://**/x", "vo://a/**/**", "//x",
+])
+def test_bad_object_raises_a_domain_error_at_construction(obj):
+    with pytest.raises(MalformedPattern):
+        Right("read", obj)
+    with pytest.raises(MalformedMessage):
+        rights_from_list([{"action": "read", "object": obj}])
+
+
+@pytest.mark.parametrize("action", [None, 5, ["read"], {"read": 1}, "browse", "READ", b"read"])
+def test_bad_action_raises_a_domain_error_at_construction(action):
+    with pytest.raises(MalformedMessage):
+        Right(action, "vo://esg/x")
+    with pytest.raises(MalformedMessage):
+        rights_from_list([{"action": action, "object": "vo://esg/x"}])
+
+
+def test_decide_rejects_a_malformed_request_object(site):
+    for obj in ("vo://esg/data/**", "no-scheme", 7, ["vo://esg/x"]):
+        with pytest.raises(MalformedPattern):
+            decide(site, CAS, rights(("read", "vo://esg/**")), ALICE, "read", obj)
 
 
 # --- admin meta-policy ----------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from caslite import wire
 from caslite.assertions import assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
-from caslite.errors import ServerError
+from caslite.errors import ResponseTooLarge, ServerError
 from caslite.policy import load_database, db_canonical_bytes
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
@@ -172,6 +172,51 @@ def test_every_request_is_audited_once(world, cas_server):
     assert len(records) == 3
     assert [r["outcome"] for r in records] == ["ok", "error:NotAMember", "ok"]
     assert records[1]["caller"] == CAROL
+    timestamps = [r["timestamp"] for r in records]
+    assert timestamps == sorted(timestamps)
+
+
+def _listing_query(world, server):
+    return server.handle("query", {"query": "resource_rights", "namespace": "vo://esg/**"},
+                         chain_doc(world, "alice"))
+
+
+def test_oversized_listing_is_audited_as_refused(world, cas_server, monkeypatch):
+    body = _listing_query(world, cas_server)
+    frame = len(wire.canonical_json(wire.ok_response(body)))
+    monkeypatch.setattr(wire, "MAX_FRAME", frame)
+    _listing_query(world, cas_server)  # exactly at the limit still goes out
+    assert audit_lines(cas_server)[-1]["outcome"] == "ok"
+
+    monkeypatch.setattr(wire, "MAX_FRAME", frame - 1)
+    with pytest.raises(ResponseTooLarge) as info:
+        _listing_query(world, cas_server)
+    assert info.value.code == "ResponseTooLarge"  # the code the wire answers with
+    last = audit_lines(cas_server)[-1]
+    assert (last["caller"], last["kind"], last["outcome"]) == \
+        (ALICE, "query", "error:ResponseTooLarge")
+
+
+def test_audit_log_survives_stop_and_restart(world, tmp_path):
+    paths = world.write_server_files(tmp_path)
+    config = ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                          credential_path=paths["key"], anchors_path=paths["anchors"])
+    server = CasServer(config)
+    server.start()
+    for _ in range(3):
+        wire.call(server.endpoint, "ping")
+    server.stop()
+    assert len(audit_lines(server)) == 3
+    server.handle("ping", {}, None)  # a straggler after stop reopens the file
+    server.stop()
+
+    reborn = CasServer(config)
+    reborn.start()
+    wire.call(reborn.endpoint, "ping")
+    reborn.stop()
+    records = audit_lines(reborn)
+    assert len(records) == 5
+    assert all(r["kind"] == "ping" and r["outcome"] == "ok" for r in records)
     timestamps = [r["timestamp"] for r in records]
     assert timestamps == sorted(timestamps)
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from caslite import wire
+from caslite import statements, wire
+from caslite.canonical import canonical_json
 from caslite.errors import MalformedMessage, SourceUnavailable, StaleStatement
 from caslite.keys import generate_keys
+from caslite.policy import rights_from_list
 from caslite.statements import (
     StatementFetcher,
     listing_rights,
@@ -18,7 +23,7 @@ from caslite.statements import (
 )
 from caslite.canonical import parse_canonical
 
-from worldlib import ALICE, NOW, rights
+from worldlib import ALICE, BOB, CAROL, NOW, rights
 
 QUERY = {"query": "resource_rights", "namespace": "vo://esg/data/**"}
 LISTING = {"listing": {ALICE: [{"action": "read", "object": "vo://esg/data/**"}]}}
@@ -46,6 +51,73 @@ def test_listing_rights_lookup(statement):
     assert listing_rights(statement, "/VO=esg/CN=nobody") == frozenset()
 
 
+def test_listing_rights_equals_each_parsed_entry(authority_keys):
+    listing = {
+        ALICE: [{"action": "read", "object": "vo://esg/data/**"},
+                {"action": "write", "object": "vo://esg/data/public/**"}],
+        BOB: [{"action": "read", "object": "vo://esg/data/**"}],
+        "/VO=esg/CN=dave": [],
+    }
+    signed = sign_statement(authority_keys, QUERY, {"listing": listing}, NOW, NOW + 600)
+    for statement in (signed, statement_from_map(parse_canonical(statement_bytes(signed)))):
+        for subject, entry in listing.items():
+            first = listing_rights(statement, subject)
+            assert first == rights_from_list(entry)
+            assert listing_rights(statement, subject) is first  # parsed once
+        assert listing_rights(statement, CAROL) == frozenset()
+        # one Right object per distinct right, shared between entries
+        (bob_read,) = listing_rights(statement, BOB)
+        assert any(r is bob_read for r in listing_rights(statement, ALICE))
+
+
+def test_concurrent_lookups_parse_each_entry_once(authority_keys, monkeypatch):
+    subjects = [f"/VO=esg/CN=user{i}" for i in range(40)]
+    listing = {
+        who: [{"action": "read", "object": f"vo://esg/data/g{i % 5}/**"},
+              {"action": "write", "object": f"vo://esg/data/u{i}/**"}]
+        for i, who in enumerate(subjects)
+    }
+    statement = sign_statement(authority_keys, QUERY, {"listing": listing}, NOW, NOW + 600)
+    parses = []
+    real_parse = statements.rights_from_list
+
+    def counting_parse(doc):
+        parses.append(doc)
+        return real_parse(doc)
+
+    monkeypatch.setattr(statements, "rights_from_list", counting_parse)
+    wrong = []
+
+    def worker(offset):
+        for i in range(len(subjects) * 3):
+            who = subjects[(i + offset) % len(subjects)]
+            if listing_rights(statement, who) != real_parse(listing[who]):
+                wrong.append(who)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 7,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert len(parses) == len(subjects)
+
+
+def test_response_size_is_the_exact_frame_length(statement):
+    expected = len(canonical_json(wire.ok_response({"statement": statement_to_map(statement)})))
+    assert statement.payload_size == len(statement.signing_payload())
+    assert statement.response_size() == expected
+    restored = statement_from_map(statement_to_map(statement))
+    assert restored.payload_size is None
+    assert restored.response_size() == expected
+
+
 def test_statement_body_shape_is_validated(statement):
     doc = statement_to_map(statement)
     doc["body"] = {"assertion": {"bogus": True}}
@@ -68,6 +140,7 @@ class _FlakySource:
     def __init__(self, authority_keys, lifetime=600):
         self.keys = authority_keys
         self.lifetime = lifetime
+        self.body = LISTING
         self.down = False
         self.now = NOW
         self.server = wire.FrameServer(("127.0.0.1", 0), self.handle)
@@ -76,7 +149,7 @@ class _FlakySource:
     def handle(self, kind, payload, chain):
         if self.down:
             raise MalformedMessage("gone dark")
-        statement = sign_statement(self.keys, payload, LISTING, self.now,
+        statement = sign_statement(self.keys, payload, self.body, self.now,
                                    self.now + self.lifetime)
         return {"statement": statement_to_map(statement)}
 
@@ -98,6 +171,24 @@ def test_fetcher_caches_until_expiry(flaky_source, authority_keys):
     first = fetcher.current(NOW)
     flaky_source.down = True
     assert fetcher.current(NOW + 1) is first  # served from cache, source not consulted
+
+
+def test_refreshed_statement_answers_from_the_new_listing(flaky_source, authority_keys):
+    fetcher = StatementFetcher(
+        flaky_source.server.endpoint, "vo://esg/data/**", authority_keys.public()
+    )
+    first = fetcher.current(NOW)
+    assert listing_rights(first, ALICE) == rights(("read", "vo://esg/data/**"))
+    assert listing_rights(first, BOB) == frozenset()
+    flaky_source.body = {"listing": {
+        BOB: [{"action": "write", "object": "vo://esg/data/public/**"}],
+    }}
+    flaky_source.now = first.expires_at
+    second = fetcher.current(first.expires_at + 1)
+    assert second is not first
+    assert listing_rights(second, ALICE) == frozenset()
+    assert listing_rights(second, BOB) == rights(("write", "vo://esg/data/public/**"))
+    assert listing_rights(first, ALICE) == rights(("read", "vo://esg/data/**"))
 
 
 def test_fetcher_distinguishes_stale_from_unavailable(flaky_source, authority_keys):
