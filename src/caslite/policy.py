@@ -283,6 +283,10 @@ class VOPolicyDatabase:
     Instances are immutable; ``apply_admin`` returns a new database with the
     revision bumped. The ``owner`` identity set at creation implicitly holds
     every capability, including the right to add capabilities.
+
+    ``member_groups`` maps each identity in some group to the names of its
+    groups. It is built once, here, from ``groups`` and takes no part in
+    equality or repr.
     """
 
     vo_name: str
@@ -292,12 +296,20 @@ class VOPolicyDatabase:
     grants: Mapping[str, frozenset]
     admin_caps: tuple
     revision: int = 0
+    member_groups: Mapping[Identity, frozenset] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        index: dict[Identity, set] = {}
+        for name, group in self.groups.items():
+            for who in group.members:
+                index.setdefault(who, set()).add(name)
+        _setattr(self, "member_groups", {who: frozenset(names) for who, names in index.items()})
 
     def is_member(self, who: Identity) -> bool:
         return who in self.members
 
     def groups_of(self, who: Identity) -> frozenset:
-        return frozenset(name for name, g in self.groups.items() if who in g.members)
+        return self.member_groups.get(who, frozenset())
 
 
 def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:

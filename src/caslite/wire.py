@@ -2,9 +2,11 @@
 
 Each message is a 4-byte big-endian length followed by one canonical-form
 JSON document. Requests carry ``{kind, payload}`` plus an optional ``chain``;
-responses carry ``{ok, body}`` or ``{ok, error: {code, message}}``. Clients
-make one request per connection; servers tolerate several per connection and
-answer malformed frames with an error response rather than dropping dead.
+responses carry ``{ok, body}`` or ``{ok, error: {code, message}}``.
+Connections are persistent: :func:`call` keeps one open socket per endpoint
+and calling thread and reuses it, and servers answer any number of requests
+per connection, answering malformed frames with an error response rather
+than dropping dead.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from typing import Any, Callable
 
 from .canonical import canonical_json, parse_canonical
@@ -23,7 +26,13 @@ from .errors import CasliteError, FrameError, MalformedMessage, ResponseTooLarge
 logger = logging.getLogger(__name__)
 
 MAX_FRAME = 8 * 1024 * 1024
+MAX_CONNECTIONS = 64
 IDLE_TIMEOUT = 30.0
+FRAME_DEADLINE = 10.0
+
+# Kinds that change nothing, so a request whose reused connection was closed
+# before any byte of the answer came back may be sent again.
+RETRYABLE_KINDS = frozenset({"ping", "query", "decide", "read", "list"})
 
 Endpoint = tuple[str, int]
 
@@ -46,37 +55,106 @@ def write_frame(sock: socket.socket, doc: Any) -> None:
     sock.sendall(struct.pack(">I", len(data)) + data)
 
 
-def _read_exactly(sock: socket.socket, count: int) -> bytearray | None:
-    """Fill ``count`` bytes; None on end of stream before the first byte."""
-    buf = bytearray(count)
-    view = memoryview(buf)
+def _fill(sock: socket.socket, view: memoryview, wait: float | None, deadline: float) -> None:
+    """Fill ``view`` before ``deadline``, waiting at most ``wait`` seconds
+    (None: no limit) for each read."""
     got = 0
-    while got < count:
-        received = sock.recv_into(view[got:])
+    while got < len(view):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise FrameError(f"frame not complete within {FRAME_DEADLINE} s", recoverable=False)
+        sock.settimeout(remaining if wait is None else min(wait, remaining))
+        try:
+            received = sock.recv_into(view[got:])
+        except TimeoutError:
+            raise FrameError(f"frame not complete within {FRAME_DEADLINE} s",
+                             recoverable=False) from None
+        except ConnectionResetError:
+            received = 0
         if not received:
-            if got == 0:
-                return None
             raise FrameError("connection closed mid-frame", recoverable=False)
         got += received
-    return buf
 
 
 def read_frame(sock: socket.socket) -> Any | None:
-    """Read one document; None on clean end of stream."""
-    header = _read_exactly(sock, 4)
-    if header is None:
+    """Read one document; None on clean end of stream. The socket's timeout
+    bounds the wait for a frame to start; once its first byte has arrived,
+    the whole frame must follow within ``FRAME_DEADLINE`` seconds."""
+    header = bytearray(4)
+    got = sock.recv_into(header)
+    if not got:
         return None
-    (length,) = struct.unpack(">I", header)
-    if length == 0 or length > MAX_FRAME:
-        raise FrameError(f"bad frame length {length}", recoverable=False)
-    data = _read_exactly(sock, length)
-    if data is None:
-        raise FrameError("connection closed mid-frame", recoverable=False)
+    wait = sock.gettimeout()
+    deadline = time.monotonic() + FRAME_DEADLINE
+    try:
+        if got < 4:
+            _fill(sock, memoryview(header)[got:], wait, deadline)
+        (length,) = struct.unpack(">I", header)
+        if length == 0 or length > MAX_FRAME:
+            raise FrameError(f"bad frame length {length}", recoverable=False)
+        data = bytearray(length)
+        _fill(sock, memoryview(data), wait, deadline)
+    finally:
+        sock.settimeout(wait)
     try:
         return parse_canonical(data)
     except MalformedMessage as exc:
         # The frame was consumed cleanly, so the stream stays usable.
         raise FrameError(str(exc), recoverable=True) from None
+
+
+# The calling thread's open connections: ``sockets`` maps an endpoint to
+# (socket, time of its last answer).
+_pool = threading.local()
+
+
+class _Sockets(dict):
+    """One thread's pooled sockets, closed when the thread ends."""
+
+    def __del__(self) -> None:
+        for sock, _ in self.values():
+            sock.close()
+
+
+def _checkout(endpoint: Endpoint, timeout: float) -> socket.socket | None:
+    """Take this thread's open socket to ``endpoint`` out of the pool if it
+    is fit for another request: idle for less than half the server's idle
+    limit, not closed by the server, and with no stray bytes waiting."""
+    entry = getattr(_pool, "sockets", {}).pop(endpoint, None)
+    if entry is None:
+        return None
+    sock, last_answer = entry
+    if time.monotonic() - last_answer < IDLE_TIMEOUT / 2:
+        sock.setblocking(False)
+        try:
+            sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            sock.settimeout(timeout)
+            return sock
+        except OSError:
+            pass
+    sock.close()
+    return None
+
+
+def _exchange(sock: socket.socket, request: dict) -> Any | None:
+    """Send ``request`` and read the answer; None when the connection was
+    closed or reset before its first byte. ``sock`` is closed unless a
+    whole answer came back."""
+    try:
+        write_frame(sock, request)
+        try:
+            response = read_frame(sock)
+        except FrameError as exc:
+            raise ServerError("MalformedResponse", exc.message) from None
+    except (ConnectionResetError, BrokenPipeError):
+        response = None
+    except BaseException:
+        sock.close()
+        raise
+    if response is None:
+        sock.close()
+    return response
 
 
 def call(
@@ -87,17 +165,36 @@ def call(
     timeout: float = 10.0,
 ) -> dict:
     """One request/response exchange; returns the response body or raises
-    :class:`ServerError` with the server's error code."""
+    :class:`ServerError` with the server's error code.
+
+    The connection stays open for the calling thread's next call to the same
+    endpoint. When a reused connection turns out to have been closed before
+    any byte of the answer arrived, a request of a kind in
+    ``RETRYABLE_KINDS`` is sent once more on a new connection; any other
+    kind raises ``ConnectionLost``, because the server may have acted on it.
+    """
     if isinstance(endpoint, str):
         endpoint = parse_endpoint(endpoint)
     request: dict[str, Any] = {"kind": kind, "payload": payload or {}}
     if chain is not None:
         request["chain"] = chain
-    with socket.create_connection(endpoint, timeout=timeout) as sock:
-        write_frame(sock, request)
-        response = read_frame(sock)
+    sock = _checkout(endpoint, timeout)
+    response = None
+    if sock is not None:
+        response = _exchange(sock, request)
+        if response is None and kind in RETRYABLE_KINDS:
+            sock = None
+    if sock is None:
+        sock = socket.create_connection(endpoint, timeout=timeout)
+        response = _exchange(sock, request)
+    if response is None:
+        raise ServerError("ConnectionLost", "connection closed before the answer arrived")
     if not isinstance(response, dict) or "ok" not in response:
+        sock.close()
         raise ServerError("MalformedResponse", f"bad response document: {response!r}")
+    if not hasattr(_pool, "sockets"):
+        _pool.sockets = _Sockets()
+    _pool.sockets[endpoint] = (sock, time.monotonic())
     if response["ok"]:
         body = response.get("body")
         if not isinstance(body, dict):
@@ -119,12 +216,26 @@ class FrameServer:
     """Threaded TCP server running ``handler`` for each request document.
 
     The handler receives ``(kind, payload, chain_or_None)`` and returns the
-    response body; domain errors become error responses by code. ``stop``
-    shuts the accept loop down and lets in-flight handlers finish.
+    response body; domain errors become error responses by code. Each
+    connection gets a thread that answers its requests in order until the
+    client closes it, sends a frame that leaves the stream untrustworthy, or
+    stays silent for ``IDLE_TIMEOUT`` seconds. Once a frame has started, all
+    of it must arrive within ``FRAME_DEADLINE`` seconds, so a client that
+    drips bytes cannot hold a thread. At most ``MAX_CONNECTIONS`` are open
+    at once; a connection beyond that gets one ``Busy`` error response and
+    is closed without starting a thread.
+
+    ``stop`` closes the listener, then shuts the read side of every open
+    connection: idle handlers see end of stream and close, and a handler
+    in the middle of a request still writes its answer. No request read
+    once ``stop`` has begun is answered.
     """
 
     def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict]):
         self._handler = handler
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        self._stopping = False
         outer = self
 
         class _Handler(socketserver.BaseRequestHandler):
@@ -141,9 +252,9 @@ class FrameServer:
                         if exc.recoverable:
                             continue
                         return
-                    except (OSError, socket.timeout):
+                    except OSError:
                         return
-                    if doc is None:
+                    if doc is None or outer._stopping:
                         return
                     response = outer._dispatch(doc)
                     try:
@@ -155,10 +266,33 @@ class FrameServer:
                                         error_response(ResponseTooLarge.code, exc.message))
                     except OSError:
                         return
+                    # An idle connection must not keep the last request and
+                    # answer alive.
+                    del doc, response
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+
+            def process_request(self, request, client_address) -> None:
+                with outer._lock:
+                    admitted = len(outer._connections) < MAX_CONNECTIONS
+                    if admitted:
+                        outer._connections.add(request)
+                if admitted:
+                    super().process_request(request, client_address)
+                    return
+                try:
+                    write_frame(request, error_response(
+                        "Busy", f"server holds its limit of {MAX_CONNECTIONS} connections"))
+                except OSError:
+                    pass
+                self.shutdown_request(request)
+
+            def shutdown_request(self, request) -> None:
+                with outer._lock:
+                    outer._connections.discard(request)
+                super().shutdown_request(request)
 
         self._server = _Server(listen, _Handler)
         self._thread: threading.Thread | None = None
@@ -191,8 +325,15 @@ class FrameServer:
         self._thread.start()
 
     def stop(self) -> None:
+        self._stopping = True
         self._server.shutdown()
         self._server.server_close()
+        with self._lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
         if self._thread is not None:
             self._thread.join(timeout=5)
 

@@ -529,6 +529,45 @@ def test_grant_monotonicity(cmd):
             assert old_allow or not new_allow
 
 
+IDENTITIES = [ALICE, BOB, CAROL, ANN, "/VO=esg/CN=dave"]
+GROUP_NAMES = ["publishers", "ops", "readers"]
+random_admin_cmds = st.one_of(
+    st.builds(lambda op, who: {"op": op, "identity": who},
+              st.sampled_from(["add_member", "remove_member"]), st.sampled_from(IDENTITIES)),
+    st.builds(lambda name: {"op": "create_group", "group": name}, st.sampled_from(GROUP_NAMES)),
+    st.builds(lambda op, name, who: {"op": op, "group": name, "identity": who},
+              st.sampled_from(["add_to_group", "remove_from_group"]),
+              st.sampled_from(GROUP_NAMES), st.sampled_from(IDENTITIES)),
+    st.builds(lambda op, subject, action, obj: {"op": op, "subject": subject,
+                                                "action": action, "object": obj},
+              st.sampled_from(["grant", "revoke"]), st.sampled_from(IDENTITIES + GROUP_NAMES),
+              st.sampled_from(sorted(oracles.ACTIONS)),
+              st.sampled_from(["vo://esg/data/**", "vo://esg/code/**", "vo://esg/data/x"])),
+)
+
+
+@given(cmds=st.lists(random_admin_cmds, max_size=25))
+@settings(max_examples=80)
+def test_member_groups_index_agrees_with_a_scan(cmds):
+    """After any admin sequence, ``groups_of`` and ``user_rights`` equal a
+    scan of every group, for every identity and for one never seen."""
+    db = fixture_db()
+    for cmd in cmds:
+        try:
+            db = apply_admin(db, OWNER, cmd)
+        except (UnknownSubject, DuplicateGroup):
+            pass
+    for who in IDENTITIES + [OWNER, "/VO=esg/CN=stranger"]:
+        groups = frozenset(name for name, g in db.groups.items() if who in g.members)
+        expected = set()
+        if who in db.members:
+            for subject in [who, *groups]:
+                expected |= db.grants.get(subject, frozenset())
+        assert db.groups_of(who) == groups
+        assert user_rights(db, who) == expected
+    assert db_from_map(db_to_map(db)).member_groups == db.member_groups
+
+
 # --- persistence ------------------------------------------------------------------------
 
 def test_database_file_round_trip(tmp_path, db):
