@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -28,8 +28,11 @@ from .canonical import (
     canonical_json,
     decode_blocks,
     encode_block,
+    expect,
+    fields,
     from_hex,
     parse_canonical,
+    set_of,
     to_hex,
     write_private,
 )
@@ -37,7 +40,6 @@ from .credentials import (
     CLOCK_SKEW,
     CredentialChain,
     check_chain_internal,
-    deliverable_chain,
     issue_proxy,
 )
 from .errors import (
@@ -56,6 +58,7 @@ from .policy import (
     rights_from_list,
     rights_to_list,
     user_rights,
+    validate_group_name,
     validate_identity,
 )
 
@@ -170,15 +173,7 @@ def issue_assertion(
         db_revision=db.revision,
         signature=b"",
     )
-    signature = sign_payload(cas_keys, unsigned.signing_payload())
-    return _with_signature(unsigned, signature)
-
-
-def _with_signature(a: PolicyAssertion, signature: bytes) -> PolicyAssertion:
-    return PolicyAssertion(
-        a.serial, a.vo_name, a.issuer, a.subject, a.mode, a.rights, a.groups,
-        a.not_before, a.not_after, a.db_revision, signature,
-    )
+    return replace(unsigned, signature=sign_payload(cas_keys, unsigned.signing_payload()))
 
 
 def verify_assertion(
@@ -246,12 +241,7 @@ def issue_restricted_proxy(
     if not db.is_member(subject):
         raise NotAMember(f"{subject} is not a member of {db.vo_name}")
     check_chain_internal(cas_chain)
-    chain = issue_proxy(
-        cas_chain,
-        (now, now + lifetime),
-        restriction=user_rights(db, subject),
-    )
-    return deliverable_chain(chain)
+    return issue_proxy(cas_chain, (now, now + lifetime), restriction=user_rights(db, subject))
 
 
 # --- serialization -------------------------------------------------------------------
@@ -281,35 +271,27 @@ def assertion_to_map(a: PolicyAssertion) -> dict[str, Any]:
     return out
 
 
+_ASSERTION_FIELDS = frozenset({
+    "caslite", "serial", "vo_name", "issuer", "subject", "mode",
+    "not_before", "not_after", "db_revision", "signature",
+})
+
+
 def assertion_from_map(doc: Any) -> PolicyAssertion:
-    if not isinstance(doc, dict):
-        raise MalformedMessage("assertion must be a map")
-    required = {
-        "caslite", "serial", "vo_name", "issuer", "subject", "mode",
-        "not_before", "not_after", "db_revision", "signature",
-    }
-    if not required <= set(doc) or not set(doc) <= required | {"rights", "groups"}:
-        raise MalformedMessage("assertion document has wrong fields")
+    mode = fields(doc, "assertion", _ASSERTION_FIELDS, {"rights", "groups"})["mode"]
+    if mode not in MODES:
+        raise MalformedMessage(f"unknown assertion mode {mode!r}")
+    # Each mode carries its content in exactly one field of its own.
+    fields(doc, f"{mode}-mode assertion",
+           _ASSERTION_FIELDS | {"rights" if mode == "rights" else "groups"})
     if doc["caslite"] != ASSERTION_FORMAT:
         raise MalformedMessage(f"not an assertion document: {doc['caslite']!r}")
-    if doc["mode"] == "rights":
-        if "rights" not in doc or "groups" in doc:
-            raise MalformedMessage("rights-mode assertion must carry rights only")
-    elif doc["mode"] == "membership":
-        if "groups" not in doc or "rights" in doc:
-            raise MalformedMessage("membership-mode assertion must carry groups only")
-    if not isinstance(doc["serial"], int) or not isinstance(doc["db_revision"], int):
-        raise MalformedMessage("serial and db_revision must be integers")
-    if not isinstance(doc["not_before"], int) or not isinstance(doc["not_after"], int):
-        raise MalformedMessage("validity bounds must be integer timestamps")
-    groups = None
-    if "groups" in doc:
-        if not isinstance(doc["groups"], list):
-            raise MalformedMessage("groups must be a list")
-        groups = frozenset(doc["groups"])
+    for name in ("serial", "db_revision", "not_before", "not_after"):
+        expect(doc[name], int, name)
+    groups = set_of(validate_group_name, doc["groups"], "groups") if "groups" in doc else None
     return PolicyAssertion(
         serial=doc["serial"],
-        vo_name=doc["vo_name"],
+        vo_name=expect(doc["vo_name"], str, "vo_name"),
         issuer=validate_identity(doc["issuer"]),
         subject=validate_identity(doc["subject"]),
         mode=doc["mode"],

@@ -21,6 +21,7 @@ from typing import Any
 
 from . import wire
 from .assertions import PolicyAssertion, assertion_from_map
+from .canonical import expect, fields, set_of
 from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
 from .keys import KeyMaterial
 from .policy import (
@@ -100,21 +101,15 @@ def decide_local(
 
 
 def query_from_payload(payload: Any) -> DecisionQuery:
-    if not isinstance(payload, dict):
-        raise MalformedMessage("decision payload must be a map")
-    allowed = {"identity", "attributes", "action", "object", "assertion"}
-    required = {"identity", "action", "object"}
-    if not required <= set(payload) or not set(payload) <= allowed:
-        raise MalformedMessage("decision payload needs identity, action and object")
-    attributes = payload.get("attributes", [])
-    if not isinstance(attributes, list):
-        raise MalformedMessage("attributes must be a list")
+    fields(payload, "decision payload", {"identity", "action", "object"},
+           {"attributes", "assertion"})
     assertion = None
     if "assertion" in payload:
         assertion = assertion_from_map(payload["assertion"])
     return DecisionQuery(
         identity=payload["identity"],
-        attributes=frozenset(attributes),
+        attributes=set_of(lambda attr: expect(attr, str, "attribute"),
+                          payload.get("attributes", []), "attributes"),
         action=payload["action"],
         object=payload["object"],
         assertion=assertion,

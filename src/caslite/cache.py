@@ -26,8 +26,8 @@ from typing import Any
 from . import wire
 from .canonical import canonical_json
 from .credentials import chain_to_map, load_chain
-from .errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
-from .statements import SignedStatement, statement_from_map, statement_to_map, validate_query
+from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
+from .statements import SignedStatement, fetch_statement, statement_to_map, validate_query
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ class StatementCache:
         if not already:
             try:
                 self._fetch_one(key, query, int(time.time()))
-            except (OSError, ServerError, MalformedMessage) as exc:
+            except (OSError, CasliteError) as exc:
                 logger.warning("initial fetch failed for %s: %s", query, exc)
 
     def subscriptions(self) -> list[dict]:
@@ -94,12 +94,7 @@ class StatementCache:
             return self._entries.get(_query_key(validate_query(query)))
 
     def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
-        body = wire.call(
-            self.config.authority, "query", query, chain=self.config.client_chain
-        )
-        if "statement" not in body:
-            raise MalformedMessage("query response carries no statement")
-        statement = statement_from_map(body["statement"])
+        statement = fetch_statement(self.config.authority, query, self.config.client_chain)
         entry = CacheEntry(query=query, statement=statement, fetched_at=now)
         with self._lock:
             entries = dict(self._entries)
@@ -114,7 +109,7 @@ class StatementCache:
             try:
                 self._fetch_one(key, query, now)
                 updated.append(query)
-            except (OSError, ServerError, MalformedMessage) as exc:
+            except (OSError, CasliteError) as exc:
                 logger.debug("refresh failed for %s: %s", query, exc)
                 failed.append(query)
         return {"updated": updated, "failed": failed}

@@ -16,7 +16,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any, Callable
 
 from .errors import MalformedMessage
 
@@ -66,6 +66,34 @@ def parse_canonical(data: bytes) -> Any:
     if canonical_json(value) != data:
         raise MalformedMessage("document is not in canonical form")
     return value
+
+
+def fields(doc: Any, what: str, required: AbstractSet[str],
+           optional: AbstractSet[str] = frozenset()) -> dict:
+    """The strict shape of every parsed document: ``doc`` itself when it is a
+    map holding every key of ``required`` and none outside ``required |
+    optional``; otherwise :class:`MalformedMessage` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise MalformedMessage(f"{what} must be a map")
+    keys = doc.keys()
+    if not keys >= required or (len(keys) > len(required) and not keys <= required | optional):
+        raise MalformedMessage(
+            f"{what} has wrong fields (required {sorted(required)}, optional {sorted(optional)})")
+    return doc
+
+
+def expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is an instance of ``kind``; otherwise
+    :class:`MalformedMessage` naming ``what``."""
+    if not isinstance(value, kind):
+        raise MalformedMessage(f"{what} must be a {kind.__name__}")
+    return value
+
+
+def set_of(check: Callable[[Any], Any], items: Any, what: str) -> frozenset:
+    """A list whose every item passes ``check``, as a frozenset of the
+    checked items; otherwise :class:`MalformedMessage` naming ``what``."""
+    return frozenset(map(check, expect(items, list, what)))
 
 
 def to_hex(data: bytes) -> str:

@@ -38,7 +38,7 @@ from .credentials import (
     verify_chain,
 )
 from .errors import CasliteError, ServerError
-from .policy import Right, rights_to_list, validate_action, split_pattern
+from .policy import Right, rights_to_list
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -92,8 +92,6 @@ def _parse_requested(items: list[str]) -> list[dict]:
         action, sep, pattern = item.partition(" ")
         if not sep:
             raise CasliteError(f"--request takes 'ACTION PATTERN', got {item!r}")
-        validate_action(action)
-        split_pattern(pattern)
         rights.append(Right(action, pattern))
     return rights_to_list(rights)
 

@@ -15,7 +15,7 @@ private part so the holder can keep delegating.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +23,8 @@ from .canonical import (
     canonical_json,
     decode_blocks,
     encode_block,
+    expect,
+    fields,
     from_hex,
     parse_canonical,
     to_hex,
@@ -193,8 +195,7 @@ def issue_eec(
 def _sign_eec(subject: str, issuer: str, keys: KeyMaterial,
               not_before: int, not_after: int, signer: KeyMaterial) -> EndEntityCredential:
     unsigned = EndEntityCredential(subject, issuer, keys, not_before, not_after, b"")
-    signature = sign_payload(signer, unsigned.signing_payload())
-    return EndEntityCredential(subject, issuer, keys, not_before, not_after, signature)
+    return replace(unsigned, signature=sign_payload(signer, unsigned.signing_payload()))
 
 
 def issue_proxy(
@@ -224,24 +225,11 @@ def issue_proxy(
         raise ValidityOutOfRange(
             f"[{not_before}, {not_after}) exceeds the parent's effective validity"
         )
-    keys = generate_keys()
-    unsigned = DelegationLink(keys, not_before, not_after, restriction, extension, b"")
-    signature = sign_payload(signer, unsigned.signing_payload())
-    link = DelegationLink(keys, not_before, not_after, restriction, extension, signature)
+    unsigned = DelegationLink(generate_keys(), not_before, not_after, restriction, extension, b"")
+    link = replace(unsigned, signature=sign_payload(signer, unsigned.signing_payload()))
     return CredentialChain(
         eec=parent.eec.public(),
         links=tuple(l.public() for l in parent.links) + (link,),
-    )
-
-
-def deliverable_chain(chain: CredentialChain) -> CredentialChain:
-    """Strip every private part except the innermost link's, for handing a
-    freshly issued chain to its holder."""
-    if not chain.links:
-        return chain
-    return CredentialChain(
-        eec=chain.eec.public(),
-        links=tuple(l.public() for l in chain.links[:-1]) + (chain.links[-1],),
     )
 
 
@@ -331,10 +319,8 @@ def eec_to_map(eec: EndEntityCredential, include_private: bool = False) -> dict[
 
 
 def eec_from_map(doc: Any) -> EndEntityCredential:
-    if not isinstance(doc, dict) or set(doc) != {
-        "caslite", "subject", "issuer", "keys", "not_before", "not_after", "signature",
-    }:
-        raise MalformedMessage("credential document has wrong fields")
+    fields(doc, "credential document",
+           {"caslite", "subject", "issuer", "keys", "not_before", "not_after", "signature"})
     if doc["caslite"] != EEC_FORMAT:
         raise MalformedMessage(f"not a credential document: {doc['caslite']!r}")
     _check_interval(doc["not_before"], doc["not_after"])
@@ -370,11 +356,8 @@ def link_to_map(link: DelegationLink, include_private: bool = False) -> dict[str
 
 
 def link_from_map(doc: Any) -> DelegationLink:
-    if not isinstance(doc, dict):
-        raise MalformedMessage("delegation link must be a map")
-    required = {"caslite", "keys", "not_before", "not_after", "signature"}
-    if not required <= set(doc) or not set(doc) <= required | {"restriction", "extension"}:
-        raise MalformedMessage("delegation link has wrong fields")
+    fields(doc, "delegation link", {"caslite", "keys", "not_before", "not_after", "signature"},
+           {"restriction", "extension"})
     if doc["caslite"] != LINK_FORMAT:
         raise MalformedMessage(f"not a delegation link: {doc['caslite']!r}")
     _check_interval(doc["not_before"], doc["not_after"])
@@ -397,15 +380,12 @@ def chain_to_map(chain: CredentialChain, include_private: bool = False) -> dict[
 
 
 def chain_from_map(doc: Any) -> CredentialChain:
-    if not isinstance(doc, dict) or set(doc) != {"caslite", "eec", "links"}:
-        raise MalformedMessage("chain document has wrong fields")
+    fields(doc, "chain document", {"caslite", "eec", "links"})
     if doc["caslite"] != CHAIN_FORMAT:
         raise MalformedMessage(f"not a chain document: {doc['caslite']!r}")
-    if not isinstance(doc["links"], list):
-        raise MalformedMessage("chain links must be a list")
     return CredentialChain(
         eec=eec_from_map(doc["eec"]),
-        links=tuple(link_from_map(l) for l in doc["links"]),
+        links=tuple(link_from_map(l) for l in expect(doc["links"], list, "chain links")),
     )
 
 

@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import from_hex, to_hex
+from .canonical import fields, from_hex, to_hex
 from .errors import CasliteError, MalformedMessage
 
 ED25519 = "ed25519"
@@ -106,15 +106,11 @@ def key_to_map(keys: KeyMaterial, include_private: bool = False) -> dict[str, An
 
 
 def key_from_map(doc: Any) -> KeyMaterial:
-    if not isinstance(doc, dict):
-        raise MalformedMessage("key material must be a map")
-    extra = set(doc) - {"algorithm_id", "public_part", "private_part"}
-    if extra or not {"algorithm_id", "public_part"} <= set(doc):
-        raise MalformedMessage("key material has wrong fields")
+    fields(doc, "key material", {"algorithm_id", "public_part"}, {"private_part"})
     if doc["algorithm_id"] != ED25519:
         raise MalformedMessage(f"unknown algorithm_id {doc['algorithm_id']!r}")
     public = from_hex(doc["public_part"])
-    if len(public) != 32:
-        raise MalformedMessage("ed25519 public key must be 32 bytes")
     private = from_hex(doc["private_part"]) if "private_part" in doc else None
+    if len(public) != 32 or private is not None and len(private) != 32:
+        raise MalformedMessage("ed25519 keys must be 32 bytes")
     return KeyMaterial(ED25519, public, private)

@@ -27,7 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .canonical import canonical_json, parse_canonical, write_atomic
+from .canonical import canonical_json, expect, fields, parse_canonical, set_of, write_atomic
 from .errors import (
     DuplicateGroup,
     MalformedMessage,
@@ -44,13 +44,17 @@ _SCHEME_RE = re.compile(r"^([a-z][a-z0-9+.-]*)://(.*)$", re.DOTALL)
 
 ACTIONS = frozenset({"read", "write", "list", "delete", "create"})
 
-ADMIN_POWERS = frozenset({"grant", "revoke", "manage_membership", "manage_group"})
-
 
 def validate_identity(name: Any) -> Identity:
     """Distinguished-name strings like ``/VO=esg/CN=alice``."""
     if not isinstance(name, str) or not IDENTITY_RE.fullmatch(name):
         raise MalformedMessage(f"not a valid identity: {name!r}")
+    return name
+
+
+def validate_group_name(name: Any) -> str:
+    if not isinstance(name, str) or not GROUP_NAME_RE.fullmatch(name):
+        raise MalformedMessage(f"bad group name {name!r}")
     return name
 
 
@@ -157,9 +161,6 @@ class Right:
         _setattr(self, "wildcard", wildcard)
 
 
-RightsSet = frozenset  # of Right
-
-
 def _by_action(rights: Iterable[Right]) -> dict[str, list[Right]]:
     out: dict[str, list[Right]] = {}
     for right in rights:
@@ -225,13 +226,13 @@ def rights_to_list(rights: Iterable[Right]) -> list[dict[str, str]]:
     return [{"action": r.action, "object": r.object} for r in sorted(rights, key=_RIGHT_KEY)]
 
 
+_RIGHT_FIELDS = frozenset({"action", "object"})
+
+
 def rights_from_list(doc: Any) -> frozenset[Right]:
-    if not isinstance(doc, list):
-        raise MalformedMessage("rights must be a list")
     out = set()
-    for item in doc:
-        if not isinstance(item, dict) or set(item) != {"action", "object"}:
-            raise MalformedMessage(f"bad right entry: {item!r}")
+    for item in expect(doc, list, "rights"):
+        fields(item, "right entry", _RIGHT_FIELDS)
         try:
             out.add(Right(item["action"], item["object"]))
         except MalformedPattern as exc:
@@ -247,8 +248,7 @@ class Group:
     members: frozenset
 
     def __post_init__(self) -> None:
-        if not GROUP_NAME_RE.fullmatch(self.name):
-            raise MalformedMessage(f"bad group name {self.name!r}")
+        validate_group_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -268,10 +268,10 @@ class AdminCapability:
         validate_identity(self.admin)
         if not self.powers or not self.powers <= ADMIN_POWERS:
             raise MalformedMessage(f"bad capability powers {set(self.powers)!r}")
-        if self.powers & {"grant", "revoke"}:
-            if self.namespace is None:
-                raise MalformedMessage("grant/revoke capability requires a namespace")
+        if self.namespace is not None:
             split_pattern(self.namespace)
+        elif self.powers & {"grant", "revoke"}:
+            raise MalformedMessage("grant/revoke capability requires a namespace")
         if "manage_group" in self.powers and not self.groups:
             raise MalformedMessage("manage_group capability requires a group set")
 
@@ -328,61 +328,63 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
 
 # --- admin commands -------------------------------------------------------------
 
-_ADMIN_OPS = {
-    "grant", "revoke", "add_member", "remove_member",
-    "create_group", "add_to_group", "remove_from_group", "add_capability",
-}
-
-
-def _capability_allows(cap: AdminCapability, cmd: dict) -> bool:
-    op = cmd["op"]
-    if op in ("grant", "revoke"):
-        return op in cap.powers and pattern_covers(cap.namespace, cmd["object"])
-    if op in ("add_member", "remove_member"):
-        return "manage_membership" in cap.powers
-    if op in ("create_group", "add_to_group", "remove_from_group"):
-        return "manage_group" in cap.powers and cmd["group"] in cap.groups
-    return False  # add_capability is reserved to the owner
-
-
-def _parse_admin_cmd(cmd: Any) -> dict:
-    if not isinstance(cmd, dict) or cmd.get("op") not in _ADMIN_OPS:
-        raise MalformedMessage(f"unknown admin command: {cmd!r}")
-    op = cmd["op"]
-    keys = set(cmd)
-    if op in ("grant", "revoke"):
-        if keys != {"op", "subject", "action", "object"}:
-            raise MalformedMessage(f"{op} needs subject, action, object")
-        validate_action(cmd["action"])
-        split_pattern(cmd["object"])
-        _validate_subject_ref(cmd["subject"])
-    elif op in ("add_member", "remove_member"):
-        if keys != {"op", "identity"}:
-            raise MalformedMessage(f"{op} needs identity")
-        validate_identity(cmd["identity"])
-    elif op == "create_group":
-        if keys != {"op", "group"}:
-            raise MalformedMessage("create_group needs group")
-        if not GROUP_NAME_RE.fullmatch(cmd["group"]):
-            raise MalformedMessage(f"bad group name {cmd['group']!r}")
-    elif op in ("add_to_group", "remove_from_group"):
-        if keys != {"op", "group", "identity"}:
-            raise MalformedMessage(f"{op} needs group and identity")
-        validate_identity(cmd["identity"])
-    else:  # add_capability
-        if keys != {"op", "capability"}:
-            raise MalformedMessage("add_capability needs capability")
-        _capability_from_map(cmd["capability"])
-    return cmd
-
-
 def _validate_subject_ref(ref: Any) -> str:
     """A grant subject is an identity (starts with ``/``) or a group name."""
     if isinstance(ref, str) and ref.startswith("/"):
         return validate_identity(ref)
-    if isinstance(ref, str) and GROUP_NAME_RE.fullmatch(ref):
-        return ref
-    raise MalformedMessage(f"bad grant subject {ref!r}")
+    return validate_group_name(ref)
+
+
+def _capability_from_map(doc: Any) -> AdminCapability:
+    fields(doc, "capability", {"admin", "powers"}, {"namespace", "groups"})
+    return AdminCapability(
+        admin=doc["admin"],
+        powers=set_of(lambda power: expect(power, str, "power"), doc["powers"], "powers"),
+        namespace=doc.get("namespace"),
+        groups=set_of(validate_group_name, doc.get("groups", []), "capability groups"),
+    )
+
+
+# The admin command set: op -> (each field besides "op" with its check, in
+# checking order; the power that covers the op). A command naming an
+# ``object`` is further scoped by the capability's namespace, one naming a
+# ``group`` by its groups. add_capability has no power: it is reserved to
+# the owner.
+ADMIN_COMMANDS: dict[str, tuple[dict[str, Any], str | None]] = {
+    "grant": ({"action": validate_action, "object": split_pattern,
+               "subject": _validate_subject_ref}, "grant"),
+    "revoke": ({"action": validate_action, "object": split_pattern,
+                "subject": _validate_subject_ref}, "revoke"),
+    "add_member": ({"identity": validate_identity}, "manage_membership"),
+    "remove_member": ({"identity": validate_identity}, "manage_membership"),
+    "create_group": ({"group": validate_group_name}, "manage_group"),
+    "add_to_group": ({"group": validate_group_name, "identity": validate_identity},
+                     "manage_group"),
+    "remove_from_group": ({"group": validate_group_name, "identity": validate_identity},
+                          "manage_group"),
+    "add_capability": ({"capability": _capability_from_map}, None),
+}
+
+ADMIN_POWERS = frozenset(power for _, power in ADMIN_COMMANDS.values() if power)
+
+
+def _capability_allows(cap: AdminCapability, cmd: dict) -> bool:
+    if ADMIN_COMMANDS[cmd["op"]][1] not in cap.powers:
+        return False
+    if "object" in cmd:
+        return pattern_covers(cap.namespace, cmd["object"])
+    return "group" not in cmd or cmd["group"] in cap.groups
+
+
+def _parse_admin_cmd(cmd: Any) -> dict:
+    op = cmd.get("op") if isinstance(cmd, dict) else None
+    if not isinstance(op, str) or op not in ADMIN_COMMANDS:
+        raise MalformedMessage(f"unknown admin command: {cmd!r}")
+    checks = ADMIN_COMMANDS[op][0]
+    fields(cmd, f"{op} command", {"op", *checks})
+    for name, check in checks.items():
+        check(cmd[name])
+    return cmd
 
 
 def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDatabase:
@@ -543,22 +545,6 @@ def _capability_to_map(cap: AdminCapability) -> dict[str, Any]:
     return out
 
 
-def _capability_from_map(doc: Any) -> AdminCapability:
-    if not isinstance(doc, dict) or not set(doc) <= {"admin", "powers", "namespace", "groups"}:
-        raise MalformedMessage(f"bad capability document: {doc!r}")
-    if not {"admin", "powers"} <= set(doc):
-        raise MalformedMessage("capability needs admin and powers")
-    try:
-        return AdminCapability(
-            admin=doc["admin"],
-            powers=frozenset(doc["powers"]),
-            namespace=doc.get("namespace"),
-            groups=frozenset(doc.get("groups", ())),
-        )
-    except TypeError as exc:
-        raise MalformedMessage(f"bad capability document: {exc}") from None
-
-
 def db_to_map(db: VOPolicyDatabase) -> dict[str, Any]:
     return {
         "vo_name": db.vo_name,
@@ -572,20 +558,19 @@ def db_to_map(db: VOPolicyDatabase) -> dict[str, Any]:
 
 
 def db_from_map(doc: Any) -> VOPolicyDatabase:
-    if not isinstance(doc, dict) or set(doc) != {
-        "vo_name", "owner", "members", "groups", "grants", "admin_caps", "revision",
-    }:
-        raise MalformedMessage("policy database has wrong top-level keys")
+    fields(doc, "policy database",
+           {"vo_name", "owner", "members", "groups", "grants", "admin_caps", "revision"})
     if not isinstance(doc["vo_name"], str) or not doc["vo_name"]:
         raise MalformedMessage("vo_name must be a non-empty string")
     if not isinstance(doc["revision"], int) or doc["revision"] < 0:
         raise MalformedMessage("revision must be a non-negative integer")
-    members = frozenset(validate_identity(m) for m in doc["members"])
-    groups = {}
-    for name, member_list in doc["groups"].items():
-        groups[name] = Group(name, frozenset(validate_identity(m) for m in member_list))
+    members = set_of(validate_identity, doc["members"], "members")
+    groups = {
+        name: Group(name, set_of(validate_identity, member_list, f"group {name!r}"))
+        for name, member_list in expect(doc["groups"], dict, "groups").items()
+    }
     grants = {}
-    for ref, rights_list in doc["grants"].items():
+    for ref, rights_list in expect(doc["grants"], dict, "grants").items():
         _validate_subject_ref(ref)
         if ref.startswith("/"):
             if ref not in members:
@@ -593,7 +578,7 @@ def db_from_map(doc: Any) -> VOPolicyDatabase:
         elif ref not in groups:
             raise MalformedMessage(f"grant subject {ref!r} is not a group")
         grants[ref] = rights_from_list(rights_list)
-    caps = tuple(_capability_from_map(c) for c in doc["admin_caps"])
+    caps = tuple(map(_capability_from_map, expect(doc["admin_caps"], list, "admin_caps")))
     return VOPolicyDatabase(
         vo_name=doc["vo_name"],
         owner=validate_identity(doc["owner"]),
@@ -626,13 +611,16 @@ def site_to_map(site: SitePolicy) -> dict[str, Any]:
 
 
 def site_from_map(doc: Any) -> SitePolicy:
-    if not isinstance(doc, dict) or set(doc) != {"vo_accounts", "site_rights", "blacklist"}:
-        raise MalformedMessage("site policy has wrong top-level keys")
+    fields(doc, "site policy", {"vo_accounts", "site_rights", "blacklist"})
     vo_accounts = {
-        validate_identity(ident): acct for ident, acct in doc["vo_accounts"].items()
+        validate_identity(ident): expect(account, str, "local account")
+        for ident, account in expect(doc["vo_accounts"], dict, "vo_accounts").items()
     }
-    site_rights = {a: rights_from_list(rl) for a, rl in doc["site_rights"].items()}
-    blacklist = frozenset(validate_identity(b) for b in doc["blacklist"])
+    site_rights = {
+        account: rights_from_list(rl)
+        for account, rl in expect(doc["site_rights"], dict, "site_rights").items()
+    }
+    blacklist = set_of(validate_identity, doc["blacklist"], "blacklist")
     return SitePolicy(vo_accounts=vo_accounts, site_rights=site_rights, blacklist=blacklist)
 
 
@@ -645,9 +633,7 @@ def load_site(path: Path | str) -> SitePolicy:
 
 
 def group_rights_from_map(doc: Any) -> dict[str, frozenset]:
-    if not isinstance(doc, dict):
-        raise MalformedMessage("group rights must be a map")
-    return {name: rights_from_list(rl) for name, rl in doc.items()}
+    return {name: rights_from_list(rl) for name, rl in expect(doc, dict, "group rights").items()}
 
 
 def load_group_rights(path: Path | str) -> dict[str, frozenset]:

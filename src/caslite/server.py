@@ -30,6 +30,7 @@ from .assertions import (
     issue_assertion,
     issue_restricted_proxy,
 )
+from .canonical import fields
 from .credentials import (
     chain_from_map,
     chain_to_map,
@@ -176,9 +177,8 @@ class CasServer:
     def handle_get_credential(self, payload: dict, caller: Identity) -> dict:
         """Issue for the authenticated caller only; there is no issuing for
         third parties."""
-        allowed = {"mode", "lifetime", "assertion_mode", "requested"}
-        if not isinstance(payload, dict) or "mode" not in payload or not set(payload) <= allowed:
-            raise MalformedMessage("get_credential payload needs a mode")
+        fields(payload, "get_credential payload", {"mode"},
+               {"lifetime", "assertion_mode", "requested"})
         lifetime = payload.get("lifetime", self.config.default_lifetime)
         if not isinstance(lifetime, int):
             raise MalformedMessage("lifetime must be an integer number of seconds")
@@ -212,10 +212,9 @@ class CasServer:
         raise MalformedMessage(f"unknown credential mode {payload['mode']!r}")
 
     def handle_admin(self, payload: dict, caller: Identity) -> dict:
-        if not isinstance(payload, dict) or set(payload) != {"command"}:
-            raise MalformedMessage("admin payload needs a command")
+        command = fields(payload, "admin payload", {"command"})["command"]
         with self._write_lock:
-            new_db = apply_admin(self._db, caller, payload["command"])
+            new_db = apply_admin(self._db, caller, command)
             save_database(new_db, self.config.db_path)
             self._db = new_db
             return {"revision": new_db.revision}

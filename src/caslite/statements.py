@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .canonical import canonical_json, from_hex, to_hex
+from .canonical import canonical_json, expect, fields, from_hex, to_hex
 from .errors import (
+    CasliteError,
     MalformedMessage,
-    ServerError,
     SourceUnavailable,
     StaleStatement,
 )
@@ -30,7 +30,9 @@ logger = logging.getLogger(__name__)
 
 STATEMENT_FORMAT = "statement/1"
 
-QUERY_KINDS = ("user_rights", "resource_rights")
+# query kind -> its one argument and that argument's check
+QUERY_KINDS = {"user_rights": ("subject", validate_identity),
+               "resource_rights": ("namespace", split_pattern)}
 
 
 class _ParsedEntries:
@@ -89,26 +91,20 @@ class SignedStatement:
 
 
 def validate_query(payload: Any) -> dict:
-    if not isinstance(payload, dict) or payload.get("query") not in QUERY_KINDS:
+    kind = payload.get("query") if isinstance(payload, dict) else None
+    if not isinstance(kind, str) or kind not in QUERY_KINDS:
         raise MalformedMessage(f"unknown query payload: {payload!r}")
-    if payload["query"] == "user_rights":
-        if set(payload) != {"query", "subject"}:
-            raise MalformedMessage("user_rights query needs a subject")
-        validate_identity(payload["subject"])
-    else:
-        if set(payload) != {"query", "namespace"}:
-            raise MalformedMessage("resource_rights query needs a namespace")
-        split_pattern(payload["namespace"])
+    name, check = QUERY_KINDS[kind]
+    check(fields(payload, f"{kind} query", {"query", name})[name])
     return payload
 
 
 def sign_statement(
     keys: KeyMaterial, query: dict, body: dict, issued_at: int, expires_at: int
 ) -> SignedStatement:
-    payload = SignedStatement(query, body, issued_at, expires_at, b"").signing_payload()
-    return SignedStatement(
-        query, body, issued_at, expires_at, sign_payload(keys, payload), len(payload),
-    )
+    unsigned = SignedStatement(query, body, issued_at, expires_at, b"")
+    payload = unsigned.signing_payload()
+    return replace(unsigned, signature=sign_payload(keys, payload), payload_size=len(payload))
 
 
 def verify_statement(statement: SignedStatement, authority_public: KeyMaterial) -> bool:
@@ -132,32 +128,25 @@ def statement_to_map(s: SignedStatement) -> dict[str, Any]:
 
 
 def statement_from_map(doc: Any) -> SignedStatement:
-    if not isinstance(doc, dict) or set(doc) != {
-        "caslite", "query", "body", "issued_at", "expires_at", "signature",
-    }:
-        raise MalformedMessage("statement document has wrong fields")
+    fields(doc, "statement document",
+           {"caslite", "query", "body", "issued_at", "expires_at", "signature"})
     if doc["caslite"] != STATEMENT_FORMAT:
         raise MalformedMessage(f"not a statement document: {doc['caslite']!r}")
-    if not isinstance(doc["issued_at"], int) or not isinstance(doc["expires_at"], int):
-        raise MalformedMessage("statement timestamps must be integers")
+    for name in ("issued_at", "expires_at"):
+        expect(doc[name], int, name)
     query = validate_query(doc["query"])
-    body = doc["body"]
-    if not isinstance(body, dict):
-        raise MalformedMessage("statement body must be a map")
     # Validate the body shape against the echoed query before trusting it.
     if query["query"] == "user_rights":
-        if set(body) != {"assertion"}:
-            raise MalformedMessage("user_rights statement body must carry an assertion")
-        assertion_from_map(body["assertion"])
+        assertion_from_map(fields(doc["body"], "user_rights statement body", {"assertion"})
+                           ["assertion"])
     else:
-        if set(body) != {"listing"}:
-            raise MalformedMessage("resource_rights statement body must carry a listing")
-        for ident, rights in body["listing"].items():
+        listing = fields(doc["body"], "resource_rights statement body", {"listing"})["listing"]
+        for ident, rights in expect(listing, dict, "listing").items():
             validate_identity(ident)
             rights_from_list(rights)
     return SignedStatement(
         query=query,
-        body=body,
+        body=doc["body"],
         issued_at=doc["issued_at"],
         expires_at=doc["expires_at"],
         signature=from_hex(doc["signature"]),
@@ -191,6 +180,14 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
     return rights
 
 
+def fetch_statement(source: wire.Endpoint | str, query: dict,
+                    chain: dict | None) -> SignedStatement:
+    """Ask ``source`` for ``query`` and parse the statement it answers with;
+    the signature is the caller's to check."""
+    body = wire.call(source, "query", query, chain=chain)
+    return statement_from_map(fields(body, "query response", {"statement"})["statement"])
+
+
 class StatementFetcher:
     """Lazily refreshed view of one resource_rights statement.
 
@@ -220,10 +217,7 @@ class StatementFetcher:
         return {"query": "resource_rights", "namespace": self._namespace}
 
     def fetch(self) -> SignedStatement:
-        body = wire.call(self._source, "query", self.query, chain=self._client_chain)
-        if "statement" not in body:
-            raise MalformedMessage("query response carries no statement")
-        statement = statement_from_map(body["statement"])
+        statement = fetch_statement(self._source, self.query, self._client_chain)
         if not verify_statement(statement, self._authority_public):
             raise MalformedMessage("statement signature does not verify")
         return statement
@@ -235,7 +229,7 @@ class StatementFetcher:
             return cached
         try:
             statement = self.fetch()
-        except (OSError, ServerError, MalformedMessage) as exc:
+        except (OSError, CasliteError) as exc:
             if cached is not None:
                 raise StaleStatement(
                     f"cached statement expired at {cached.expires_at} and refresh failed: {exc}"

@@ -29,7 +29,7 @@ from typing import Any, Mapping
 
 from . import wire
 from .assertions import PolicyAssertion, extract_from_proxy, verify_assertion
-from .canonical import from_hex, to_hex
+from .canonical import fields, from_hex, to_hex
 from .credentials import (
     CredentialChain,
     VerifiedChain,
@@ -88,10 +88,6 @@ class ObjectStore:
             return sorted(
                 p for p in self._objects if p == prefix or p.startswith(prefix + "/")
             )
-
-    def paths(self) -> list[str]:
-        with self._lock:
-            return sorted(self._objects)
 
 
 @dataclass
@@ -310,15 +306,12 @@ class VaultServer:
         if chain_doc is None:
             raise MalformedMessage("file operations require a credential chain")
         chain = chain_from_map(chain_doc)
-        if not isinstance(payload, dict) or "path" not in payload:
-            raise MalformedMessage("payload needs a path")
-        path = payload["path"]
+        shape = {"path", "data"} if kind == "write" else {"path"}
+        path = fields(payload, f"{kind} payload", shape)["path"]
         if kind == "read":
             data = self.service.read(chain, path)
             return {"path": path, "data": to_hex(data)}
         if kind == "write":
-            if "data" not in payload:
-                raise MalformedMessage("write payload needs data")
             data = from_hex(payload["data"])
             self.service.write(chain, path, data)
             return {"path": path, "size": len(data)}

@@ -10,7 +10,13 @@ from caslite import wire
 from caslite.cache import CacheConfig, CacheServer, StatementCache
 from caslite.credentials import chain_to_map
 from caslite.errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
-from caslite.statements import statement_bytes, statement_from_map, verify_statement
+from caslite.statements import (
+    sign_statement,
+    statement_bytes,
+    statement_from_map,
+    statement_to_map,
+    verify_statement,
+)
 
 from worldlib import ALICE, rights
 
@@ -147,3 +153,49 @@ def test_background_refresh_loop(world, cas_server):
             pytest.fail("refresh loop never refetched the subscription")
     finally:
         server.stop()
+
+
+def test_mirror_survives_malformed_authority_answers(world):
+    """A stub authority answers with malformed statements: the mirror still
+    starts, reports each refresh as failed, keeps serving the last good
+    statement, and its refresh thread lives on."""
+    now = int(time.time())
+    good = statement_to_map(sign_statement(world.cas.keys, RES_QUERY, {"listing": {}},
+                                           now, now + 3600))
+    bad = dict(good, body={"listing": []})
+    bad_namespace = dict(good, query={"query": "resource_rights", "namespace": "no-scheme"})
+    answers = {"statement": bad}
+    served = []
+
+    def authority(kind, payload, chain):
+        served.append(kind)
+        return dict(answers)
+
+    stub = wire.FrameServer(("127.0.0.1", 0), authority)
+    stub.start()
+    try:
+        cache = StatementCache(CacheConfig(authority=stub.endpoint, refresh_interval=1,
+                                           max_age=5, subscriptions=[RES_QUERY]))
+        with pytest.raises(CacheMiss):
+            cache.serve_cached(RES_QUERY, now)
+        answers["statement"] = good
+        assert cache.refresh(now) == {"updated": [RES_QUERY], "failed": []}
+        kept = cache.serve_cached(RES_QUERY, now)
+        for answers["statement"] in (bad_namespace, bad):
+            assert cache.refresh(now) == {"updated": [], "failed": [RES_QUERY]}
+            assert cache.serve_cached(RES_QUERY, now) is kept
+
+        server = CacheServer(("127.0.0.1", 0), cache)
+        server.start()
+        try:
+            before = len(served)
+            deadline = time.time() + 5
+            while len(served) < before + 2 and time.time() < deadline:
+                time.sleep(0.05)
+            assert len(served) >= before + 2, "refresh loop stopped asking the authority"
+            assert server._refresher.is_alive()
+            assert cache.serve_cached(RES_QUERY, now) is kept
+        finally:
+            server.stop()
+    finally:
+        stub.stop()

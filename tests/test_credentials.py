@@ -13,7 +13,6 @@ from caslite.credentials import (
     chain_bytes,
     chain_from_map,
     chain_to_map,
-    deliverable_chain,
     issue_eec,
     issue_proxy,
     load_anchors,
@@ -223,9 +222,10 @@ def test_anchor_file_round_trip(tmp_path, ca, alice_eec):
 
 
 def test_deliverable_chain_strips_ancestors(ca, alice_eec):
-    chain = issue_proxy(CredentialChain(eec=alice_eec), (NOW, NOW + DAY))
-    delivered = deliverable_chain(chain)
+    first = issue_proxy(CredentialChain(eec=alice_eec), (NOW, NOW + DAY))
+    delivered = issue_proxy(first, (NOW, NOW + DAY))
     assert delivered.eec.keys.private_part is None
+    assert delivered.links[0].keys.private_part is None
     assert delivered.innermost_keys().private_part is not None
 
 
