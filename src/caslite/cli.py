@@ -38,7 +38,7 @@ from .credentials import (
     verify_chain,
 )
 from .errors import CasliteError, ServerError
-from .policy import Right, rights_to_list
+from .policy import ADMIN_COMMANDS, Right, rights_to_list
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -158,17 +158,9 @@ def get_cred_main(argv: list[str] | None = None) -> int:
 # --- caslite-admin ------------------------------------------------------------------
 
 def _admin_command(args: argparse.Namespace) -> dict:
-    sub = args.subcommand
-    if sub in ("grant", "revoke"):
-        return {"op": sub, "subject": args.subject, "action": args.action,
-                "object": args.object}
-    if sub in ("add-member", "remove-member"):
-        return {"op": sub.replace("-", "_"), "identity": args.identity}
-    if sub == "create-group":
-        return {"op": "create_group", "group": args.group}
-    if sub in ("add-to-group", "remove-from-group"):
-        return {"op": sub.replace("-", "_"), "group": args.group,
-                "identity": args.identity}
+    op = args.subcommand.replace("-", "_")
+    if op != "add_capability":
+        return {"op": op, **{name: getattr(args, name) for name in ADMIN_COMMANDS[op][0]}}
     capability: dict[str, Any] = {
         "admin": args.admin,
         "powers": sorted(set(args.powers.split(","))),
@@ -177,7 +169,7 @@ def _admin_command(args: argparse.Namespace) -> dict:
         capability["namespace"] = args.namespace
     if args.groups:
         capability["groups"] = sorted(set(args.groups.split(",")))
-    return {"op": "add_capability", "capability": capability}
+    return {"op": op, "capability": capability}
 
 
 def admin_main(argv: list[str] | None = None) -> int:
@@ -187,26 +179,17 @@ def admin_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--server", required=True, help="HOST:PORT of the authority")
     parser.add_argument("--chain", required=True, type=Path, help="administrator chain file")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    for name in ("grant", "revoke"):
-        sp = subs.add_parser(name)
-        sp.add_argument("subject", help="member identity or group name")
-        sp.add_argument("action")
-        sp.add_argument("object", help="object pattern")
-    for name in ("add-member", "remove-member"):
-        sp = subs.add_parser(name)
-        sp.add_argument("identity")
-    sp = subs.add_parser("create-group")
-    sp.add_argument("group")
-    for name in ("add-to-group", "remove-from-group"):
-        sp = subs.add_parser(name)
-        sp.add_argument("group")
-        sp.add_argument("identity")
-    sp = subs.add_parser("add-capability")
-    sp.add_argument("--admin", required=True)
-    sp.add_argument("--powers", required=True, help="comma-separated powers")
-    sp.add_argument("--namespace", default=None)
-    sp.add_argument("--groups", default=None, help="comma-separated group names")
+    # One subcommand per admin op; the capability document is spelled as flags.
+    for op, (checks, _) in ADMIN_COMMANDS.items():
+        sp = subs.add_parser(op.replace("_", "-"))
+        if op != "add_capability":
+            for name in checks:
+                sp.add_argument(name)
+            continue
+        sp.add_argument("--admin", required=True)
+        sp.add_argument("--powers", required=True, help="comma-separated powers")
+        sp.add_argument("--namespace", default=None)
+        sp.add_argument("--groups", default=None, help="comma-separated group names")
 
     args = parser.parse_args(argv)
     try:

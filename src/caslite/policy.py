@@ -346,15 +346,15 @@ def _capability_from_map(doc: Any) -> AdminCapability:
 
 
 # The admin command set: op -> (each field besides "op" with its check, in
-# checking order; the power that covers the op). A command naming an
-# ``object`` is further scoped by the capability's namespace, one naming a
-# ``group`` by its groups. add_capability has no power: it is reserved to
-# the owner.
+# checking and command-line order; the power that covers the op). A command
+# naming an ``object`` is further scoped by the capability's namespace, one
+# naming a ``group`` by its groups. add_capability has no power: it is
+# reserved to the owner.
 ADMIN_COMMANDS: dict[str, tuple[dict[str, Any], str | None]] = {
-    "grant": ({"action": validate_action, "object": split_pattern,
-               "subject": _validate_subject_ref}, "grant"),
-    "revoke": ({"action": validate_action, "object": split_pattern,
-                "subject": _validate_subject_ref}, "revoke"),
+    "grant": ({"subject": _validate_subject_ref, "action": validate_action,
+               "object": split_pattern}, "grant"),
+    "revoke": ({"subject": _validate_subject_ref, "action": validate_action,
+                "object": split_pattern}, "revoke"),
     "add_member": ({"identity": validate_identity}, "manage_membership"),
     "remove_member": ({"identity": validate_identity}, "manage_membership"),
     "create_group": ({"group": validate_group_name}, "manage_group"),

@@ -170,6 +170,27 @@ def test_admin_grant_and_capability_denial(world, served_world):
     assert result.stdout.strip() == "NotAuthorized"
 
 
+def test_every_admin_subcommand_is_applied(served_world, capsys):
+    from caslite.cli import admin_main
+
+    tmp, paths, server = served_world
+    owner = ["--server", server, "--chain", str(proxy_for(tmp, "owner"))]
+    dave = "/VO=esg/CN=dave"
+    steps = [
+        ["add-member", dave],
+        ["create-group", "readers"],
+        ["add-to-group", "readers", dave],
+        ["grant", "readers", "read", "vo://esg/data/**"],
+        ["revoke", "readers", "read", "vo://esg/data/**"],
+        ["remove-from-group", "readers", dave],
+        ["remove-member", dave],
+        ["add-capability", "--admin", BOB, "--powers", "manage_group", "--groups", "readers"],
+    ]
+    for revision, step in enumerate(steps, start=2):
+        assert admin_main(owner + step) == 0, step
+        assert json.loads(capsys.readouterr().out) == {"revision": revision}
+
+
 def test_admin_membership_round_trip(world, served_world):
     tmp, paths, server = served_world
     owner = proxy_for(tmp, "owner")
