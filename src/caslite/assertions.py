@@ -234,14 +234,19 @@ def issue_restricted_proxy(
     lifetime: int = DEFAULT_LIFETIME,
     *,
     now: int,
+    requested: frozenset | None = None,
 ) -> CredentialChain:
     """The restricted-proxy credential model: a chain rooted in the community
     server's own credential whose restriction enumerates the subject's
-    rights. Verifiers see the community identity, not the subject's."""
+    rights, narrowed to ``requested`` when present as in rights-mode
+    assertions. Verifiers see the community identity, not the subject's."""
     if not db.is_member(subject):
         raise NotAMember(f"{subject} is not a member of {db.vo_name}")
     check_chain_internal(cas_chain)
-    return issue_proxy(cas_chain, (now, now + lifetime), restriction=user_rights(db, subject))
+    rights = user_rights(db, subject)
+    if requested is not None:
+        rights = intersect_rights(rights, requested)
+    return issue_proxy(cas_chain, (now, now + lifetime), restriction=rights)
 
 
 # --- serialization -------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import wire
 from .canonical import canonical_json
 from .credentials import chain_to_map, load_chain
 from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
-from .statements import SignedStatement, fetch_statement, statement_to_map, validate_query
+from .statements import SignedStatement, fetch_statement, statement_answer, validate_query
 
 logger = logging.getLogger(__name__)
 
@@ -151,8 +151,7 @@ class CacheServer:
         if kind == "ping":
             return {"identity": "cache", "subscriptions": len(self.cache.subscriptions())}
         if kind == "query":
-            statement = self.cache.serve_cached(payload)
-            return {"statement": statement_to_map(statement)}
+            return statement_answer(self.cache.serve_cached(payload))
         if kind == "subscribe":
             self.cache.subscribe(payload)
             return {"subscribed": True}

@@ -23,14 +23,26 @@ from .errors import MalformedMessage
 _HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 
 
-def canonical_json(value: Any) -> bytes:
+def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     """Serialize ``value`` to canonical bytes.
 
     Accepts dicts with string keys, lists/tuples, strings, ints and bools.
     Floats and None are rejected: optional fields are expressed by omitting
-    the key, and timestamps are integers.
+    the key, and timestamps are integers. That check is a Python walk over
+    the whole value, which costs about as much as the C encoder itself, so
+    ``trusted=True`` skips it for values that cannot hold another type:
+
+    - :meth:`statements.SignedStatement.signing_payload` encodes a statement
+      whose query and body were built from checked objects by the authority,
+      or passed :func:`statements.statement_from_map`, which checks every
+      value's type;
+    - :func:`policy.db_canonical_bytes` encodes ``db_to_map`` of a database,
+      every field of which was checked when it was loaded or changed;
+    - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
+      holds no float and, when the bytes hold no ``null``, no None.
     """
-    _check(value)
+    if not trusted:
+        _check(value)
     return json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
@@ -52,18 +64,31 @@ def _check(value: Any) -> None:
     raise MalformedMessage(f"type {type(value).__name__} has no canonical form")
 
 
+def _no_canonical_number(text: str) -> Any:
+    raise MalformedMessage(f"number {text} has no canonical form")
+
+
+_DECODER = json.JSONDecoder(parse_float=_no_canonical_number, parse_constant=_no_canonical_number)
+
+
 def parse_canonical(data: bytes) -> Any:
     """Parse ``data`` and require that it is already in canonical form.
 
     Rejecting non-canonical input means a byte stream that differs from the
     issuer's serialization can never be accepted, even when it would decode
-    to the same values.
+    to the same values. Floats and ``NaN``/``Infinity`` are refused while
+    parsing; the type walk runs only when the bytes contain ``null``. Every
+    failure, deep nesting, oversized integers and lone surrogates included,
+    is a :class:`MalformedMessage`.
     """
     try:
-        value = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        value = _DECODER.decode(data.decode("utf-8"))
+        if b"null" in data:
+            _check(value)
+        encoded = canonical_json(value, trusted=True)
+    except (ValueError, RecursionError) as exc:
         raise MalformedMessage(f"not a JSON document: {exc}") from None
-    if canonical_json(value) != data:
+    if encoded != data:
         raise MalformedMessage("document is not in canonical form")
     return value
 

@@ -112,7 +112,7 @@ def get_cred_main(argv: list[str] | None = None) -> int:
                         default="rights", help="what the assertion should carry")
     parser.add_argument("--request", action="append", default=[],
                         metavar="'ACTION PATTERN'",
-                        help="narrow the assertion to these rights (repeatable)")
+                        help="narrow the assertion or restriction to these rights (repeatable)")
     args = parser.parse_args(argv)
     try:
         requested = _parse_requested(args.request) if args.request else None
@@ -123,20 +123,17 @@ def get_cred_main(argv: list[str] | None = None) -> int:
         chain = load_chain(args.chain)
         anchors = load_anchors(args.anchors)
         chain_doc = chain_to_map(chain)
+        payload: dict[str, Any] = {"lifetime": args.lifetime}
+        if requested is not None:
+            payload["requested"] = requested
         if args.mode == "assertion":
-            payload: dict[str, Any] = {
-                "mode": "assertion",
-                "lifetime": args.lifetime,
-                "assertion_mode": args.assertion_mode,
-            }
-            if requested is not None:
-                payload["requested"] = requested
+            payload.update(mode="assertion", assertion_mode=args.assertion_mode)
             body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             assertion = assertion_from_map(body["assertion"])
             verify_chain(chain, anchors, int(time.time()))
             new_chain = embed_in_proxy(chain, assertion)
         else:
-            payload = {"mode": "restricted_proxy", "lifetime": args.lifetime}
+            payload["mode"] = "restricted_proxy"
             body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             new_chain = chain_from_map(body["chain"])
         save_chain(new_chain, args.out)

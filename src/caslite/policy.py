@@ -591,7 +591,7 @@ def db_from_map(doc: Any) -> VOPolicyDatabase:
 
 
 def db_canonical_bytes(db: VOPolicyDatabase) -> bytes:
-    return canonical_json(db_to_map(db))
+    return canonical_json(db_to_map(db), trusted=True)
 
 
 def save_database(db: VOPolicyDatabase, path: Path | str) -> None:

@@ -58,7 +58,7 @@ from .policy import (
     save_database,
     user_rights,
 )
-from .statements import sign_statement, statement_to_map, validate_query
+from .statements import sign_statement, statement_answer, validate_query
 
 logger = logging.getLogger(__name__)
 
@@ -184,10 +184,8 @@ class CasServer:
             raise MalformedMessage("lifetime must be an integer number of seconds")
         db = self._db
         now = int(time.time())
+        requested = rights_from_list(payload["requested"]) if "requested" in payload else None
         if payload["mode"] == "assertion":
-            requested = None
-            if "requested" in payload:
-                requested = rights_from_list(payload["requested"])
             assertion = issue_assertion(
                 db,
                 self._chain.innermost_keys(),
@@ -205,7 +203,8 @@ class CasServer:
                 raise LifetimeTooLong(
                     f"lifetime {lifetime}s exceeds the {self.config.max_lifetime}s maximum"
                 )
-            chain = issue_restricted_proxy(self._chain, db, caller, lifetime, now=now)
+            chain = issue_restricted_proxy(self._chain, db, caller, lifetime, now=now,
+                                           requested=requested)
             # The fresh innermost private part ships to the holder; transport
             # privacy is out of scope by design.
             return {"chain": chain_to_map(chain, include_private=True)}
@@ -252,7 +251,7 @@ class CasServer:
             raise ResponseTooLarge(
                 f"statement response of {size} bytes exceeds the {wire.MAX_FRAME}-byte frame limit"
             )
-        return {"statement": statement_to_map(statement)}
+        return statement_answer(statement)
 
     # --- lifecycle ---------------------------------------------------------------
 

@@ -35,13 +35,16 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
                "resource_rights": ("namespace", split_pattern)}
 
 
-class _ParsedEntries:
-    """The listing entries of one statement parsed so far, by subject, and
-    one ``Right`` object per distinct right among them: most entries repeat
-    the same group grants, so they share their rights."""
+class _Memo:
+    """What one statement object has worked out about itself: ``payload``,
+    its signing payload, kept once signed or served here; and the listing
+    entries parsed so far, by subject, with one ``Right`` object per
+    distinct right among them, since most entries repeat the same group
+    grants and so share their rights."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
+        self.payload: bytes | None = None
         self.by_subject: dict[str, frozenset] = {}
         self.shared: dict = {}
 
@@ -50,10 +53,10 @@ class _ParsedEntries:
 class SignedStatement:
     """An authority-signed answer to a query, kept verbatim by caches.
 
-    The last two fields are memos of this object, not part of its value, and
-    take no part in equality: ``payload_size`` is the length of the signing
-    payload when the statement was signed here, and ``_parsed`` holds the
-    listing entries parsed so far (see :func:`listing_rights`).
+    ``_memo`` holds what this object has computed about itself, not part of
+    its value, and takes no part in equality: the signing payload once it is
+    kept (see :meth:`kept_payload`) and the listing entries parsed so far
+    (see :func:`listing_rights`).
     """
 
     query: dict
@@ -61,30 +64,36 @@ class SignedStatement:
     issued_at: int
     expires_at: int
     signature: bytes
-    payload_size: int | None = field(default=None, compare=False, repr=False)
-    _parsed: _ParsedEntries = field(
-        default_factory=_ParsedEntries, init=False, compare=False, repr=False
-    )
+    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.expires_at > self.issued_at:
             raise MalformedMessage("statement expires before it is issued")
 
     def signing_payload(self) -> bytes:
-        return canonical_json(_statement_payload(self))
+        return canonical_json(_statement_payload(self), trusted=True)
+
+    def kept_payload(self) -> bytes:
+        """The signing payload, encoded once per statement object and kept:
+        the bytes ``sign_statement`` signed, or, for a parsed statement, its
+        encoding when first served. Verification never reads it."""
+        memo = self._memo
+        if memo.payload is None:
+            with memo.lock:
+                if memo.payload is None:
+                    memo.payload = self.signing_payload()
+        return memo.payload
+
+    @property
+    def payload_size(self) -> int | None:
+        """Length of the kept signing payload; None while none is kept."""
+        payload = self._memo.payload
+        return None if payload is None else len(payload)
 
     def response_size(self) -> int:
         """Bytes of the wire response ``{ok, body: {statement}}`` carrying this
-        statement: the signing payload plus the signature field and the
-        envelope, a fixed number of bytes for a given signature length."""
-        payload = self.payload_size
-        if payload is None:
-            payload = len(self.signing_payload())
-        signature = {"signature": to_hex(self.signature)}
-        envelope = canonical_json(wire.ok_response({"statement": signature}))
-        # The payload's closing brace gives way to a comma before the
-        # signature field, which sorts after every payload key.
-        return payload + len(envelope) - 1
+        statement."""
+        return sum(map(len, wire.ok_response(statement_answer(self)).chunks))
 
     def fresh_at(self, now: int) -> bool:
         return now < self.expires_at
@@ -104,7 +113,9 @@ def sign_statement(
 ) -> SignedStatement:
     unsigned = SignedStatement(query, body, issued_at, expires_at, b"")
     payload = unsigned.signing_payload()
-    return replace(unsigned, signature=sign_payload(keys, payload), payload_size=len(payload))
+    signed = replace(unsigned, signature=sign_payload(keys, payload))
+    signed._memo.payload = payload
+    return signed
 
 
 def verify_statement(statement: SignedStatement, authority_public: KeyMaterial) -> bool:
@@ -125,6 +136,15 @@ def statement_to_map(s: SignedStatement) -> dict[str, Any]:
     out = _statement_payload(s)
     out["signature"] = to_hex(s.signature)
     return out
+
+
+def statement_answer(s: SignedStatement) -> wire.Encoded:
+    """The query answer ``{statement}`` carrying ``s``, sent as the bytes that
+    were signed: the kept payload without its closing brace, then the
+    signature field, which sorts after every payload key."""
+    return wire.Encoded({"statement": statement_to_map(s)}, (
+        b'{"statement":', memoryview(s.kept_payload())[:-1],
+        b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
 
 
 def statement_from_map(doc: Any) -> SignedStatement:
@@ -164,19 +184,19 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
     that object, so a refreshed statement never answers from an older listing.
     Only the entries asked for are parsed: holding every member's rights of a
     large listing would cost megabytes in each consumer."""
-    parsed = statement._parsed
-    rights = parsed.by_subject.get(subject)
+    memo = statement._memo
+    rights = memo.by_subject.get(subject)
     if rights is not None:
         return rights
     entry = statement.body["listing"].get(subject)
     if entry is None:
         return frozenset()
-    with parsed.lock:
-        rights = parsed.by_subject.get(subject)
+    with memo.lock:
+        rights = memo.by_subject.get(subject)
         if rights is None:
-            shared = parsed.shared
+            shared = memo.shared
             rights = frozenset(shared.setdefault(r, r) for r in rights_from_list(entry))
-            parsed.by_subject[subject] = rights
+            memo.by_subject[subject] = rights
     return rights
 
 

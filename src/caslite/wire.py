@@ -48,11 +48,32 @@ def format_endpoint(endpoint: Endpoint) -> str:
     return f"{endpoint[0]}:{endpoint[1]}"
 
 
+class Encoded(dict):
+    """A map that carries its own canonical form as ``chunks``: buffers whose
+    concatenation is ``canonical_json`` of the map. :func:`write_frame` sends
+    the chunks as they are, so a large document kept in encoded form, such
+    as a signed statement, is neither encoded again nor copied into one
+    frame. The map must not change once built."""
+
+    def __init__(self, value: dict, chunks: tuple):
+        super().__init__(value)
+        self.chunks = chunks
+
+
 def write_frame(sock: socket.socket, doc: Any) -> None:
-    data = canonical_json(doc)
-    if len(data) > MAX_FRAME:
-        raise FrameError(f"frame of {len(data)} bytes exceeds the limit", recoverable=False)
-    sock.sendall(struct.pack(">I", len(data)) + data)
+    """Send ``doc`` as one frame. The header and the document's chunks go out
+    through one ``sendmsg`` loop; a frame over ``MAX_FRAME`` sends nothing."""
+    chunks = doc.chunks if isinstance(doc, Encoded) else (canonical_json(doc),)
+    size = sum(map(len, chunks))
+    if size > MAX_FRAME:
+        raise FrameError(f"frame of {size} bytes exceeds the limit", recoverable=False)
+    buffers = [struct.pack(">I", size), *chunks]
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= len(buffers[0]):
+            sent -= len(buffers.pop(0))
+        if buffers:
+            buffers[0] = memoryview(buffers[0])[sent:]
 
 
 def _fill(sock: socket.socket, view: memoryview, wait: float | None, deadline: float) -> None:
@@ -205,7 +226,10 @@ def call(
 
 
 def ok_response(body: dict) -> dict:
-    return {"ok": True, "body": body}
+    response = {"ok": True, "body": body}
+    if isinstance(body, Encoded):
+        return Encoded(response, (b'{"body":', *body.chunks, b',"ok":true}'))
+    return response
 
 
 def error_response(code: str, message: str) -> dict:

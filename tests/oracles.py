@@ -8,6 +8,8 @@ pipeline and these functions is evidence rather than tautology.
 
 from __future__ import annotations
 
+import json
+
 ALICE = "/VO=esg/CN=alice"
 BOB = "/VO=esg/CN=bob"
 CAROL = "/VO=esg/CN=carol"
@@ -113,3 +115,50 @@ def decision_table():
             CAS, naive_user_rights(user), user, action, obj
         )
     return table
+
+
+# --- canonical parsing, as first written ------------------------------------------
+
+# Byte strings on which the reference parse below fails with a Python error
+# rather than a refusal: an escaped lone surrogate cannot be encoded again,
+# the nesting exceeds the recursion limit, and the integer exceeds the
+# interpreter's digit limit for conversion.
+CRASHED_REFERENCE = {
+    "lone surrogate": b'{"kind":"\\ud800","payload":{}}',
+    "deep nesting": b"[" * 5000 + b"]" * 5000,
+    "5000-digit integer": b"9" * 5000,
+}
+
+
+class Rejected(Exception):
+    """The reference parse refused the bytes as a domain error."""
+
+
+def reference_parse_canonical(data: bytes):
+    """The canonical parse as first written: ``json.loads``, then a type walk
+    over the whole value and a re-encode compared byte for byte. Raises
+    :class:`Rejected` where that version raised its domain error and lets
+    every other error through, as that version did."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise Rejected(str(exc)) from None
+    _reference_check(value)
+    encoded = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    if encoded.encode("utf-8") != data:
+        raise Rejected("not in canonical form")
+    return value
+
+
+def _reference_check(value) -> None:
+    if isinstance(value, (bool, int, str)):
+        return
+    if isinstance(value, list):
+        for item in value:
+            _reference_check(item)
+        return
+    if isinstance(value, dict):
+        for item in value.values():
+            _reference_check(item)
+        return
+    raise Rejected(f"type {type(value).__name__} has no canonical form")

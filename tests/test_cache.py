@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import socket
+import struct
 import time
 
 import pytest
 
 from caslite import wire
 from caslite.cache import CacheConfig, CacheServer, StatementCache
+from caslite.canonical import canonical_json, parse_canonical
 from caslite.credentials import chain_to_map
 from caslite.errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
 from caslite.statements import (
@@ -66,6 +69,35 @@ def test_pass_through_is_byte_identical(world, cas_server, cache):
     direct_statement = statement_from_map(direct["statement"])
     assert mirrored.body == direct_statement.body  # same policy content
     assert verify_statement(direct_statement, world.cas.keys.public())
+
+
+def raw_answer(endpoint, request: dict) -> bytes:
+    """The answer frame's document bytes, exactly as they came off the socket."""
+    with socket.create_connection(endpoint, timeout=10) as sock:
+        wire.write_frame(sock, request)
+        stream = sock.makefile("rb")
+        (length,) = struct.unpack(">I", stream.read(4))
+        return stream.read(length)
+
+
+def test_listing_answers_are_the_canonical_bytes(world, cas_server, cache):
+    """Authority and mirror send a listing as the statement's signed bytes,
+    which are exactly the canonical form of the answer map."""
+    request = {"kind": "query", "payload": RES_QUERY,
+               "chain": chain_to_map(world.proxy("alice"))}
+    cache.subscribe(RES_QUERY)
+    mirror = CacheServer(("127.0.0.1", 0), cache)
+    mirror.start()
+    try:
+        for endpoint in (cas_server.endpoint, mirror.endpoint):
+            data = raw_answer(endpoint, request)
+            statement = statement_from_map(parse_canonical(data)["body"]["statement"])
+            assert verify_statement(statement, world.cas.keys.public())
+            assert data == canonical_json(wire.ok_response({"statement": statement_to_map(statement)}))
+        mirrored = cache.serve_cached(RES_QUERY, int(time.time()))
+        assert data == canonical_json(wire.ok_response({"statement": statement_to_map(mirrored)}))
+    finally:
+        mirror.stop()
 
 
 def test_entries_age_out(cache):

@@ -6,7 +6,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from caslite.canonical import (
     canonical_json,
@@ -19,6 +19,8 @@ from caslite.canonical import (
     write_private,
 )
 from caslite.errors import MalformedMessage
+
+import oracles
 
 scalars = st.one_of(
     st.booleans(),
@@ -66,6 +68,63 @@ def test_parse_rejects_non_canonical_bytes():
         parse_canonical(b"not json")
     with pytest.raises(MalformedMessage):
         parse_canonical(b'{"a":1.0}')
+
+
+def test_trusted_encode_skips_only_the_type_check():
+    doc = {"b": [1, True, "é"], "a": {"x": "y"}}
+    assert canonical_json(doc, trusted=True) == canonical_json(doc)
+    assert canonical_json({"x": None}, trusted=True) == b'{"x":null}'
+
+
+@pytest.mark.parametrize("data", oracles.CRASHED_REFERENCE.values(), ids=oracles.CRASHED_REFERENCE)
+def test_inputs_that_crashed_the_first_parse_are_malformed(data):
+    with pytest.raises(Exception) as crash:
+        oracles.reference_parse_canonical(data)
+    assert not isinstance(crash.value, oracles.Rejected)
+    with pytest.raises(MalformedMessage):
+        parse_canonical(data)
+
+
+# JSON texts built to hit every way a byte string can miss the canonical form.
+SCALAR_TEXTS = [
+    b"null", b"true", b"false", b"0", b"-0", b"7", b"-12", b"01", b"1.5", b"-0.0", b"1e5",
+    b"2E+3", b"NaN", b"Infinity", b"-Infinity", b'""', b'"\\u00e9"', "\"é\"".encode(),
+    b'"\\n"', b'"\\/"', b'"\\ud800"', b'"\\ud83d\\ude00"', "\"😀\"".encode(),
+    b'"\xed\xa0\x80"', b'"\xff"', b'"\x01"', b'"\\u0001"',
+]
+KEY_TEXTS = [b'"a"', b'"b"', b'"\\u0061"', "\"é\"".encode(), "\"e\u0301\"".encode(), b'""']
+SEPARATORS = st.sampled_from([b",", b", ", b" ,"])
+COLONS = st.sampled_from([b":", b": "])
+json_texts = st.recursive(
+    st.sampled_from(SCALAR_TEXTS) | st.text(max_size=6).map(
+        lambda t: json.dumps(t, ensure_ascii=False).encode("utf-8", "surrogatepass")),
+    lambda inner: st.one_of(
+        st.builds(lambda items, sep: b"[" + sep.join(items) + b"]",
+                  st.lists(inner, max_size=4), SEPARATORS),
+        st.builds(lambda pairs, sep, colon: b"{" + sep.join(k + colon + v for k, v in pairs) + b"}",
+                  st.lists(st.tuples(st.sampled_from(KEY_TEXTS), inner), max_size=4),
+                  SEPARATORS, COLONS),
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(parse, data: bytes, refusals: tuple) -> str:
+    try:
+        value = parse(data)
+    except refusals:
+        return "refused"
+    return json.dumps(value, sort_keys=True)  # tells True from 1
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.one_of(json_texts, documents.map(canonical_json),
+                 st.builds(bytes.__add__, json_texts, st.sampled_from([b" ", b"\n", b"x"]))))
+def test_parse_agrees_with_the_first_version(data):
+    """The same byte strings are accepted, with equal values; where the
+    first version crashed, the parse now refuses."""
+    assert _outcome(parse_canonical, data, (MalformedMessage,)) == \
+        _outcome(oracles.reference_parse_canonical, data, (Exception,))
 
 
 def test_hex_round_trip_is_strict():

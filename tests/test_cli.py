@@ -127,6 +127,17 @@ def test_get_cred_restricted_mode(world, served_world):
     assert inspected["has_private_key"] is True
 
 
+def test_get_cred_restricted_mode_passes_the_request_on(world, served_world):
+    tmp, paths, server = served_world
+    out = tmp / "alice.narrow"
+    run_cli("get-cred", "--server", server, "--chain", proxy_for(tmp, "alice"),
+            "--anchors", paths["anchors"], "--out", out, "--mode", "restricted",
+            "--request", "read vo://esg/data/public/**", "--request", "delete vo://esg/**")
+    inspected = json.loads(run_cli("inspect", out).stdout)
+    assert inspected["effective_restriction"] == [
+        {"action": "read", "object": "vo://esg/data/public/**"}]
+
+
 def test_get_cred_non_member_maps_error_code(world, served_world):
     tmp, paths, server = served_world
     proxy = proxy_for(tmp, "carol")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -11,9 +12,12 @@ from caslite import wire
 from caslite.assertions import assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import ResponseTooLarge, ServerError
-from caslite.policy import load_database, db_canonical_bytes
+from caslite.policy import (
+    db_canonical_bytes, intersect_rights, load_database, rights_to_list, user_rights,
+)
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
+from caslite.vault import ResourceConfig, ResourceService
 
 from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, OWNER, rights
 
@@ -85,6 +89,26 @@ def test_restricted_mode_returns_deliverable_chain(world, cas_server):
     assert chain.subject == CAS
     assert chain.innermost_keys().private_part is not None
     assert chain.eec.keys.private_part is None  # the authority's key stays home
+
+
+def test_restricted_mode_narrows_to_the_requested_rights(world, cas_server):
+    requested = rights(("read", "vo://esg/data/public/**"), ("delete", "vo://esg/data/**"))
+    body = wire.call(cas_server.endpoint, "get_credential",
+                     {"mode": "restricted_proxy", "lifetime": 3600,
+                      "requested": rights_to_list(requested)},
+                     chain=chain_doc(world, "alice"))
+    chain = chain_from_map(body["chain"])
+    assert chain.effective_restriction() == \
+        intersect_rights(user_rights(world.db, ALICE), requested) == \
+        rights(("read", "vo://esg/data/public/**"))
+    vault = ResourceService(ResourceConfig(site=world.site, cas_public=world.cas.keys.public(),
+                                           cas_identity=CAS, anchors=world.anchors))
+    now = int(time.time())
+    assert vault.authorize(chain, "read", "vo://esg/data/public/a.nc", now).allow
+    for action, obj in (("write", "vo://esg/data/public/a.nc"),
+                        ("read", "vo://esg/data/private/p1.nc")):
+        decision = vault.authorize(chain, action, obj, now)
+        assert not decision.allow and decision.stage == "vo_user"
 
 
 def test_lifetime_gate_over_the_wire(world, cas_server):

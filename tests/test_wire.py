@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import socket
 import struct
 import sys
@@ -14,7 +15,10 @@ import pytest
 
 from caslite import wire
 from caslite.canonical import canonical_json
+from caslite.credentials import chain_to_map
 from caslite.errors import FrameError, MalformedMessage, ServerError
+
+import oracles
 
 
 @pytest.fixture()
@@ -75,6 +79,91 @@ def test_malformed_frame_then_valid_request_same_connection(echo_server):
         wire.write_frame(sock, {"kind": "hello", "payload": {}})
         response = wire.read_frame(sock)
         assert response["ok"] is True
+
+
+def raw_frame(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+@pytest.mark.parametrize("data", oracles.CRASHED_REFERENCE.values(), ids=oracles.CRASHED_REFERENCE)
+def test_unparseable_frame_is_a_recoverable_error(echo_server, data):
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5)
+        writer.sendall(raw_frame(data))
+        with pytest.raises(FrameError) as info:
+            wire.read_frame(reader)
+        assert info.value.recoverable
+    with socket.create_connection(echo_server.endpoint, timeout=5) as sock:
+        sock.sendall(raw_frame(data))
+        assert wire.read_frame(sock)["error"]["code"] == "MalformedRequest"
+        wire.write_frame(sock, {"kind": "hello", "payload": {}})
+        assert wire.read_frame(sock)["ok"] is True
+
+
+def chunked(doc: dict, pieces: int) -> wire.Encoded:
+    """``doc`` as an Encoded map whose chunks are slices of its bytes."""
+    data = canonical_json(doc)
+    cuts = [len(data) * i // pieces for i in range(pieces + 1)]
+    return wire.Encoded(doc, tuple(memoryview(data)[a:b] for a, b in zip(cuts, cuts[1:])))
+
+
+def test_encoded_response_goes_out_as_its_chunks():
+    doc = {"blob": "é" * 1000, "n": [1, 2, 3]}
+    response = wire.ok_response(chunked(doc, 3))
+    assert b"".join(response.chunks) == canonical_json(response) == \
+        canonical_json(wire.ok_response(doc))
+
+
+def test_oversized_chunked_frame_sends_nothing(monkeypatch):
+    doc = {"blob": "x" * 4096}
+    monkeypatch.setattr(wire, "MAX_FRAME", 1024)
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        with pytest.raises(FrameError):
+            wire.write_frame(writer, chunked(doc, 4))
+        reader.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            reader.recv(1)
+
+    server = wire.FrameServer(("127.0.0.1", 0), lambda kind, payload, chain:
+                              chunked(doc, 4) if kind == "big" else {"pong": True})
+    server.start()
+    try:
+        with socket.create_connection(server.endpoint, timeout=5) as sock:
+            wire.write_frame(sock, {"kind": "big", "payload": {}})
+            assert wire.read_frame(sock)["error"]["code"] == "ResponseTooLarge"
+            wire.write_frame(sock, {"kind": "ping", "payload": {}})
+            assert wire.read_frame(sock) == {"ok": True, "body": {"pong": True}}
+    finally:
+        server.stop()
+
+
+class RecordingSocket(socket.socket):
+    """A socket that records what each ``sendmsg`` call reports sent."""
+
+    sent: list
+
+    def sendmsg(self, buffers, *args):
+        sent = super().sendmsg(buffers, *args)
+        self.sent.append((sum(map(len, buffers)), sent))
+        return sent
+
+
+def test_chunked_frame_arrives_whole_through_partial_sends():
+    doc = {"blob": "".join(chr(0x41 + i % 900) for i in range(300_000)), "tail": [True, 7]}
+    left, reader = socket.socketpair()
+    writer = RecordingSocket(left.family, left.type, left.proto, fileno=left.detach())
+    writer.sent = []
+    with writer, reader:
+        writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        writer.settimeout(5)  # as on a server: sends stop at a full buffer
+        reader.settimeout(5)
+        sender = threading.Thread(target=wire.write_frame, args=(writer, chunked(doc, 5)))
+        sender.start()
+        assert wire.read_frame(reader) == doc
+        sender.join(timeout=5)
+    assert any(sent < offered for offered, sent in writer.sent)
 
 
 def test_oversized_frame_is_refused(echo_server):
@@ -526,3 +615,45 @@ def test_server_closes_a_connection_that_misses_the_frame_deadline(echo_server, 
         assert response["ok"] is False
         assert sock.recv(1) == b""
         assert time.monotonic() - start < 2
+
+
+# --- raw frames against the authority ---------------------------------------------
+
+def _mutations(rng: random.Random, data: bytes, count: int):
+    """``count`` copies of ``data``, each with one byte flipped, the tail cut
+    off, or a byte inserted."""
+    for i in range(count):
+        at = rng.randrange(len(data))
+        how = ("flip", "truncate", "insert")[i % 3]
+        if how == "flip":
+            yield data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+        elif how == "truncate":
+            yield data[:at]
+        else:
+            yield data[:at] + bytes([rng.randrange(256)]) + data[at:]
+
+
+def test_mutated_frames_get_domain_answers(world, cas_server):
+    """Each mutated request gets an error frame or a domain answer on the
+    same connection: never ``Internal``, and the handler thread survives."""
+    chain = chain_to_map(world.proxy("alice"))
+    requests = [
+        {"kind": "ping", "payload": {}},
+        {"kind": "query", "payload": {"query": "resource_rights", "namespace": "vo://esg/**"},
+         "chain": chain},
+        {"kind": "get_credential", "payload": {"mode": "restricted_proxy", "lifetime": 600},
+         "chain": chain},
+    ]
+    rng = random.Random(20261018)
+    frames = [m for r in requests for m in _mutations(rng, canonical_json(r), 40)]
+    frames += oracles.CRASHED_REFERENCE.values()
+    with socket.create_connection(cas_server.endpoint, timeout=10) as sock:
+        for data in frames:
+            if not data:
+                continue  # a zero-length frame closes the connection by design
+            sock.sendall(raw_frame(data))
+            response = wire.read_frame(sock)
+            assert response is not None, data
+            assert response["ok"] or response["error"]["code"] != "Internal", (data, response)
+        wire.write_frame(sock, {"kind": "ping", "payload": {}})
+        assert wire.read_frame(sock)["ok"] is True
