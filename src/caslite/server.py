@@ -246,12 +246,13 @@ class CasServer:
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,
         )
-        size = statement.response_size()
+        answer = statement_answer(statement)
+        size = wire.ok_response(answer).size
         if size > wire.MAX_FRAME:
             raise ResponseTooLarge(
                 f"statement response of {size} bytes exceeds the {wire.MAX_FRAME}-byte frame limit"
             )
-        return statement_answer(statement)
+        return answer
 
     # --- lifecycle ---------------------------------------------------------------
 

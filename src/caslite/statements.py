@@ -93,7 +93,7 @@ class SignedStatement:
     def response_size(self) -> int:
         """Bytes of the wire response ``{ok, body: {statement}}`` carrying this
         statement."""
-        return sum(map(len, wire.ok_response(statement_answer(self)).chunks))
+        return wire.ok_response(statement_answer(self)).size
 
     def fresh_at(self, now: int) -> bool:
         return now < self.expires_at
@@ -140,8 +140,7 @@ def statement_to_map(s: SignedStatement) -> dict[str, Any]:
 
 def statement_answer(s: SignedStatement) -> wire.Encoded:
     """The query answer ``{statement}`` carrying ``s``, sent as the bytes that
-    were signed: the kept payload without its closing brace, then the
-    signature field, which sorts after every payload key."""
+    were signed with the signature field spliced in (see ``wire.Encoded``)."""
     return wire.Encoded({"statement": statement_to_map(s)}, (
         b'{"statement":', memoryview(s.kept_payload())[:-1],
         b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))

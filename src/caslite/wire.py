@@ -53,27 +53,54 @@ class Encoded(dict):
     concatenation is ``canonical_json`` of the map. :func:`write_frame` sends
     the chunks as they are, so a large document kept in encoded form, such
     as a signed statement, is neither encoded again nor copied into one
-    frame. The map must not change once built."""
+    frame. The map must not change once built.
+
+    Chunks are spliced by one rule: canonical maps list keys in sorted
+    order, so a key sorting after every key of an encoded map is added by
+    dropping its closing brace and writing ``,"key":value}``, as
+    ``statements.statement_answer`` adds ``signature`` to a kept signing
+    payload; :func:`ok_response` likewise wraps a body between ``{"body":``
+    and ``,"ok":true}``."""
 
     def __init__(self, value: dict, chunks: tuple):
         super().__init__(value)
         self.chunks = chunks
 
+    @property
+    def size(self) -> int:
+        """Length of the canonical form in bytes."""
+        return sum(map(len, self.chunks))
+
 
 def write_frame(sock: socket.socket, doc: Any) -> None:
     """Send ``doc`` as one frame. The header and the document's chunks go out
-    through one ``sendmsg`` loop; a frame over ``MAX_FRAME`` sends nothing."""
+    through one ``sendmsg`` loop; a frame over ``MAX_FRAME`` sends nothing.
+    As with ``sendall``, the socket's timeout bounds the whole send, not
+    each call."""
     chunks = doc.chunks if isinstance(doc, Encoded) else (canonical_json(doc),)
     size = sum(map(len, chunks))
     if size > MAX_FRAME:
         raise FrameError(f"frame of {size} bytes exceeds the limit", recoverable=False)
     buffers = [struct.pack(">I", size), *chunks]
-    while buffers:
-        sent = sock.sendmsg(buffers)
-        while buffers and sent >= len(buffers[0]):
-            sent -= len(buffers.pop(0))
-        if buffers:
+    timeout = sock.gettimeout()
+    started = time.monotonic()
+    try:
+        while True:
+            sent = sock.sendmsg(buffers)
+            while buffers and sent >= len(buffers[0]):
+                sent -= len(buffers.pop(0))
+            if not buffers:
+                return
             buffers[0] = memoryview(buffers[0])[sent:]
+            if timeout:
+                remaining = started + timeout - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("timed out")
+                sock.settimeout(remaining)
+    finally:
+        # Only a partly sent frame changed the timeout.
+        if timeout and sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
 
 
 def _fill(sock: socket.socket, view: memoryview, wait: float | None, deadline: float) -> None:

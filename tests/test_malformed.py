@@ -107,6 +107,7 @@ def _server_readers(server: CasServer) -> dict:
             lambda payload: server.handle_get_credential(payload, ALICE),
             [{"mode": "assertion", "lifetime": 600, "assertion_mode": "rights",
               "requested": rights_to_list(RIGHTS)},
+             {"mode": "restricted_proxy", "lifetime": 600},
              {"mode": "restricted_proxy", "lifetime": 600, "requested": rights_to_list(RIGHTS)}],
         ),
         **{

@@ -166,6 +166,38 @@ def test_chunked_frame_arrives_whole_through_partial_sends():
     assert any(sent < offered for offered, sent in writer.sent)
 
 
+def test_slow_reader_misses_one_deadline_for_the_whole_send():
+    """A reader that keeps taking a little data cannot stretch the send past
+    the socket's timeout, which bounds the whole frame as ``sendall`` does."""
+    doc = {"blob": "x" * 1_000_000}
+    writer, reader = socket.socketpair()
+    writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    writer.settimeout(0.3)
+    stop = threading.Event()
+
+    def trickle():
+        while not stop.wait(0.05):
+            try:
+                if not reader.recv(4096):
+                    return
+            except OSError:
+                return
+
+    taker = threading.Thread(target=trickle)
+    with writer, reader:
+        taker.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                wire.write_frame(writer, chunked(doc, 4))
+        finally:
+            stop.set()
+            taker.join(timeout=5)
+        assert time.monotonic() - start < 1.5
+        assert writer.gettimeout() == 0.3
+        assert not taker.is_alive()
+
+
 def test_oversized_frame_is_refused(echo_server):
     with socket.create_connection(echo_server.endpoint, timeout=5) as sock:
         sock.sendall(struct.pack(">I", wire.MAX_FRAME + 1))
