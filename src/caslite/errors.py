@@ -7,11 +7,20 @@ map raised exceptions to error responses by that code and clients raise
 
 from __future__ import annotations
 
+# The longest message an error keeps; a longer one is cut, so a caller's value
+# quoted in a message cannot swell an error frame or an audit line.
+MAX_MESSAGE = 300
+
 
 class CasliteError(Exception):
     """Base class for all domain errors."""
 
     code = "Internal"
+
+    def __init__(self, message: str = ""):
+        if len(message) > MAX_MESSAGE:
+            message = message[:MAX_MESSAGE] + "..."
+        super().__init__(message)
 
     @property
     def message(self) -> str:

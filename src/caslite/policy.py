@@ -22,7 +22,8 @@ taking pattern strings parse them and share the same matcher.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -276,6 +277,25 @@ class AdminCapability:
             raise MalformedMessage("manage_group capability requires a group set")
 
 
+# How many namespaces a database keeps listing entries for, least recently
+# listed dropped first, so cycling through namespaces cannot grow the memo.
+LISTING_NAMESPACES = 4
+
+
+@dataclass(eq=False)
+class _Derived:
+    """What a database works out from its own fields: ``member_groups``, each
+    grant ref's :func:`rights_to_list` for :func:`db_to_map`, and, per
+    namespace listed (``listings``, oldest first, changed under ``lock``),
+    each member's :func:`scoped_listing` entry. Readers fill the last two
+    without a lock, so a copy is one C-level ``dict(...)``."""
+
+    member_groups: dict
+    grant_lists: dict = field(default_factory=dict)
+    listings: dict = field(default_factory=dict)
+    lock: Any = field(default_factory=threading.Lock)
+
+
 @dataclass(frozen=True)
 class VOPolicyDatabase:
     """One community's policy: members, groups, grants, and meta-policy.
@@ -284,9 +304,11 @@ class VOPolicyDatabase:
     revision bumped. The ``owner`` identity set at creation implicitly holds
     every capability, including the right to add capabilities.
 
-    ``member_groups`` maps each identity in some group to the names of its
-    groups. It is built once, here, from ``groups`` and takes no part in
-    equality or repr.
+    Derived state takes no part in equality or repr: ``member_groups`` maps
+    each identity in some group to the names of its groups, built here from
+    ``groups`` unless ``apply_admin`` carries it over (``_carried``); the
+    grant ref lists of :func:`db_to_map` and the listing entries of
+    :func:`scoped_listing` are filled on first use and carried the same way.
     """
 
     vo_name: str
@@ -296,20 +318,27 @@ class VOPolicyDatabase:
     grants: Mapping[str, frozenset]
     admin_caps: tuple
     revision: int = 0
-    member_groups: Mapping[Identity, frozenset] = field(init=False, compare=False, repr=False)
+    _derived: _Derived = field(init=False, compare=False, repr=False)
+    _carried: InitVar[_Derived | None] = None
 
-    def __post_init__(self) -> None:
-        index: dict[Identity, set] = {}
-        for name, group in self.groups.items():
-            for who in group.members:
-                index.setdefault(who, set()).add(name)
-        _setattr(self, "member_groups", {who: frozenset(names) for who, names in index.items()})
+    def __post_init__(self, carried: _Derived | None) -> None:
+        if carried is None:
+            carried = _Derived({})
+            index = carried.member_groups
+            for name, group in self.groups.items():
+                for who in group.members:
+                    index[who] = index.get(who, frozenset()) | {name}
+        _setattr(self, "_derived", carried)
+
+    @property
+    def member_groups(self) -> Mapping[Identity, frozenset]:
+        return self._derived.member_groups
 
     def is_member(self, who: Identity) -> bool:
         return who in self.members
 
     def groups_of(self, who: Identity) -> frozenset:
-        return self.member_groups.get(who, frozenset())
+        return self._derived.member_groups.get(who, frozenset())
 
 
 def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
@@ -324,6 +353,30 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
     for name in db.groups_of(who):
         rights |= db.grants.get(name, frozenset())
     return frozenset(rights)
+
+
+def scoped_listing(db: VOPolicyDatabase, namespace: str) -> dict[Identity, list]:
+    """Each member's rights within ``namespace`` as :func:`rights_to_list`
+    entries, in member order, members with none left out.
+
+    The entries are kept on ``db`` for the last :data:`LISTING_NAMESPACES`
+    namespaces listed and carried to later revisions for every member a
+    command does not touch, so the lists returned are shared: read them,
+    never change them."""
+    kept = db._derived.listings
+    with db._derived.lock:
+        entries = kept[namespace] = kept.pop(namespace, None) or {}
+        if len(kept) > LISTING_NAMESPACES:
+            del kept[next(iter(kept))]
+    scope = frozenset(Right(action, namespace) for action in ACTIONS)
+    listing = {}
+    for member in sorted(db.members):
+        entry = entries.get(member)
+        if entry is None:
+            entry = entries[member] = rights_to_list(intersect_rights(user_rights(db, member), scope))
+        if entry:
+            listing[member] = entry
+    return listing
 
 
 # --- admin commands -------------------------------------------------------------
@@ -377,9 +430,11 @@ def _capability_allows(cap: AdminCapability, cmd: dict) -> bool:
 
 
 def _parse_admin_cmd(cmd: Any) -> dict:
-    op = cmd.get("op") if isinstance(cmd, dict) else None
+    if not isinstance(cmd, dict):
+        raise MalformedMessage("admin command must be a map")
+    op = cmd.get("op")
     if not isinstance(op, str) or op not in ADMIN_COMMANDS:
-        raise MalformedMessage(f"unknown admin command: {cmd!r}")
+        raise MalformedMessage(f"unknown admin command {op!r:.80}")
     checks = ADMIN_COMMANDS[op][0]
     fields(cmd, f"{op} command", {"op", *checks})
     for name, check in checks.items():
@@ -393,6 +448,15 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
     The command is applied and the revision incremented only when some
     capability of ``admin`` covers it (the owner covers everything); the
     database is unchanged on error.
+
+    The new database carries ``db``'s derived state over, less what the
+    command touches. The members it touches are the subject of a
+    ``grant``/``revoke`` on an identity, every member of the group for one on
+    a group, and the identity of ``add_member``, ``remove_member``,
+    ``add_to_group`` and ``remove_from_group``; ``create_group`` and
+    ``add_capability`` touch none. Their listing entries are dropped; the
+    ``member_groups`` entry changes only for a membership change, and a grant
+    ref's list only when its grants change or its member is removed.
     """
     cmd = _parse_admin_cmd(cmd)
     authorized = admin == db.owner or any(
@@ -403,11 +467,9 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
             f"{admin} holds no capability covering {cmd['op']}"
         )
 
-    op = cmd["op"]
-    members = set(db.members)
-    groups = dict(db.groups)
-    grants = {k: frozenset(v) for k, v in db.grants.items()}
-    caps = list(db.admin_caps)
+    op, who = cmd["op"], cmd.get("identity")
+    members, groups, grants, caps = db.members, db.groups, db.grants, db.admin_caps
+    member_groups = db.member_groups
 
     if op in ("grant", "revoke"):
         ref = cmd["subject"]
@@ -422,41 +484,51 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
             current.add(right)
         else:
             current.discard(right)
+        grants = dict(grants)
         if current:
             grants[ref] = frozenset(current)
         else:
             grants.pop(ref, None)
     elif op == "add_member":
-        members.add(cmd["identity"])
+        members = members | {who}
     elif op == "remove_member":
-        who = cmd["identity"]
         if who not in members:
             raise UnknownSubject(f"{who} is not a member")
-        members.discard(who)
+        members = members - {who}
+        grants = dict(grants)
         grants.pop(who, None)
-        groups = {
-            name: Group(name, g.members - {who}) for name, g in groups.items()
-        }
+        groups = dict(groups)
+        for name in member_groups.get(who, ()):
+            groups[name] = Group(name, groups[name].members - {who})
     elif op == "create_group":
         name = cmd["group"]
         if name in groups:
             raise DuplicateGroup(f"group {name} already exists")
-        groups[name] = Group(name, frozenset())
+        groups = {**groups, name: Group(name, frozenset())}
     elif op == "add_to_group":
-        name, who = cmd["group"], cmd["identity"]
+        name = cmd["group"]
         if name not in groups:
             raise UnknownSubject(f"no group named {name}")
         if who not in members:
             raise UnknownSubject(f"{who} is not a member")
-        groups[name] = Group(name, groups[name].members | {who})
+        groups = {**groups, name: Group(name, groups[name].members | {who})}
     elif op == "remove_from_group":
-        name, who = cmd["group"], cmd["identity"]
+        name = cmd["group"]
         if name not in groups or who not in groups[name].members:
             raise UnknownSubject(f"{who} is not in group {name!r}")
-        groups[name] = Group(name, groups[name].members - {who})
+        groups = {**groups, name: Group(name, groups[name].members - {who})}
     else:  # add_capability
-        caps.append(_capability_from_map(cmd["capability"]))
+        caps = (*caps, _capability_from_map(cmd["capability"]))
 
+    if op in ("remove_member", "add_to_group", "remove_from_group"):
+        member_groups = dict(member_groups)
+        member_groups.pop(who, None)
+        names = frozenset(name for name, group in groups.items() if who in group.members)
+        if names:
+            member_groups[who] = names
+    subject = cmd.get("subject", who)
+    touched = groups[subject].members if subject in groups else (subject,) if subject else ()
+    dropped_ref = cmd.get("subject", who if op == "remove_member" else None)
     return VOPolicyDatabase(
         vo_name=db.vo_name,
         owner=db.owner,
@@ -465,7 +537,24 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
         grants=grants,
         admin_caps=tuple(caps),
         revision=db.revision + 1,
+        _carried=_carry(db._derived, member_groups, touched, dropped_ref),
     )
+
+
+def _carry(old: _Derived, member_groups: dict, touched: Iterable[Identity],
+           dropped_ref: str | None) -> _Derived:
+    """``old`` less the listing entries of ``touched`` and the grant list of
+    ``dropped_ref``. Readers may be filling ``old``, so each memo is copied
+    whole by one ``dict`` call and trimmed in the copy."""
+    grant_lists = dict(old.grant_lists)
+    grant_lists.pop(dropped_ref, None)
+    with old.lock:
+        listings = dict(old.listings)
+    for namespace, entries in listings.items():
+        listings[namespace] = entries = dict(entries)
+        for who in touched:
+            entries.pop(who, None)
+    return _Derived(member_groups, grant_lists, listings)
 
 
 # --- the site half --------------------------------------------------------------
@@ -546,12 +635,18 @@ def _capability_to_map(cap: AdminCapability) -> dict[str, Any]:
 
 
 def db_to_map(db: VOPolicyDatabase) -> dict[str, Any]:
+    """The database as a document. Each grant ref's list is kept on ``db``
+    and carried to later revisions, so the lists are shared: encode or read
+    the document, never change them in place."""
+    kept = db._derived.grant_lists
+    for ref in db.grants.keys() - kept.keys():
+        kept[ref] = rights_to_list(db.grants[ref])
     return {
         "vo_name": db.vo_name,
         "owner": db.owner,
         "members": sorted(db.members),
         "groups": {name: sorted(g.members) for name, g in sorted(db.groups.items())},
-        "grants": {ref: rights_to_list(rs) for ref, rs in sorted(db.grants.items())},
+        "grants": {ref: kept[ref] for ref in sorted(db.grants)},
         "admin_caps": [_capability_to_map(c) for c in db.admin_caps],
         "revision": db.revision,
     }

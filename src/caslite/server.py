@@ -47,16 +47,12 @@ from .errors import (
     UnknownSubject,
 )
 from .policy import (
-    ACTIONS,
     Identity,
-    Right,
     apply_admin,
-    intersect_rights,
     load_database,
     rights_from_list,
-    rights_to_list,
     save_database,
-    user_rights,
+    scoped_listing,
 )
 from .statements import sign_statement, statement_answer, validate_query
 
@@ -234,14 +230,7 @@ class CasServer:
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
-            namespace = query["namespace"]
-            namespace_rights = frozenset(Right(a, namespace) for a in sorted(ACTIONS))
-            listing = {}
-            for member in sorted(db.members):
-                scoped = intersect_rights(user_rights(db, member), namespace_rights)
-                if scoped:
-                    listing[member] = rights_to_list(scoped)
-            body = {"listing": listing}
+            body = {"listing": scoped_listing(db, query["namespace"])}
         statement = sign_statement(
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,

@@ -100,9 +100,11 @@ class SignedStatement:
 
 
 def validate_query(payload: Any) -> dict:
-    kind = payload.get("query") if isinstance(payload, dict) else None
+    if not isinstance(payload, dict):
+        raise MalformedMessage("query payload must be a map")
+    kind = payload.get("query")
     if not isinstance(kind, str) or kind not in QUERY_KINDS:
-        raise MalformedMessage(f"unknown query payload: {payload!r}")
+        raise MalformedMessage(f"unknown query kind {kind!r:.80}")
     name, check = QUERY_KINDS[kind]
     check(fields(payload, f"{kind} query", {"query", name})[name])
     return payload
@@ -207,14 +209,26 @@ def fetch_statement(source: wire.Endpoint | str, query: dict,
     return statement_from_map(fields(body, "query response", {"statement"})["statement"])
 
 
+class _Flight:
+    """One refresh in progress: callers that find it wait on ``done``, then
+    take its ``statement`` or, when the refresh failed, its ``error``."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.statement: SignedStatement | None = None
+        self.error: CasliteError | None = None
+
+
 class StatementFetcher:
     """Lazily refreshed view of one resource_rights statement.
 
     Fetched statements are cached until their own expiry; on fetch failure
     the decision is fail-closed: a still-fresh cached statement is used, an
     expired one raises :class:`StaleStatement`, and having none raises
-    :class:`SourceUnavailable`. Replacement is a single reference swap so
-    concurrent readers never see a partial update.
+    :class:`SourceUnavailable`. Refreshes are single-flight: one caller
+    fetches while the others wait for its outcome, a failure included.
+    Replacement is a single reference swap so concurrent readers never see a
+    partial update.
     """
 
     def __init__(
@@ -230,6 +244,7 @@ class StatementFetcher:
         self._client_chain = client_chain
         self._lock = threading.Lock()
         self._current: SignedStatement | None = None
+        self._flight: _Flight | None = None
 
     @property
     def query(self) -> dict:
@@ -244,8 +259,30 @@ class StatementFetcher:
     def current(self, now: int) -> SignedStatement:
         with self._lock:
             cached = self._current
-        if cached is not None and cached.fresh_at(now):
-            return cached
+            if cached is not None and cached.fresh_at(now):
+                return cached
+            flight, leader = self._flight, self._flight is None
+            if leader:
+                flight = self._flight = _Flight()
+        if leader:
+            try:
+                flight.statement = self._refresh(cached, now)
+            except CasliteError as exc:
+                flight.error = exc
+            finally:
+                with self._lock:
+                    self._flight = None
+                    if flight.statement is not None:
+                        self._current = flight.statement
+                flight.done.set()
+        else:
+            flight.done.wait()
+        if flight.statement is None:
+            error = flight.error or SourceUnavailable("policy refresh failed")
+            raise type(error)(error.message) from None
+        return flight.statement
+
+    def _refresh(self, cached: SignedStatement | None, now: int) -> SignedStatement:
         try:
             statement = self.fetch()
         except (OSError, CasliteError) as exc:
@@ -256,6 +293,4 @@ class StatementFetcher:
             raise SourceUnavailable(f"policy source unreachable: {exc}") from None
         if not statement.fresh_at(now):
             raise StaleStatement(f"fetched statement already expired at {statement.expires_at}")
-        with self._lock:
-            self._current = statement
         return statement

@@ -15,7 +15,9 @@ from caslite.errors import (
     UnknownSubject,
 )
 from caslite.assertions import assertion_from_map, assertion_to_map, issue_assertion
+from caslite.canonical import canonical_json
 from caslite.policy import (
+    LISTING_NAMESPACES,
     EnforcementDecision,
     Right,
     apply_admin,
@@ -32,6 +34,7 @@ from caslite.policy import (
     rights_from_list,
     rights_to_list,
     save_database,
+    scoped_listing,
     site_from_map,
     site_to_map,
     user_rights,
@@ -566,6 +569,69 @@ def test_member_groups_index_agrees_with_a_scan(cmds):
         assert db.groups_of(who) == groups
         assert user_rights(db, who) == expected
     assert db_from_map(db_to_map(db)).member_groups == db.member_groups
+
+
+# Namespaces every carried listing is checked in: the whole tree, a subtree,
+# and one no grant below ever falls under.
+LISTED = ["vo://esg/**", "vo://esg/data/**", "vo://elsewhere/**"]
+ADMINS = [OWNER, OWNER, ANN, BOB]
+CAPABILITIES = [
+    {"admin": BOB, "powers": ["manage_membership"]},
+    {"admin": ANN, "powers": ["manage_group"], "groups": ["publishers", "ops"]},
+    {"admin": BOB, "powers": ["grant", "revoke"], "namespace": "vo://esg/code/**"},
+]
+carried_admin_cmds = st.one_of(
+    random_admin_cmds,
+    st.builds(lambda cap: {"op": "add_capability", "capability": cap},
+              st.sampled_from(CAPABILITIES)),
+    st.builds(lambda op, subject, action, obj: {"op": op, "subject": subject,
+                                                "action": action, "object": obj},
+              st.sampled_from(["grant", "revoke"]), st.sampled_from(IDENTITIES + GROUP_NAMES),
+              st.sampled_from(sorted(oracles.ACTIONS)),
+              st.sampled_from(["vo://esg/data/public/**", "vo://esg/data/public/y",
+                               "vo://esg/**", "vo://esg/code/z"])),
+)
+
+
+def _listing_bytes(db, namespace):
+    return canonical_json({"listing": scoped_listing(db, namespace)})
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(ADMINS), carried_admin_cmds), max_size=30))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_carried_state_equals_a_rebuild(steps):
+    """After every command, refused and failing ones included, the database
+    ``apply_admin`` carried forward equals one rebuilt from its document:
+    same bytes, same index, same rights and byte-equal listings. Each
+    namespace is listed before every command, so carried entries are used."""
+    db = fixture_db()
+    for admin, cmd in steps:
+        for namespace in LISTED:
+            _listing_bytes(db, namespace)
+        db_canonical_bytes(db)
+        try:
+            db = apply_admin(db, admin, cmd)
+        except (NotAuthorized, UnknownSubject, DuplicateGroup):
+            pass
+        rebuilt = db_from_map(db_to_map(db))
+        assert db_canonical_bytes(db) == db_canonical_bytes(rebuilt)
+        assert db.member_groups == rebuilt.member_groups
+        assert db._derived.grant_lists.keys() <= db.grants.keys()
+        for who in db.members | set(IDENTITIES):
+            assert user_rights(db, who) == user_rights(rebuilt, who)
+        for namespace in LISTED:
+            assert _listing_bytes(db, namespace) == _listing_bytes(rebuilt, namespace)
+
+
+def test_listing_memo_keeps_a_bounded_number_of_namespaces():
+    db = fixture_db()
+    namespaces = [f"vo://esg/data/n{i}/**" for i in range(3 * LISTING_NAMESPACES)]
+    for namespace in namespaces + ["vo://esg/data/**"]:
+        scoped_listing(db, namespace)
+        assert len(db._derived.listings) <= LISTING_NAMESPACES
+    assert list(db._derived.listings)[-1] == "vo://esg/data/**"
+    assert scoped_listing(db, "vo://esg/data/**") == \
+        scoped_listing(db_from_map(db_to_map(db)), "vo://esg/data/**")
 
 
 # --- persistence ------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -12,8 +13,10 @@ from caslite import wire
 from caslite.assertions import assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import ResponseTooLarge, ServerError
+from caslite.canonical import canonical_json
 from caslite.policy import (
-    db_canonical_bytes, intersect_rights, load_database, rights_to_list, user_rights,
+    db_canonical_bytes, db_from_map, db_to_map, intersect_rights, load_database, rights_to_list,
+    scoped_listing, user_rights,
 )
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
@@ -198,6 +201,77 @@ def test_every_request_is_audited_once(world, cas_server):
     assert records[1]["caller"] == CAROL
     timestamps = [r["timestamp"] for r in records]
     assert timestamps == sorted(timestamps)
+
+
+def test_listings_during_commits_match_a_published_revision(world, cas_server):
+    """Listings answered while grant/revoke pairs commit each equal the
+    from-scratch listing of some published revision. The pairs alternate
+    between two members, so an entry kept from an older revision beside a
+    newer one makes a listing no revision had."""
+    namespace = "vo://esg/**"
+    published = [cas_server.db]
+    answers = []
+    done = threading.Event()
+
+    def commit():
+        try:
+            for i in range(12):
+                for op in ("grant", "revoke"):
+                    wire.call(cas_server.endpoint, "admin", {"command": {
+                        "op": op, "subject": (ALICE, BOB)[i % 2], "action": "read",
+                        "object": f"vo://esg/data/t{i}/**",
+                    }}, chain=chain_doc(world, "owner"))
+                    published.append(cas_server.db)
+        finally:
+            done.set()
+
+    def query(short):
+        while not done.is_set():
+            body = wire.call(cas_server.endpoint, "query",
+                             {"query": "resource_rights", "namespace": namespace},
+                             chain=chain_doc(world, short))
+            answers.append(statement_from_map(body["statement"]).body["listing"])
+
+    threads = [threading.Thread(target=commit)] + [
+        threading.Thread(target=query, args=(short,)) for short in ("alice", "bob")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(published) == 25 and answers
+    expected = {canonical_json(scoped_listing(db_from_map(db_to_map(db)), namespace))
+                for db in published}
+    assert len(expected) == 13
+    assert all(canonical_json(listing) in expected for listing in answers)
+
+
+PAD = "x" * 1_000_000
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("query", {"pad": PAD}),
+    ("query", {"query": PAD}),
+    ("query", {"query": "resource_rights", "namespace": "vo://esg/**", "pad": PAD}),
+    ("query", {"query": "user_rights", "subject": "/VO=esg/CN=" + PAD}),
+    ("admin", {"command": {"pad": PAD}}),
+    ("admin", {"command": {"op": PAD}}),
+    ("admin", {"command": {"op": "remove_member", "identity": "/VO=esg/CN=" + PAD}}),
+])
+def test_padded_requests_get_short_errors_and_audit_lines(world, cas_server, kind, payload):
+    with pytest.raises(ServerError) as info:
+        wire.call(cas_server.endpoint, kind, payload, chain=chain_doc(world, "owner"))
+    assert len(info.value.message) <= 310
+    path = str(cas_server.config.db_path) + ".audit"
+    with open(path, "rb") as handle:
+        last = handle.read().splitlines()[-1]
+    assert len(last) <= 500
+    assert json.loads(last)["outcome"] == f"error:{info.value.code}"
 
 
 def _listing_query(world, server):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -143,10 +144,16 @@ class _FlakySource:
         self.body = LISTING
         self.down = False
         self.now = NOW
+        self.calls = 0
+        self.delay = 0.0
+        self._lock = threading.Lock()
         self.server = wire.FrameServer(("127.0.0.1", 0), self.handle)
         self.server.start()
 
     def handle(self, kind, payload, chain):
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delay)
         if self.down:
             raise MalformedMessage("gone dark")
         statement = sign_statement(self.keys, payload, self.body, self.now,
@@ -220,3 +227,47 @@ def test_fetcher_rejects_wrong_signature(flaky_source):
     )
     with pytest.raises(SourceUnavailable):
         fetcher.current(NOW)
+
+
+@pytest.mark.parametrize("case", ["up", "down", "stale"])
+def test_concurrent_refreshes_share_one_fetch(flaky_source, authority_keys, case):
+    """Eight callers that find no fresh statement share one fetch: each gets
+    its statement or, when it fails, fails closed as a lone caller would."""
+    fetcher = StatementFetcher(
+        flaky_source.server.endpoint, "vo://esg/data/**", authority_keys.public()
+    )
+    now = NOW
+    if case == "stale":
+        now = fetcher.current(NOW).expires_at + 1
+        flaky_source.calls = 0
+    flaky_source.down = case != "up"
+    flaky_source.delay = 0.3  # the flight stays open while the others arrive
+    start = threading.Barrier(8)
+    results = []
+
+    def call():
+        start.wait(timeout=10)
+        try:
+            results.append(fetcher.current(now))
+        except (StaleStatement, SourceUnavailable) as exc:
+            results.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert flaky_source.calls == 1
+    assert len(results) == 8
+    if case == "up":
+        assert all(r is results[0] for r in results)
+        assert listing_rights(results[0], ALICE) == rights(("read", "vo://esg/data/**"))
+    else:
+        expected = StaleStatement if case == "stale" else SourceUnavailable
+        assert all(type(r) is expected for r in results)
