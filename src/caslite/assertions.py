@@ -21,20 +21,16 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from .canonical import (
     canonical_json,
-    decode_blocks,
-    encode_block,
     expect,
     fields,
     from_hex,
     parse_canonical,
     set_of,
     to_hex,
-    write_private,
 )
 from .credentials import (
     CLOCK_SKEW,
@@ -66,7 +62,6 @@ DEFAULT_LIFETIME = 3600
 MAX_LIFETIME = 86400
 
 ASSERTION_FORMAT = "assertion/1"
-ASSERTION_TAG = "ASSERTION"
 # Canonical assertion documents start with this prefix because "caslite"
 # sorts before every other field name; extension payloads are recognized as
 # assertions (as opposed to opaque data) by it.
@@ -176,6 +171,46 @@ def issue_assertion(
     return replace(unsigned, signature=sign_payload(cas_keys, unsigned.signing_payload()))
 
 
+_VALID = AssertionVerdict(ok=True)
+
+
+@dataclass(frozen=True, slots=True)
+class CheckedAssertion:
+    """What an assertion's time-free checks (:func:`check_assertion`)
+    establish: its subject, mode, window and content, without the signature,
+    serial or issuer that were checked."""
+
+    subject: Identity
+    mode: str
+    not_before: int
+    not_after: int
+    rights: frozenset | None
+    groups: frozenset | None
+
+
+def check_assertion(
+    a: PolicyAssertion,
+    cas_public: KeyMaterial,
+    expected_issuer: Identity,
+) -> AssertionVerdict:
+    """The time-free half of :func:`verify_assertion`: signature and issuer."""
+    if not verify_payload(cas_public, a.signature, a.signing_payload()):
+        return AssertionVerdict(ok=False, failure="BadSignature")
+    if a.issuer != expected_issuer:
+        return AssertionVerdict(ok=False, failure="WrongIssuer")
+    return _VALID
+
+
+def check_window(not_before: int, not_after: int, now: int) -> AssertionVerdict:
+    """The clock half of :func:`verify_assertion`: the validity window, with
+    clock skew."""
+    if now < not_before - CLOCK_SKEW:
+        return AssertionVerdict(ok=False, failure="NotYetValid")
+    if now > not_after + CLOCK_SKEW:
+        return AssertionVerdict(ok=False, failure="Expired")
+    return _VALID
+
+
 def verify_assertion(
     a: PolicyAssertion,
     cas_public: KeyMaterial,
@@ -183,15 +218,10 @@ def verify_assertion(
     now: int,
 ) -> AssertionVerdict:
     """Check signature, issuer, and validity window (with clock skew)."""
-    if not verify_payload(cas_public, a.signature, a.signing_payload()):
-        return AssertionVerdict(ok=False, failure="BadSignature")
-    if a.issuer != expected_issuer:
-        return AssertionVerdict(ok=False, failure="WrongIssuer")
-    if now < a.not_before - CLOCK_SKEW:
-        return AssertionVerdict(ok=False, failure="NotYetValid")
-    if now > a.not_after + CLOCK_SKEW:
-        return AssertionVerdict(ok=False, failure="Expired")
-    return AssertionVerdict(ok=True)
+    verdict = check_assertion(a, cas_public, expected_issuer)
+    if not verdict.ok:
+        return verdict
+    return check_window(a.not_before, a.not_after, now)
 
 
 def embed_in_proxy(user_chain: CredentialChain, a: PolicyAssertion) -> CredentialChain:
@@ -311,12 +341,3 @@ def assertion_from_map(doc: Any) -> PolicyAssertion:
 
 def assertion_bytes(a: PolicyAssertion) -> bytes:
     return canonical_json(assertion_to_map(a))
-
-
-def save_assertion(a: PolicyAssertion, path: Path | str) -> None:
-    write_private(path, encode_block(ASSERTION_TAG, assertion_bytes(a)))
-
-
-def load_assertion(path: Path | str) -> PolicyAssertion:
-    blocks = decode_blocks(Path(path).read_text(encoding="utf-8"), ASSERTION_TAG)
-    return assertion_from_map(parse_canonical(blocks[0]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import wire
-from .assertions import PolicyAssertion, assertion_from_map
+from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map
 from .canonical import expect, fields, set_of
 from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
 from .keys import KeyMaterial
@@ -32,7 +32,14 @@ from .policy import (
     validate_identity,
 )
 from .statements import StatementFetcher
-from .vault import PULL_NAMESPACE, judge, service_parser, service_settings
+from .vault import (
+    PULL_NAMESPACE,
+    CheckedMemo,
+    judge,
+    service_parser,
+    service_settings,
+    vouch_assertion,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +50,7 @@ class DecisionQuery:
     action: str
     object: str
     attributes: frozenset = frozenset()
-    assertion: PolicyAssertion | None = None
+    assertion: PolicyAssertion | CheckedAssertion | None = None
 
     def __post_init__(self) -> None:
         validate_identity(self.identity)
@@ -100,12 +107,14 @@ def decide_local(
     return DecisionAnswer(allow=False, reason=f"{decision.stage}: {decision.reason}")
 
 
-def query_from_payload(payload: Any) -> DecisionQuery:
+def query_from_payload(payload: Any, read_assertion=assertion_from_map) -> DecisionQuery:
+    """The query ``payload`` asks; ``read_assertion`` turns a presented
+    assertion map into what :func:`decide_local` judges."""
     fields(payload, "decision payload", {"identity", "action", "object"},
            {"attributes", "assertion"})
     assertion = None
     if "assertion" in payload:
-        assertion = assertion_from_map(payload["assertion"])
+        assertion = read_assertion(payload["assertion"])
     return DecisionQuery(
         identity=payload["identity"],
         attributes=set_of(lambda attr: expect(attr, str, "attribute"),
@@ -127,6 +136,11 @@ class AuthzConfig:
 
 
 class AuthzServer:
+    """Wire front end for :func:`decide_local`. A presented assertion's
+    signature and issuer checks are remembered per assertion map (see
+    :class:`~caslite.vault.CheckedMemo`); its window, its binding to the
+    query identity and the decision run on every query."""
+
     def __init__(self, listen: wire.Endpoint, cfg: AuthzConfig):
         self.cfg = cfg
         self._fetcher: StatementFetcher | None = None
@@ -134,6 +148,7 @@ class AuthzServer:
             self._fetcher = StatementFetcher(
                 cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
             )
+        self._checked = CheckedMemo()
         self._frame_server = wire.FrameServer(listen, self.handle)
 
     @property
@@ -145,12 +160,23 @@ class AuthzServer:
             return {"identity": "authz", "pull": self._fetcher is not None}
         if kind != "decide":
             raise MalformedMessage(f"unknown request kind {kind!r}")
-        query = query_from_payload(payload)
+        query = query_from_payload(payload, self._assertion)
         answer = decide_local(
             query, self.cfg.site, self.cfg.cas_public, self.cfg.cas_identity,
             now=int(time.time()), fetcher=self._fetcher,
         )
         return {"allow": answer.allow, "reason": answer.reason}
+
+    def _assertion(self, doc: Any) -> PolicyAssertion | CheckedAssertion:
+        """A presented assertion map as :func:`decide_local` will judge it:
+        its remembered check, or the parsed assertion when the check fails,
+        so that :func:`~caslite.vault.judge` refuses it after the query's own
+        checks, as a cold query is refused."""
+        try:
+            return self._checked.recall(doc, lambda d: vouch_assertion(
+                assertion_from_map(d), self.cfg.cas_public, self.cfg.cas_identity))
+        except DeniedError:
+            return assertion_from_map(doc)
 
     def start(self) -> None:
         self._frame_server.start()

@@ -39,7 +39,9 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     - :func:`policy.db_canonical_bytes` encodes ``db_to_map`` of a database,
       every field of which was checked when it was loaded or changed;
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
-      holds no float and, when the bytes hold no ``null``, no None.
+      holds no float and, when the bytes hold no ``null``, no None;
+    - :meth:`vault.CheckedMemo.recall` keys a document that
+      :func:`parse_canonical` returned.
     """
     if not trusted:
         _check(value)

@@ -158,6 +158,17 @@ class VerifiedChain:
     extensions: list
 
 
+@dataclass(frozen=True, slots=True)
+class CheckedChain:
+    """What a chain's time-free checks establish: who it authenticates, each
+    element's validity window (end-entity credential first) and the
+    delegation's restriction. It holds no keys, signatures or extensions."""
+
+    subject: Identity
+    windows: tuple
+    effective_restriction: frozenset | None
+
+
 # --- issuance -------------------------------------------------------------------
 
 def make_ca(name: str, *, now: int | None = None,
@@ -251,25 +262,21 @@ def check_chain_internal(chain: CredentialChain) -> None:
         parent_interval = (link.not_before, link.not_after)
 
 
-def _check_time(not_before: int, not_after: int, now: int, index: int) -> None:
-    if now < not_before - CLOCK_SKEW:
-        raise NotYetValid(f"element {index} not valid before {not_before}", index=index)
-    if now > not_after + CLOCK_SKEW:
-        raise Expired(f"element {index} expired at {not_after}", index=index)
+def check_windows(windows: tuple, now: int) -> None:
+    """The clock half of :func:`verify_chain`: each element's
+    ``(not_before, not_after)``, end-entity credential first, against
+    ``now`` with :data:`CLOCK_SKEW`."""
+    for index, (not_before, not_after) in enumerate(windows):
+        if now < not_before - CLOCK_SKEW:
+            raise NotYetValid(f"element {index} not valid before {not_before}", index=index)
+        if now > not_after + CLOCK_SKEW:
+            raise Expired(f"element {index} expired at {not_after}", index=index)
 
 
-def verify_chain(
-    chain: CredentialChain,
-    anchors: Any,
-    now: int,
-) -> VerifiedChain:
-    """Verify ``chain`` against a set of trust anchors at time ``now``.
-
-    Returns the authenticated subject (always the end-entity identity), the
-    intersection of link restrictions, and all extension payloads outermost
-    last. Unknown extension payloads never cause failure. Every link's
-    signature and nesting are checked before any link's validity window.
-    """
+def check_chain(chain: CredentialChain, anchors: Any) -> CheckedChain:
+    """The time-free half of :func:`verify_chain`: the trust anchor, every
+    signature and nesting, and the effective restriction. Its result depends
+    on ``anchors`` and the chain's public fields only, never on the clock."""
     eec = chain.eec
     eec_is_anchor = any(
         a.subject == eec.subject and a.keys.public_part == eec.keys.public_part
@@ -286,14 +293,33 @@ def verify_chain(
             for a in issuer_anchors
         ):
             raise BadSignature("end-entity signature does not verify", index=0)
-    _check_time(eec.not_before, eec.not_after, now, index=0)
     check_chain_internal(chain)
-    for index, link in enumerate(chain.links, start=1):
-        _check_time(link.not_before, link.not_after, now, index=index)
-
-    return VerifiedChain(
+    return CheckedChain(
         subject=eec.subject,
+        windows=((eec.not_before, eec.not_after),)
+        + tuple((l.not_before, l.not_after) for l in chain.links),
         effective_restriction=chain.effective_restriction(),
+    )
+
+
+def verify_chain(
+    chain: CredentialChain,
+    anchors: Any,
+    now: int,
+) -> VerifiedChain:
+    """Verify ``chain`` against a set of trust anchors at time ``now``.
+
+    Returns the authenticated subject (always the end-entity identity), the
+    intersection of link restrictions, and all extension payloads outermost
+    last. Unknown extension payloads never cause failure. Every signature and
+    nesting is checked (:func:`check_chain`) before any element's validity
+    window (:func:`check_windows`).
+    """
+    checked = check_chain(chain, anchors)
+    check_windows(checked.windows, now)
+    return VerifiedChain(
+        subject=checked.subject,
+        effective_restriction=checked.effective_restriction,
         extensions=chain.extensions(),
     )
 

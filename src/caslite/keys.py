@@ -79,6 +79,13 @@ def _verified_key(public_part: bytes, signature: bytes, payload: bytes) -> bytes
     return digest.finalize()
 
 
+def digest(data: bytes) -> bytes:
+    """The SHA-256 digest of ``data``."""
+    h = hashes.Hash(hashes.SHA256())
+    h.update(data)
+    return h.finalize()
+
+
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
     if keys.algorithm_id != ED25519:
         return False

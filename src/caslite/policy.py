@@ -124,11 +124,6 @@ def _covers(outer, inner) -> bool:
     return not inner.wildcard and inner.segments == outer.segments
 
 
-def pattern_matches(pattern: str, obj: str) -> bool:
-    """True iff ``pattern`` matches the concrete object path ``obj``."""
-    return _covers(_parse(pattern), _concrete(obj))
-
-
 def pattern_covers(outer: str, inner: str) -> bool:
     """True iff every path matched by ``inner`` is matched by ``outer``."""
     return _covers(_parse(outer), _parse(inner))
@@ -202,19 +197,6 @@ def intersect_rights(a: Iterable[Right], b: Iterable[Right]) -> frozenset[Right]
             elif _covers(rb, ra):
                 out.add(ra)
     return frozenset(out)
-
-
-def rights_covers(broad: Iterable[Right], narrow: Iterable[Right]) -> bool:
-    """True iff every request matched by ``narrow`` is matched by ``broad``.
-
-    With prefix-only patterns a right is covered by a union exactly when a
-    single element covers it, so the per-right check is complete.
-    """
-    broad_by_action = _by_action(broad)
-    return all(
-        any(_covers(rb, rn) for rb in broad_by_action.get(rn.action, ()))
-        for rn in narrow
-    )
 
 
 _RIGHT_KEY = attrgetter("action", "object")

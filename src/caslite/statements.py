@@ -84,17 +84,6 @@ class SignedStatement:
                     memo.payload = self.signing_payload()
         return memo.payload
 
-    @property
-    def payload_size(self) -> int | None:
-        """Length of the kept signing payload; None while none is kept."""
-        payload = self._memo.payload
-        return None if payload is None else len(payload)
-
-    def response_size(self) -> int:
-        """Bytes of the wire response ``{ok, body: {statement}}`` carrying this
-        statement."""
-        return wire.ok_response(statement_answer(self)).size
-
     def fresh_at(self, now: int) -> bool:
         return now < self.expires_at
 
@@ -172,10 +161,6 @@ def statement_from_map(doc: Any) -> SignedStatement:
         expires_at=doc["expires_at"],
         signature=from_hex(doc["signature"]),
     )
-
-
-def statement_bytes(s: SignedStatement) -> bytes:
-    return canonical_json(statement_to_map(s))
 
 
 def listing_rights(statement: SignedStatement, subject: str) -> frozenset:

@@ -15,6 +15,17 @@ failure, staleness, or source failure denies. No code path defaults to allow.
 
 :func:`judge` is the one decision pipeline: push, pull and the decision
 service (:mod:`caslite.authz`, which has no chain to verify) all end in it.
+
+Checking a presented chain has a time-free half, :func:`vouch` (the trust
+anchor, every signature and nesting, the effective restriction and, in push
+mode, the carried assertion's form, signature and issuer), and a clock half
+that runs on every request: each element's window, then in :func:`judge` the
+assertion's window, its binding to the authenticated subject and the
+decision. :class:`ResourceService` remembers the time-free result of each
+presented chain map in its own :class:`CheckedMemo`, keyed on the SHA-256 of
+the map's canonical bytes; only checks that pass enter it, and it holds at
+most :data:`CHECKED_MEMO_SIZE` entries. The decision service keeps one for
+presented assertions.
 """
 
 from __future__ import annotations
@@ -23,24 +34,32 @@ import argparse
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import wire
-from .assertions import PolicyAssertion, extract_from_proxy, verify_assertion
-from .canonical import fields, from_hex, to_hex
+from .assertions import (
+    CheckedAssertion,
+    PolicyAssertion,
+    check_assertion,
+    check_window,
+    extract_from_proxy,
+)
+from .canonical import canonical_json, fields, from_hex, to_hex
 from .credentials import (
+    CheckedChain,
     CredentialChain,
-    VerifiedChain,
     chain_from_map,
     chain_to_map,
+    check_chain,
+    check_windows,
     load_anchors,
     load_chain,
-    verify_chain,
 )
 from .errors import CasliteError, DeniedError, MalformedMessage, NotFound
-from .keys import KeyMaterial
+from .keys import KeyMaterial, digest
 from .policy import (
     ACTIONS,
     EnforcementDecision,
@@ -59,6 +78,9 @@ from .statements import StatementFetcher, listing_rights
 logger = logging.getLogger(__name__)
 
 PULL_NAMESPACE = "vo://**"
+
+# A presented chain: parsed, or its map as a request frame carried it.
+Presented = CredentialChain | dict
 
 
 class ObjectStore:
@@ -126,8 +148,24 @@ def _unrestricted_for(obj: str) -> frozenset:
     return frozenset(Right(a, f"{scheme}://**") for a in ACTIONS)
 
 
-def assertion_rights(
+def vouch_assertion(
     assertion: PolicyAssertion,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+) -> CheckedAssertion:
+    """The time-free half of :func:`assertion_rights`: the signature and the
+    issuer. Raises :class:`DeniedError` when either fails."""
+    verdict = check_assertion(assertion, cas_public, cas_identity)
+    if not verdict.ok:
+        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    return CheckedAssertion(
+        assertion.subject, assertion.mode, assertion.not_before, assertion.not_after,
+        _shared(assertion.rights), _shared(assertion.groups),
+    )
+
+
+def assertion_rights(
+    assertion: PolicyAssertion | CheckedAssertion,
     user: Identity,
     cas_public: KeyMaterial,
     cas_identity: Identity,
@@ -135,9 +173,13 @@ def assertion_rights(
     now: int,
 ) -> frozenset:
     """Verify a presented assertion, bind it to ``user`` and return the rights
-    it asserts. Membership mode maps groups through ``group_rights``. Raises
+    it asserts. A :class:`CheckedAssertion` has passed
+    :func:`vouch_assertion` already, so only its window is checked again.
+    Membership mode maps groups through ``group_rights``. Raises
     :class:`DeniedError` when the assertion cannot vouch for ``user``."""
-    verdict = verify_assertion(assertion, cas_public, cas_identity, now)
+    if isinstance(assertion, PolicyAssertion):
+        assertion = vouch_assertion(assertion, cas_public, cas_identity)
+    verdict = check_window(assertion.not_before, assertion.not_after, now)
     if not verdict.ok:
         raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
     if assertion.subject != user:
@@ -164,9 +206,9 @@ def judge(
     obj: str,
     now: int,
     *,
-    assertion: PolicyAssertion | None = None,
+    assertion: PolicyAssertion | CheckedAssertion | None = None,
     group_rights: Mapping[str, frozenset] | None = None,
-    community_chain: VerifiedChain | None = None,
+    community_chain: CheckedChain | None = None,
     fetcher: StatementFetcher | None = None,
 ) -> EnforcementDecision:
     """Decide one request by the authenticated ``user``: allow exactly when it
@@ -202,28 +244,55 @@ def _credential(label: str, check, *args):
         raise DeniedError(deny("credential", f"{label}: {exc.code}: {exc.message}")) from None
 
 
+@dataclass(frozen=True, slots=True)
+class Vouched:
+    """What a presented chain's time-free checks establish (see
+    :func:`vouch`)."""
+
+    chain: CheckedChain
+    assertion: CheckedAssertion | None
+
+
+def vouch(cfg: ResourceConfig, chain: CredentialChain, push: bool) -> Vouched:
+    """The time-free half of :func:`enforce` (``push``) and
+    :func:`pull_authorize`: the chain's anchor, signatures and nesting and,
+    in push mode, the carried assertion's form, signature and issuer. The
+    result depends on ``cfg`` and the chain's public fields only. Raises
+    :class:`DeniedError` at stage credential."""
+    checked = _credential("chain rejected", check_chain, chain, cfg.anchors)
+    checked = replace(checked, effective_restriction=_shared(checked.effective_restriction))
+    assertion = None
+    if push:
+        carried = _credential("carried assertion unreadable", extract_from_proxy, chain)
+        if carried is not None:
+            assertion = vouch_assertion(carried, cfg.cas_public, cfg.cas_identity)
+    return Vouched(checked, assertion)
+
+
 def enforce(
     cfg: ResourceConfig,
-    chain: CredentialChain,
+    chain: CredentialChain | Vouched,
     action: str,
     obj: str,
     now: int,
 ) -> EnforcementDecision:
     """Push mode: the community half travels in ``chain``, as an embedded
-    assertion or as a chain the community server issued itself."""
+    assertion or as a chain the community server issued itself. A
+    :class:`Vouched` chain has passed :func:`vouch` already, so only the
+    clock checks, the subject binding and the decision run."""
     try:
-        verified = _credential("chain rejected", verify_chain, chain, cfg.anchors, now)
-        assertion = _credential("carried assertion unreadable", extract_from_proxy, chain)
-        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, verified.subject, action, obj,
-                     now, assertion=assertion, group_rights=cfg.group_rights,
-                     community_chain=verified)
+        vouched = chain if isinstance(chain, Vouched) else vouch(cfg, chain, push=True)
+        _credential("chain rejected", check_windows, vouched.chain.windows, now)
+        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
+                     obj, now, assertion=vouched.assertion, group_rights=cfg.group_rights,
+                     community_chain=vouched.chain)
     except DeniedError as exc:
         return exc.decision
 
 
 def pull_authorize(
     cfg: ResourceConfig,
-    chain: CredentialChain,
+    chain: CredentialChain | Vouched,
     action: str,
     obj: str,
     now: int,
@@ -231,17 +300,81 @@ def pull_authorize(
 ) -> EnforcementDecision:
     """Pull mode: authenticate a bare user chain and authorize it from a
     fetched rights listing. Raises SourceUnavailable/StaleStatement when no
-    trustworthy listing can be had; both amount to deny."""
+    trustworthy listing can be had; both amount to deny. A :class:`Vouched`
+    chain is taken as :func:`enforce` takes it."""
     try:
-        verified = _credential("chain rejected", verify_chain, chain, cfg.anchors, now)
-        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, verified.subject, action, obj,
-                     now, fetcher=fetcher)
+        vouched = chain if isinstance(chain, Vouched) else vouch(cfg, chain, push=False)
+        _credential("chain rejected", check_windows, vouched.chain.windows, now)
+        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
+                     obj, now, fetcher=fetcher)
     except DeniedError as exc:
         return exc.decision
 
 
+# Presented documents whose time-free results one service remembers. The push
+# working set is a few hundred chains; an LRU smaller than a cyclic working
+# set never hits.
+CHECKED_MEMO_SIZE = 1024
+
+# Rights, rights sets and group sets that remembered results share: equal
+# ones are held once, which keeps a memo's entries small. The table holds only
+# immutable values equal to the ones it hands out, so sharing it between the
+# services of one process changes no answer. Past this many entries new ones
+# are kept unshared.
+SHARED_SIZE = 8192
+
+_shared_items: dict = {}
+
+
+def _shared(items: frozenset | None) -> frozenset | None:
+    if not items:
+        return items
+    shared = _shared_items.get(items)
+    if shared is None:
+        if len(_shared_items) + len(items) > SHARED_SIZE:
+            return items
+        shared = frozenset(_shared_items.setdefault(item, item) for item in items)
+        shared = _shared_items.setdefault(shared, shared)
+    return shared
+
+
+class CheckedMemo:
+    """Successful time-free checks of presented documents, keyed on the
+    SHA-256 of each document's canonical bytes, so any changed byte misses.
+    One memo belongs to one service, because a result holds only for that
+    service's anchors and authority."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def recall(self, doc: Any, check: Callable[[Any], Any]) -> Any:
+        """``check(doc)``, remembered when it returns; a check that raises
+        is run again next time. ``doc`` is a document as
+        :func:`~caslite.canonical.parse_canonical` returned it, so its
+        canonical bytes need no type walk."""
+        key = digest(canonical_json(doc, trusted=True))
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = check(doc)
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > CHECKED_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        return value
+
+
 class ResourceService:
-    """Enforcement plus the object store behind it."""
+    """Enforcement plus the object store behind it.
+
+    ``chain`` in every method is :data:`Presented`. A map's time-free result
+    is remembered (see :class:`CheckedMemo`), so the same map presented again
+    skips its parse and its signature checks; a :class:`CredentialChain` is
+    checked in full each time.
+    """
 
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):
         self.cfg = cfg
@@ -251,18 +384,26 @@ class ResourceService:
             self._fetcher = StatementFetcher(
                 cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
             )
+        self._checked = CheckedMemo()
 
-    def authorize(self, chain: CredentialChain, action: str, obj: str, now: int) -> EnforcementDecision:
-        if self.cfg.mode == "pull":
-            return pull_authorize(self.cfg, chain, action, obj, now, self._fetcher)
-        return enforce(self.cfg, chain, action, obj, now)
+    def authorize(self, chain: Presented, action: str, obj: str, now: int) -> EnforcementDecision:
+        push = self.cfg.mode == "push"
+        if not isinstance(chain, CredentialChain):
+            try:
+                chain = self._checked.recall(
+                    chain, lambda doc: vouch(self.cfg, chain_from_map(doc), push))
+            except DeniedError as exc:
+                return exc.decision
+        if push:
+            return enforce(self.cfg, chain, action, obj, now)
+        return pull_authorize(self.cfg, chain, action, obj, now, self._fetcher)
 
-    def _authorize_or_raise(self, chain: CredentialChain, action: str, obj: str, now: int) -> None:
+    def _authorize_or_raise(self, chain: Presented, action: str, obj: str, now: int) -> None:
         decision = self.authorize(chain, action, obj, now)
         if not decision.allow:
             raise DeniedError(decision)
 
-    def read(self, chain: CredentialChain, path: str, now: int | None = None) -> bytes:
+    def read(self, chain: Presented, path: str, now: int | None = None) -> bytes:
         now = int(time.time()) if now is None else now
         self._authorize_or_raise(chain, "read", path, now)
         data = self.store.read(path)
@@ -270,18 +411,18 @@ class ResourceService:
             raise NotFound(f"no object at {path}")
         return data
 
-    def write(self, chain: CredentialChain, path: str, data: bytes, now: int | None = None) -> None:
+    def write(self, chain: Presented, path: str, data: bytes, now: int | None = None) -> None:
         now = int(time.time()) if now is None else now
         self._authorize_or_raise(chain, "write", path, now)
         self.store.write(path, data)
 
-    def delete(self, chain: CredentialChain, path: str, now: int | None = None) -> None:
+    def delete(self, chain: Presented, path: str, now: int | None = None) -> None:
         now = int(time.time()) if now is None else now
         self._authorize_or_raise(chain, "delete", path, now)
         if not self.store.delete(path):
             raise NotFound(f"no object at {path}")
 
-    def list_paths(self, chain: CredentialChain, prefix: str, now: int | None = None) -> list[str]:
+    def list_paths(self, chain: Presented, prefix: str, now: int | None = None) -> list[str]:
         now = int(time.time()) if now is None else now
         self._authorize_or_raise(chain, "list", prefix, now)
         return self.store.list_under(prefix)
@@ -305,19 +446,18 @@ class VaultServer:
             raise MalformedMessage(f"unknown request kind {kind!r}")
         if chain_doc is None:
             raise MalformedMessage("file operations require a credential chain")
-        chain = chain_from_map(chain_doc)
         shape = {"path", "data"} if kind == "write" else {"path"}
         path = fields(payload, f"{kind} payload", shape)["path"]
         if kind == "read":
-            data = self.service.read(chain, path)
+            data = self.service.read(chain_doc, path)
             return {"path": path, "data": to_hex(data)}
         if kind == "write":
             data = from_hex(payload["data"])
-            self.service.write(chain, path, data)
+            self.service.write(chain_doc, path, data)
             return {"path": path, "size": len(data)}
         if kind == "list":
-            return {"path": path, "paths": self.service.list_paths(chain, path)}
-        self.service.delete(chain, path)
+            return {"path": path, "paths": self.service.list_paths(chain_doc, path)}
+        self.service.delete(chain_doc, path)
         return {"path": path, "deleted": True}
 
     def start(self) -> None:

@@ -42,7 +42,6 @@ from caslite.errors import CasliteError, ServerError, StaleEntry
 from caslite.policy import VOPolicyDatabase, db_canonical_bytes, load_database
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import (
-    statement_bytes,
     statement_from_map,
     verify_statement,
 )
@@ -52,7 +51,7 @@ from caslite.authz import AuthzConfig, AuthzServer
 import oracles
 from worldlib import (
     ALICE, ANN, BOB, CAROL, CAS, NOW,
-    fixture_db, fixture_site, groups_only_db, rights,
+    fixture_db, fixture_site, groups_only_db, rights, statement_bytes,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"

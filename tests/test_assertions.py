@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from caslite.assertions import (
     ASSERTION_PREFIX,
+    PolicyAssertion,
     assertion_bytes,
     assertion_from_map,
     assertion_to_map,
@@ -14,11 +15,15 @@ from caslite.assertions import (
     extract_from_proxy,
     issue_assertion,
     issue_restricted_proxy,
-    load_assertion,
-    save_assertion,
     verify_assertion,
 )
-from caslite.canonical import canonical_json, parse_canonical
+from caslite.canonical import (
+    canonical_json,
+    decode_blocks,
+    encode_block,
+    parse_canonical,
+    write_private,
+)
 from caslite.credentials import CLOCK_SKEW, chain_to_map, issue_proxy, verify_chain
 from caslite.errors import (
     LifetimeTooLong,
@@ -28,10 +33,21 @@ from caslite.errors import (
     SubjectMismatch,
 )
 from caslite.keys import generate_keys
-from caslite.policy import rights_covers, user_rights
+from caslite.policy import user_rights
 
 import oracles
-from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, fixture_db, rights
+from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, fixture_db, rights, rights_covers
+
+ASSERTION_TAG = "ASSERTION"
+
+
+def save_assertion(a: PolicyAssertion, path) -> None:
+    write_private(path, encode_block(ASSERTION_TAG, assertion_bytes(a)))
+
+
+def load_assertion(path) -> PolicyAssertion:
+    blocks = decode_blocks(path.read_text(encoding="utf-8"), ASSERTION_TAG)
+    return assertion_from_map(parse_canonical(blocks[0]))
 
 
 @pytest.fixture(scope="module")

@@ -15,13 +15,12 @@ from caslite.credentials import chain_to_map
 from caslite.errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
 from caslite.statements import (
     sign_statement,
-    statement_bytes,
     statement_from_map,
     statement_to_map,
     verify_statement,
 )
 
-from worldlib import ALICE, rights
+from worldlib import ALICE, rights, statement_bytes
 
 USER_QUERY = {"query": "user_rights", "subject": ALICE}
 RES_QUERY = {"query": "resource_rights", "namespace": "vo://esg/data/**"}

@@ -284,7 +284,7 @@ def restrictions(draw):
 @settings(max_examples=30, deadline=None)
 def test_restriction_never_grows_along_the_chain(layers):
     """Appending links only ever shrinks what the chain can assert."""
-    from caslite.policy import rights_covers
+    from worldlib import rights_covers
 
     ca = make_ca("propca", now=NOW - YEAR)
     eec = issue_eec(ca, "/CN=prop", (NOW - 3600, NOW + YEAR))

@@ -29,8 +29,6 @@ from caslite.policy import (
     load_database,
     matches,
     pattern_covers,
-    pattern_matches,
-    rights_covers,
     rights_from_list,
     rights_to_list,
     save_database,
@@ -41,7 +39,14 @@ from caslite.policy import (
 )
 
 import oracles
-from worldlib import ALICE, ANN, BOB, CAROL, CAS, NOW, OWNER, fixture_db, fixture_site, rights
+from worldlib import (
+    ALICE, ANN, BOB, CAROL, CAS, NOW, OWNER, fixture_db, fixture_site, rights, rights_covers,
+)
+
+
+def pattern_matches(pattern: str, obj: str) -> bool:
+    """True iff ``pattern`` matches the concrete object path ``obj``."""
+    return matches(Right("read", pattern), "read", obj)
 
 
 @pytest.fixture()

@@ -19,15 +19,18 @@ from caslite.credentials import (
     make_ca,
     save_chain,
 )
+from caslite.canonical import canonical_json
 from caslite.policy import (
     AdminCapability,
     Group,
     Right,
     SitePolicy,
     VOPolicyDatabase,
+    pattern_covers,
     save_database,
     save_site,
 )
+from caslite.statements import SignedStatement, statement_to_map
 
 NOW = int(time.time())
 DAY = 86400
@@ -45,6 +48,22 @@ USER_NAMES = {"alice": ALICE, "bob": BOB, "carol": CAROL, "admin-ann": ANN, "own
 
 def rights(*pairs: tuple[str, str]) -> frozenset:
     return frozenset(Right(action, obj) for action, obj in pairs)
+
+
+def rights_covers(broad, narrow) -> bool:
+    """True iff every request matched by ``narrow`` is matched by ``broad``.
+
+    With prefix-only patterns a right is covered by a union exactly when a
+    single element covers it, so the per-right check is complete.
+    """
+    return all(
+        any(rb.action == rn.action and pattern_covers(rb.object, rn.object) for rb in broad)
+        for rn in narrow
+    )
+
+
+def statement_bytes(s: SignedStatement) -> bytes:
+    return canonical_json(statement_to_map(s))
 
 
 def fixture_db() -> VOPolicyDatabase:
