@@ -35,7 +35,6 @@ from .canonical import (
 from .credentials import (
     CLOCK_SKEW,
     CredentialChain,
-    check_chain_internal,
     issue_proxy,
 )
 from .errors import (
@@ -272,7 +271,6 @@ def issue_restricted_proxy(
     assertions. Verifiers see the community identity, not the subject's."""
     if not db.is_member(subject):
         raise NotAMember(f"{subject} is not a member of {db.vo_name}")
-    check_chain_internal(cas_chain)
     rights = user_rights(db, subject)
     if requested is not None:
         rights = intersect_rights(rights, requested)

@@ -23,7 +23,7 @@ from . import wire
 from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map
 from .canonical import expect, fields, set_of
 from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
-from .keys import KeyMaterial
+from .keys import CheckedMemo, KeyMaterial
 from .policy import (
     Identity,
     SitePolicy,
@@ -34,7 +34,6 @@ from .policy import (
 from .statements import StatementFetcher
 from .vault import (
     PULL_NAMESPACE,
-    CheckedMemo,
     judge,
     service_parser,
     service_settings,
@@ -138,7 +137,7 @@ class AuthzConfig:
 class AuthzServer:
     """Wire front end for :func:`decide_local`. A presented assertion's
     signature and issuer checks are remembered per assertion map (see
-    :class:`~caslite.vault.CheckedMemo`); its window, its binding to the
+    :class:`~caslite.keys.CheckedMemo`); its window, its binding to the
     query identity and the decision run on every query."""
 
     def __init__(self, listen: wire.Endpoint, cfg: AuthzConfig):

@@ -40,8 +40,9 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
       every field of which was checked when it was loaded or changed;
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
       holds no float and, when the bytes hold no ``null``, no None;
-    - :meth:`vault.CheckedMemo.recall` keys a document that
-      :func:`parse_canonical` returned.
+    - :meth:`keys.CheckedMemo.recall` keys a chain or assertion map that
+      :func:`parse_canonical` returned from a request frame, at the vault,
+      the decision service and the authority.
     """
     if not trusted:
         _check(value)

@@ -5,22 +5,19 @@ security; Ed25519 is the single registered algorithm. ``algorithm_id`` is
 recorded per credential so the scheme could be swapped without touching the
 serialization.
 
-Successful verifications are remembered in a bounded LRU keyed on a SHA-256
-digest of every verified byte (public key, signature and payload), so a
-long-lived chain presented again costs a hash instead of an Ed25519 check,
-while any changed byte misses and is verified afresh. Failures are never
-remembered. The digest comes from ``cryptography`` rather than ``hashlib``:
-importing ``hashlib`` loads the system libcrypto beside the one
+Each service remembers the checks it made of presented documents in its own
+:class:`CheckedMemo`, keyed on the SHA-256 :func:`digest` of a document's
+canonical bytes. The digest comes from ``cryptography`` rather than
+``hashlib``: importing ``hashlib`` loads the system libcrypto beside the one
 ``cryptography`` carries, about 3.7 MiB more resident memory per service.
 """
 
 from __future__ import annotations
 
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -29,15 +26,15 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import fields, from_hex, to_hex
+from .canonical import canonical_json, fields, from_hex, to_hex
 from .errors import CasliteError, MalformedMessage
 
 ED25519 = "ed25519"
 
-VERIFIED_MEMO_SIZE = 4096
-
-_verified: OrderedDict[bytes, None] = OrderedDict()
-_verified_lock = threading.Lock()
+# Presented documents whose time-free results one service remembers. The push
+# working set is a few hundred chains; an LRU smaller than a cyclic working
+# set never hits.
+CHECKED_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -71,14 +68,6 @@ def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
     return Ed25519PrivateKey.from_private_bytes(keys.private_part).sign(payload)
 
 
-def _verified_key(public_part: bytes, signature: bytes, payload: bytes) -> bytes:
-    digest = hashes.Hash(hashes.SHA256())
-    for part in (public_part, signature, payload):
-        digest.update(struct.pack(">Q", len(part)))
-        digest.update(part)
-    return digest.finalize()
-
-
 def digest(data: bytes) -> bytes:
     """The SHA-256 digest of ``data``."""
     h = hashes.Hash(hashes.SHA256())
@@ -86,22 +75,42 @@ def digest(data: bytes) -> bytes:
     return h.finalize()
 
 
+class CheckedMemo:
+    """Successful time-free checks of presented documents, keyed on the
+    SHA-256 of each document's canonical bytes, so any changed byte misses.
+    One memo belongs to one service, because a result holds only for that
+    service's anchors and authority."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def recall(self, doc: Any, check: Callable[[Any], Any]) -> Any:
+        """``check(doc)``, remembered when it returns; a check that raises
+        is run again next time. ``doc`` is a document as
+        :func:`~caslite.canonical.parse_canonical` returned it, so its
+        canonical bytes need no type walk."""
+        key = digest(canonical_json(doc, trusted=True))
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = check(doc)
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > CHECKED_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        return value
+
+
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
     if keys.algorithm_id != ED25519:
         return False
-    key = _verified_key(keys.public_part, signature, payload)
-    with _verified_lock:
-        if key in _verified:
-            _verified.move_to_end(key)
-            return True
     try:
         Ed25519PublicKey.from_public_bytes(keys.public_part).verify(signature, payload)
     except (InvalidSignature, ValueError):
         return False
-    with _verified_lock:
-        _verified[key] = None
-        while len(_verified) > VERIFIED_MEMO_SIZE:
-            _verified.popitem(last=False)
     return True
 
 

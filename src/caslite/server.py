@@ -34,9 +34,10 @@ from .canonical import fields
 from .credentials import (
     chain_from_map,
     chain_to_map,
+    check_chain,
+    check_windows,
     load_anchors,
     load_chain,
-    verify_chain,
 )
 from .errors import (
     AuthFailed,
@@ -46,6 +47,7 @@ from .errors import (
     ResponseTooLarge,
     UnknownSubject,
 )
+from .keys import CheckedMemo
 from .policy import (
     Identity,
     apply_admin,
@@ -115,6 +117,7 @@ class CasServer:
         if self._chain.innermost_keys().private_part is None:
             raise CasliteError("server credential file lacks a private key")
         self._anchors = load_anchors(config.anchors_path)
+        self._checked = CheckedMemo()
         self._write_lock = threading.Lock()
         audit_path = config.audit_path or Path(str(config.db_path) + ".audit")
         self._audit = AuditLog(audit_path)
@@ -158,15 +161,19 @@ class CasServer:
         return body
 
     def _authenticate(self, chain_doc: Any) -> Identity:
-        """Credential validity is checked before any policy lookup."""
+        """Credential validity is checked before any policy lookup. The
+        time-free check of each caller chain map is remembered (see
+        :class:`~caslite.keys.CheckedMemo`); its windows run on every
+        request."""
         if chain_doc is None:
             raise AuthFailed("request carries no credential chain")
         try:
-            chain = chain_from_map(chain_doc)
-            verified = verify_chain(chain, self._anchors, int(time.time()))
+            checked = self._checked.recall(
+                chain_doc, lambda doc: check_chain(chain_from_map(doc), self._anchors))
+            check_windows(checked.windows, int(time.time()))
         except CasliteError as exc:
             raise AuthFailed(f"caller chain rejected: {exc.code}: {exc.message}") from None
-        return verified.subject
+        return checked.subject
 
     # --- handlers --------------------------------------------------------------
 

@@ -22,10 +22,9 @@ mode, the carried assertion's form, signature and issuer), and a clock half
 that runs on every request: each element's window, then in :func:`judge` the
 assertion's window, its binding to the authenticated subject and the
 decision. :class:`ResourceService` remembers the time-free result of each
-presented chain map in its own :class:`CheckedMemo`, keyed on the SHA-256 of
-the map's canonical bytes; only checks that pass enter it, and it holds at
-most :data:`CHECKED_MEMO_SIZE` entries. The decision service keeps one for
-presented assertions.
+presented chain map in its own :class:`~caslite.keys.CheckedMemo`; the
+decision service keeps one for presented assertions, and the authority one
+for its callers' chains.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ import argparse
 import logging
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import wire
 from .assertions import (
@@ -47,7 +45,7 @@ from .assertions import (
     check_window,
     extract_from_proxy,
 )
-from .canonical import canonical_json, fields, from_hex, to_hex
+from .canonical import fields, from_hex, to_hex
 from .credentials import (
     CheckedChain,
     CredentialChain,
@@ -59,7 +57,7 @@ from .credentials import (
     load_chain,
 )
 from .errors import CasliteError, DeniedError, MalformedMessage, NotFound
-from .keys import KeyMaterial, digest
+from .keys import CheckedMemo, KeyMaterial
 from .policy import (
     ACTIONS,
     EnforcementDecision,
@@ -311,11 +309,6 @@ def pull_authorize(
         return exc.decision
 
 
-# Presented documents whose time-free results one service remembers. The push
-# working set is a few hundred chains; an LRU smaller than a cyclic working
-# set never hits.
-CHECKED_MEMO_SIZE = 1024
-
 # Rights, rights sets and group sets that remembered results share: equal
 # ones are held once, which keeps a memo's entries small. The table holds only
 # immutable values equal to the ones it hands out, so sharing it between the
@@ -338,42 +331,13 @@ def _shared(items: frozenset | None) -> frozenset | None:
     return shared
 
 
-class CheckedMemo:
-    """Successful time-free checks of presented documents, keyed on the
-    SHA-256 of each document's canonical bytes, so any changed byte misses.
-    One memo belongs to one service, because a result holds only for that
-    service's anchors and authority."""
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[bytes, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def recall(self, doc: Any, check: Callable[[Any], Any]) -> Any:
-        """``check(doc)``, remembered when it returns; a check that raises
-        is run again next time. ``doc`` is a document as
-        :func:`~caslite.canonical.parse_canonical` returned it, so its
-        canonical bytes need no type walk."""
-        key = digest(canonical_json(doc, trusted=True))
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                return value
-        value = check(doc)
-        with self._lock:
-            self._entries[key] = value
-            while len(self._entries) > CHECKED_MEMO_SIZE:
-                self._entries.popitem(last=False)
-        return value
-
-
 class ResourceService:
     """Enforcement plus the object store behind it.
 
     ``chain`` in every method is :data:`Presented`. A map's time-free result
-    is remembered (see :class:`CheckedMemo`), so the same map presented again
-    skips its parse and its signature checks; a :class:`CredentialChain` is
-    checked in full each time.
+    is remembered (see :class:`~caslite.keys.CheckedMemo`), so the same map
+    presented again skips its parse and its signature checks; a
+    :class:`CredentialChain` is checked in full each time.
     """
 
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):

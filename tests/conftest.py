@@ -16,6 +16,24 @@ def world():
 
 
 @pytest.fixture
+def ed25519_checks(monkeypatch):
+    """Count the Ed25519 signature checks actually run."""
+    from caslite import keys
+
+    calls = []
+    real = keys.Ed25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            calls.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(keys, "Ed25519PublicKey", Counting)
+    return calls
+
+
+@pytest.fixture
 def cas_server(world, tmp_path):
     from caslite.server import CasServer, ServerConfig
 

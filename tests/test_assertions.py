@@ -231,6 +231,13 @@ def test_restricted_proxy_for_non_member(world_module, db):
         issue_restricted_proxy(world_module.cas_chain, db, CAROL, 3600, now=NOW)
 
 
+def test_restricted_issuance_checks_the_authority_chain_once(world_module, db, ed25519_checks):
+    cas_chain = issue_proxy(world_module.cas_chain, (NOW, NOW + DAY))
+    ed25519_checks.clear()
+    issue_restricted_proxy(cas_chain, db, ALICE, 3600, now=NOW)
+    assert len(ed25519_checks) == len(cas_chain.links) == 1
+
+
 # --- serialization ---------------------------------------------------------------------
 
 def test_assertion_wire_round_trip(db, cas_keys):

@@ -1,4 +1,5 @@
-"""Remembered credential checks at the vault and the decision service.
+"""Remembered credential checks at the vault, the decision service and the
+authority.
 
 Each presented chain or assertion map is checked once without the clock, and
 the result is remembered by the service under the SHA-256 of the map's
@@ -15,10 +16,11 @@ import socket
 import struct
 import sys
 import threading
+import types
 
 import pytest
 
-from caslite import authz, keys, vault, wire
+from caslite import authz, keys, server as server_module, vault, wire
 from caslite.assertions import (
     PolicyAssertion,
     assertion_bytes,
@@ -42,13 +44,15 @@ from caslite.credentials import (
     make_ca,
     verify_chain,
 )
-from caslite.errors import CasliteError, ServerError
+from caslite.errors import AuthFailed, CasliteError, ServerError
+from caslite.server import CasServer
 from caslite.vault import ObjectStore, ResourceConfig, ResourceService, VaultServer
 
 from worldlib import ALICE, BOB, CAS, DAY, NOW
 
 OBJ = "vo://esg/data/public/a.nc"
 HEX_FIELDS = {"public_part", "signature", "extension"}
+LISTING = {"query": "resource_rights", "namespace": "vo://esg/**"}
 
 
 def push_config(world, anchors=None):
@@ -91,22 +95,6 @@ def decide_payload(assertion_doc):
 
 
 @pytest.fixture
-def ed25519_checks(monkeypatch):
-    """Count the Ed25519 checks actually run, as ``tests/test_keys.py`` does."""
-    calls = []
-    real = keys.Ed25519PublicKey
-
-    class Counting:
-        @staticmethod
-        def from_public_bytes(data):
-            calls.append(data)
-            return real.from_public_bytes(data)
-
-    monkeypatch.setattr(keys, "Ed25519PublicKey", Counting)
-    return calls
-
-
-@pytest.fixture
 def parses(monkeypatch):
     """Count chain and assertion map parses and signing-payload encodes."""
     calls = []
@@ -118,6 +106,8 @@ def parses(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(vault, "chain_from_map", counting("chain_from_map", vault.chain_from_map))
+    monkeypatch.setattr(server_module, "chain_from_map",
+                        counting("chain_from_map", server_module.chain_from_map))
     monkeypatch.setattr(authz, "assertion_from_map",
                         counting("assertion_from_map", authz.assertion_from_map))
     for cls in (EndEntityCredential, DelegationLink, PolicyAssertion):
@@ -169,12 +159,20 @@ def _frame_mutations(request: dict, signed: dict):
         yield data[:at] + inserts[k % len(inserts)] + data[at:]
 
 
-def _vault_answer(endpoint, chain_doc):
+def _chain_answer(endpoint, kind, payload, chain_doc):
     try:
-        wire.call(endpoint, "read", {"path": OBJ}, chain=chain_doc)
+        wire.call(endpoint, kind, payload, chain=chain_doc)
     except ServerError as exc:
         return exc.code, exc.message
     return "allow", ""
+
+
+def _vault_answer(endpoint, chain_doc):
+    return _chain_answer(endpoint, "read", {"path": OBJ}, chain_doc)
+
+
+def _authority_answer(endpoint, chain_doc):
+    return _chain_answer(endpoint, "query", LISTING, chain_doc)
 
 
 def _authz_answer(endpoint, assertion_doc):
@@ -206,13 +204,19 @@ def _raw_answer(sock, data):
     return "allow", ""
 
 
-@pytest.mark.parametrize("kind", ["push", "pull", "authz"])
+@pytest.mark.parametrize("kind", ["push", "pull", "authz", "authority"])
 def test_flipped_signed_hex_digit_denies_after_allow(world, cas_server, kind):
     """Warm each service with a pristine document, then present every
     single-digit flip of its signed fields and byte-mutated frames: each
     answer is a deny at stage credential or a domain error, never allow or
-    ``Internal``; the pristine document is still allowed afterwards."""
-    if kind == "authz":
+    ``Internal`` (``AuthFailed`` for every flip at the authority); the
+    pristine document is still allowed afterwards."""
+    if kind == "authority":
+        server = CasServer(cas_server.config)
+        docs = [chain_to_map(world.proxy("alice"))]
+        answer = _authority_answer
+        request = lambda doc: {"kind": "query", "payload": LISTING, "chain": doc}
+    elif kind == "authz":
         server = AuthzServer(("127.0.0.1", 0), authz_config(world))
         docs = [assertion_to_map(alice_assertion(world, lifetime=DAY))]
         answer = _authz_answer
@@ -235,6 +239,7 @@ def test_flipped_signed_hex_digit_denies_after_allow(world, cas_server, kind):
             for flipped in _flips(doc):
                 got = answer(server.endpoint, flipped)
                 assert _refused(kind, got), (flipped, got)
+                assert kind != "authority" or got[0] == "AuthFailed", (flipped, got)
                 flips += 1
             assert flips > 128  # a 64-byte signature alone gives 128
             with socket.create_connection(server.endpoint, timeout=10) as sock:
@@ -328,6 +333,28 @@ def test_remembered_assertion_keeps_its_window_at_authz(world):
     assert answers[3].reason == "assertion rejected: NotYetValid"
 
 
+def test_authority_keeps_a_remembered_caller_chain_window(world, cas_server, monkeypatch,
+                                                          parses):
+    """The authority answers a remembered caller chain up to ``CLOCK_SKEW``
+    beyond either edge of its window and refuses it one second further,
+    without parsing it again."""
+    doc = chain_to_map(world.proxy("alice", lifetime=600))
+    clock = [NOW]
+    monkeypatch.setattr(server_module, "time", types.SimpleNamespace(time=lambda: clock[0]))
+    assert cas_server.handle("query", LISTING, doc)
+    parses.clear()
+    for now, refusal in ((NOW + 600 + CLOCK_SKEW, None), (NOW - CLOCK_SKEW, None),
+                         (NOW + 600 + CLOCK_SKEW + 1, "Expired: element 1 expired"),
+                         (NOW - CLOCK_SKEW - 1, "NotYetValid: element 1 not valid")):
+        clock[0] = now
+        if refusal is None:
+            assert cas_server.handle("query", LISTING, doc)
+        else:
+            with pytest.raises(AuthFailed, match=f"^caller chain rejected: {refusal}"):
+                cas_server.handle("query", LISTING, doc)
+    assert parses == []
+
+
 # --- isolation, bound, failures and work on a hit ------------------------------------------
 
 def test_memo_belongs_to_one_service(world):
@@ -349,7 +376,7 @@ def test_memo_belongs_to_one_service(world):
 
 
 def test_memo_stays_within_its_bound(world, monkeypatch, parses):
-    monkeypatch.setattr(vault, "CHECKED_MEMO_SIZE", 3)
+    monkeypatch.setattr(keys, "CHECKED_MEMO_SIZE", 3)
     service = ResourceService(push_config(world))
     docs = [chain_to_map(issue_proxy(CredentialChain(eec=world.eec("alice")),
                                      (NOW, NOW + 600 + i)))
@@ -376,7 +403,7 @@ def _flip_hex(doc, *path):
     return copy
 
 
-def test_failed_checks_are_never_remembered(world, ed25519_checks, parses):
+def test_failed_checks_are_never_remembered(world, cas_server, ed25519_checks, parses):
     service = ResourceService(push_config(world))
     good = alice_chain(world)
     forged = dataclasses.replace(alice_assertion(world), db_revision=99)
@@ -410,10 +437,22 @@ def test_failed_checks_are_never_remembered(world, ed25519_checks, parses):
         assert len(ed25519_checks) > before
     assert len(server._checked._entries) == 0
 
+    # the authority reads no extension, so only the chain's own faults refuse a caller
+    for name in ("bad signature", "untrusted root"):
+        for _ in range(3):
+            before = len(ed25519_checks), parses.count("chain_from_map")
+            with pytest.raises(AuthFailed, match="^caller chain rejected: "):
+                cas_server.handle("query", LISTING, failing[name])
+            assert parses.count("chain_from_map") == before[1] + 1, name
+            if name == "bad signature":
+                assert len(ed25519_checks) > before[0]
+    assert len(cas_server._checked._entries) == 0
+
 
 def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed25519_checks, parses):
     """A repeat request makes no Ed25519 check, parses no chain or assertion
-    map, and encodes no signing payload."""
+    map, and encodes no signing payload. A repeat issuance at the authority
+    signs fresh payloads, but neither parses nor checks the caller's chain."""
     push = ResourceService(push_config(world))
     pull = ResourceService(pull_config(world, cas_server.endpoint), ObjectStore({OBJ: b"x"}))
     restricted = issue_restricted_proxy(world.cas_chain, world.db, BOB, now=NOW)
@@ -425,6 +464,7 @@ def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed2551
         *(lambda doc=doc: push.authorize(doc, "read", OBJ, NOW).allow for doc in push_docs),
         lambda: pull.read(pull_doc, OBJ) == b"x",
         lambda: server.handle("decide", payload, None)["allow"],
+        lambda: cas_server.handle("query", LISTING, pull_doc),
     ]
     for request in requests:
         assert request()  # cold
@@ -434,6 +474,9 @@ def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed2551
         assert request()
     assert ed25519_checks == []
     assert parses == []
+    assert cas_server.handle("get_credential", {"mode": "assertion"}, pull_doc)
+    assert ed25519_checks == []
+    assert "chain_from_map" not in parses
 
 
 def test_concurrent_requests_agree_with_cold_checks(world):
