@@ -40,7 +40,6 @@ from .policy import (
     apply_admin,
     decide,
     intersect_rights,
-    matches,
     user_rights,
 )
 from .statements import SignedStatement, sign_statement, verify_statement
@@ -74,7 +73,6 @@ __all__ = [
     "issue_proxy",
     "issue_restricted_proxy",
     "make_ca",
-    "matches",
     "sign_statement",
     "user_rights",
     "verify_assertion",

@@ -35,9 +35,12 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     - :meth:`statements.SignedStatement.signing_payload` encodes a statement
       whose query and body were built from checked objects by the authority,
       or passed :func:`statements.statement_from_map`, which checks every
-      value's type;
-    - :func:`policy.db_canonical_bytes` encodes ``db_to_map`` of a database,
-      every field of which was checked when it was loaded or changed;
+      value's type; :func:`statements.sign_statement` encodes such a
+      statement's fields around its body, and a body not already encoded;
+    - :func:`policy.db_canonical_bytes` encodes the sections of a database,
+      every field of which was checked when it was loaded or changed, and
+      ``policy._fragment`` each grant ref's and listing entry's
+      ``"key":[...]`` fragment, built from checked ``Right`` objects;
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
       holds no float and, when the bytes hold no ``null``, no None;
     - :meth:`keys.CheckedMemo.recall` keys a chain or assertion map that

@@ -36,6 +36,7 @@ from .errors import (
     NotAuthorized,
     UnknownSubject,
 )
+from .wire import Encoded
 
 Identity = str
 
@@ -172,16 +173,6 @@ def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:
     return False
 
 
-def matches(right: Right, action: str, obj: str) -> bool:
-    """True iff ``right`` permits ``action`` on the concrete path ``obj``."""
-    return rights_match((right,), action, obj)
-
-
-def rights_match(rights: Iterable[Right], action: str, obj: str) -> bool:
-    validate_action(action)
-    return _any_matches(rights, action, _concrete(obj))
-
-
 def intersect_rights(a: Iterable[Right], b: Iterable[Right]) -> frozenset[Right]:
     """Semantic intersection: the result matches a request exactly when both
     inputs match it, narrowing patterns where they overlap.
@@ -266,15 +257,19 @@ LISTING_NAMESPACES = 4
 
 @dataclass(eq=False)
 class _Derived:
-    """What a database works out from its own fields: ``member_groups``, each
-    grant ref's :func:`rights_to_list` for :func:`db_to_map`, and, per
-    namespace listed (``listings``, oldest first, changed under ``lock``),
-    each member's :func:`scoped_listing` entry. Readers fill the last two
-    without a lock, so a copy is one C-level ``dict(...)``."""
+    """What a database works out from its own fields: ``member_groups``; each
+    grant ref's encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`;
+    per namespace listed (``listings``, oldest first, changed under ``lock``),
+    each member's :func:`scoped_listing` entry with its encoded
+    ``"member":[...]`` fragment; and the encoded
+    ``"groups":{...},"members":[...]`` of the database file (``sections``).
+    Readers fill the dicts without a lock, so a copy is one C-level
+    ``dict(...)``."""
 
     member_groups: dict
-    grant_lists: dict = field(default_factory=dict)
+    grant_fragments: dict = field(default_factory=dict)
     listings: dict = field(default_factory=dict)
+    sections: bytes | None = None
     lock: Any = field(default_factory=threading.Lock)
 
 
@@ -289,7 +284,7 @@ class VOPolicyDatabase:
     Derived state takes no part in equality or repr: ``member_groups`` maps
     each identity in some group to the names of its groups, built here from
     ``groups`` unless ``apply_admin`` carries it over (``_carried``); the
-    grant ref lists of :func:`db_to_map` and the listing entries of
+    grant fragments of :func:`db_canonical_bytes` and the listing entries of
     :func:`scoped_listing` are filled on first use and carried the same way.
     """
 
@@ -337,28 +332,39 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
     return frozenset(rights)
 
 
-def scoped_listing(db: VOPolicyDatabase, namespace: str) -> dict[Identity, list]:
+def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
     """Each member's rights within ``namespace`` as :func:`rights_to_list`
-    entries, in member order, members with none left out.
+    entries, in member order, members with none left out, as an
+    :class:`~caslite.wire.Encoded` map joined from each entry's fragment.
 
-    The entries are kept on ``db`` for the last :data:`LISTING_NAMESPACES`
-    namespaces listed and carried to later revisions for every member a
-    command does not touch, so the lists returned are shared: read them,
-    never change them."""
+    The entries, with their fragments, are kept on ``db`` for the last
+    :data:`LISTING_NAMESPACES` namespaces listed and carried to later
+    revisions for every member a command does not touch, so the lists
+    returned and the documents in them are shared: never change them."""
     kept = db._derived.listings
     with db._derived.lock:
         entries = kept[namespace] = kept.pop(namespace, None) or {}
         if len(kept) > LISTING_NAMESPACES:
             del kept[next(iter(kept))]
     scope = frozenset(Right(action, namespace) for action in ACTIONS)
-    listing = {}
+    docs: dict = {}  # one document per distinct right in the entries built here
+    listing, fragments = {}, []
     for member in sorted(db.members):
         entry = entries.get(member)
         if entry is None:
-            entry = entries[member] = rights_to_list(intersect_rights(user_rights(db, member), scope))
-        if entry:
-            listing[member] = entry
-    return listing
+            rights = [docs.setdefault(r, {"action": r.action, "object": r.object}) for r in
+                      sorted(intersect_rights(user_rights(db, member), scope), key=_RIGHT_KEY)]
+            entry = entries[member] = (rights, _fragment(member, rights) if rights else b"")
+        if entry[0]:
+            listing[member], fragment = entry
+            fragments.append(fragment)
+    return Encoded(listing, (b"{", b",".join(fragments), b"}"))
+
+
+def _fragment(key: str, value: Any) -> bytes:
+    """``"key":value`` as the encoder writes it in a map: a canonical map is
+    ``{``, its fragments joined by ``,`` in key order, then ``}``."""
+    return canonical_json({key: value}, trusted=True)[1:-1]
 
 
 # --- admin commands -------------------------------------------------------------
@@ -438,7 +444,7 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
     ``add_to_group`` and ``remove_from_group``; ``create_group`` and
     ``add_capability`` touch none. Their listing entries are dropped; the
     ``member_groups`` entry changes only for a membership change, and a grant
-    ref's list only when its grants change or its member is removed.
+    ref's fragment only when its grants change or its member is removed.
     """
     cmd = _parse_admin_cmd(cmd)
     authorized = admin == db.owner or any(
@@ -519,24 +525,27 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
         grants=grants,
         admin_caps=tuple(caps),
         revision=db.revision + 1,
-        _carried=_carry(db._derived, member_groups, touched, dropped_ref),
+        _carried=_carry(db._derived, member_groups, touched, dropped_ref,
+                        members is db.members and groups is db.groups),
     )
 
 
 def _carry(old: _Derived, member_groups: dict, touched: Iterable[Identity],
-           dropped_ref: str | None) -> _Derived:
-    """``old`` less the listing entries of ``touched`` and the grant list of
-    ``dropped_ref``. Readers may be filling ``old``, so each memo is copied
-    whole by one ``dict`` call and trimmed in the copy."""
-    grant_lists = dict(old.grant_lists)
-    grant_lists.pop(dropped_ref, None)
+           dropped_ref: str | None, same_sections: bool) -> _Derived:
+    """``old`` less the listing entries of ``touched``, the grant fragment of
+    ``dropped_ref``, and the sections unless ``same_sections`` (members and
+    groups unchanged). Readers may be filling ``old``, so each memo is
+    copied whole by one ``dict`` call and trimmed in the copy."""
+    grant_fragments = dict(old.grant_fragments)
+    grant_fragments.pop(dropped_ref, None)
     with old.lock:
         listings = dict(old.listings)
     for namespace, entries in listings.items():
         listings[namespace] = entries = dict(entries)
         for who in touched:
             entries.pop(who, None)
-    return _Derived(member_groups, grant_lists, listings)
+    return _Derived(member_groups, grant_fragments, listings,
+                    old.sections if same_sections else None)
 
 
 # --- the site half --------------------------------------------------------------
@@ -616,24 +625,6 @@ def _capability_to_map(cap: AdminCapability) -> dict[str, Any]:
     return out
 
 
-def db_to_map(db: VOPolicyDatabase) -> dict[str, Any]:
-    """The database as a document. Each grant ref's list is kept on ``db``
-    and carried to later revisions, so the lists are shared: encode or read
-    the document, never change them in place."""
-    kept = db._derived.grant_lists
-    for ref in db.grants.keys() - kept.keys():
-        kept[ref] = rights_to_list(db.grants[ref])
-    return {
-        "vo_name": db.vo_name,
-        "owner": db.owner,
-        "members": sorted(db.members),
-        "groups": {name: sorted(g.members) for name, g in sorted(db.groups.items())},
-        "grants": {ref: kept[ref] for ref in sorted(db.grants)},
-        "admin_caps": [_capability_to_map(c) for c in db.admin_caps],
-        "revision": db.revision,
-    }
-
-
 def db_from_map(doc: Any) -> VOPolicyDatabase:
     fields(doc, "policy database",
            {"vo_name", "owner", "members", "groups", "grants", "admin_caps", "revision"})
@@ -668,7 +659,27 @@ def db_from_map(doc: Any) -> VOPolicyDatabase:
 
 
 def db_canonical_bytes(db: VOPolicyDatabase) -> bytes:
-    return canonical_json(db_to_map(db), trusted=True)
+    """The database document's canonical bytes, spliced in key order from
+    the encodings of its sections: ``admin_caps``; ``grants``, joined from
+    each ref's fragment; ``groups`` and ``members``, which only membership
+    and group commands change; and the rest. Fragments and sections are kept
+    on ``db`` and carried to later revisions."""
+    derived = db._derived
+    kept = derived.grant_fragments
+    for ref in db.grants.keys() - kept.keys():
+        kept[ref] = _fragment(ref, rights_to_list(db.grants[ref]))
+    if derived.sections is None:
+        derived.sections = canonical_json({
+            "groups": {name: sorted(g.members) for name, g in db.groups.items()},
+            "members": sorted(db.members),
+        }, trusted=True)[1:-1]
+    head = canonical_json({"admin_caps": [_capability_to_map(c) for c in db.admin_caps]},
+                          trusted=True)
+    tail = canonical_json({"owner": db.owner, "revision": db.revision, "vo_name": db.vo_name},
+                          trusted=True)
+    grants = b",".join([kept[ref] for ref in sorted(db.grants)])
+    return b"".join((head[:-1], b',"grants":{', grants, b"},", derived.sections, b",",
+                     memoryview(tail)[1:]))
 
 
 def save_database(db: VOPolicyDatabase, path: Path | str) -> None:

@@ -237,7 +237,8 @@ class CasServer:
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
-            body = {"listing": scoped_listing(db, query["namespace"])}
+            listing = scoped_listing(db, query["namespace"])
+            body = wire.Encoded({"listing": listing}, (b'{"listing":', *listing.chunks, b"}"))
         statement = sign_statement(
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,

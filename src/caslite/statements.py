@@ -102,8 +102,15 @@ def validate_query(payload: Any) -> dict:
 def sign_statement(
     keys: KeyMaterial, query: dict, body: dict, issued_at: int, expires_at: int
 ) -> SignedStatement:
+    """Sign ``body`` as the answer to ``query``. The payload's first key is
+    ``body``, so its bytes are spliced after ``{"body":`` (the chunks of a
+    ``wire.Encoded`` body, encoded no further), then the other fields."""
     unsigned = SignedStatement(query, body, issued_at, expires_at, b"")
-    payload = unsigned.signing_payload()
+    rest = canonical_json({"caslite": STATEMENT_FORMAT, "expires_at": expires_at,
+                           "issued_at": issued_at, "query": query}, trusted=True)
+    chunks = (body.chunks if isinstance(body, wire.Encoded)
+              else (canonical_json(body, trusted=True),))
+    payload = b"".join((b'{"body":', *chunks, b",", memoryview(rest)[1:]))
     signed = replace(unsigned, signature=sign_payload(keys, payload))
     signed._memo.payload = payload
     return signed

@@ -60,7 +60,10 @@ class Encoded(dict):
     dropping its closing brace and writing ``,"key":value}``, as
     ``statements.statement_answer`` adds ``signature`` to a kept signing
     payload; :func:`ok_response` likewise wraps a body between ``{"body":``
-    and ``,"ok":true}``."""
+    and ``,"ok":true}``, and ``statements.sign_statement`` an encoded
+    statement body between ``{"body":`` and the encoding of the statement's
+    other fields. ``policy.scoped_listing`` builds a listing from its
+    entries' kept ``"member":[...]`` fragments this way."""
 
     def __init__(self, value: dict, chunks: tuple):
         super().__init__(value)

@@ -33,7 +33,6 @@ from caslite.policy import (
     _capability_from_map,
     _capability_to_map,
     db_from_map,
-    db_to_map,
     group_rights_from_map,
     rights_from_list,
     rights_to_list,
@@ -44,7 +43,7 @@ from caslite.policy import (
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import sign_statement, statement_from_map, statement_to_map, validate_query
 
-from worldlib import ALICE, ANN, BOB, CAS, DAY, NOW, OWNER, make_world, rights
+from worldlib import ALICE, ANN, BOB, CAS, DAY, NOW, OWNER, db_to_map, make_world, rights
 
 WORLD = make_world()
 RIGHTS = rights(("read", "vo://esg/data/**"), ("write", "vo://esg/data/public/**"))

@@ -23,11 +23,9 @@ from caslite.policy import (
     apply_admin,
     db_canonical_bytes,
     db_from_map,
-    db_to_map,
     decide,
     intersect_rights,
     load_database,
-    matches,
     pattern_covers,
     rights_from_list,
     rights_to_list,
@@ -36,12 +34,22 @@ from caslite.policy import (
     site_from_map,
     site_to_map,
     user_rights,
+    validate_action,
+    validate_concrete,
 )
 
 import oracles
 from worldlib import (
-    ALICE, ANN, BOB, CAROL, CAS, NOW, OWNER, fixture_db, fixture_site, rights, rights_covers,
+    ALICE, ANN, BOB, CAROL, CAS, NOW, OWNER, db_to_map, fixture_db, fixture_site, rights,
+    rights_covers,
 )
+
+
+def matches(right: Right, action: str, obj: str) -> bool:
+    """True iff ``right`` permits ``action`` on the concrete path ``obj``."""
+    validate_action(action)
+    validate_concrete(obj)
+    return right.action == action and pattern_covers(right.object, obj)
 
 
 def pattern_matches(pattern: str, obj: str) -> bool:
@@ -537,8 +545,14 @@ def test_grant_monotonicity(cmd):
             assert old_allow or not new_allow
 
 
-IDENTITIES = [ALICE, BOB, CAROL, ANN, "/VO=esg/CN=dave"]
-GROUP_NAMES = ["publishers", "ops", "readers"]
+# Identities JSON escapes (a quote, a backslash, control characters) or
+# writes as multi-byte UTF-8, two of which (U+FF5A and U+1D518) sort one way
+# by code point and UTF-8 byte and the other way by UTF-16 unit; group names
+# are ASCII, so two of them sort among the others by case and underscore.
+AWKWARD = ['/VO=esg/CN=qu"ote', "/VO=esg/CN=back\\slash", "/VO=esg/CN=tab\tbell\x07",
+           "/VO=esg/CN=\u00e9", "/VO=esg/CN=\uff5a", "/VO=esg/CN=\U0001d518"]
+IDENTITIES = [ALICE, BOB, CAROL, ANN, "/VO=esg/CN=dave", *AWKWARD]
+GROUP_NAMES = ["publishers", "ops", "readers", "Z9", "_ops"]
 random_admin_cmds = st.one_of(
     st.builds(lambda op, who: {"op": op, "identity": who},
               st.sampled_from(["add_member", "remove_member"]), st.sampled_from(IDENTITIES)),
@@ -599,7 +613,26 @@ carried_admin_cmds = st.one_of(
 
 
 def _listing_bytes(db, namespace):
-    return canonical_json({"listing": scoped_listing(db, namespace)})
+    """The joined bytes of ``namespace``'s listing, after checking that they
+    are ``canonical_json`` of the listing map."""
+    listing = scoped_listing(db, namespace)
+    joined = b"".join(listing.chunks)
+    assert joined == canonical_json(dict(listing))
+    return joined
+
+
+def _awkward_db():
+    """The fixture database with every awkward identity a member of
+    ``publishers``, so each is listed, and a direct grant to every other."""
+    db = fixture_db()
+    for i, who in enumerate(AWKWARD):
+        db = apply_admin(db, OWNER, {"op": "add_member", "identity": who})
+        db = apply_admin(db, OWNER, {"op": "add_to_group", "group": "publishers",
+                                     "identity": who})
+        if i % 2:
+            db = apply_admin(db, OWNER, {"op": "grant", "subject": who, "action": "list",
+                                         "object": "vo://esg/data/**"})
+    return db
 
 
 @given(steps=st.lists(st.tuples(st.sampled_from(ADMINS), carried_admin_cmds), max_size=30))
@@ -607,9 +640,11 @@ def _listing_bytes(db, namespace):
 def test_carried_state_equals_a_rebuild(steps):
     """After every command, refused and failing ones included, the database
     ``apply_admin`` carried forward equals one rebuilt from its document:
-    same bytes, same index, same rights and byte-equal listings. Each
-    namespace is listed before every command, so carried entries are used."""
-    db = fixture_db()
+    same bytes, same index, same rights and byte-equal listings; and the
+    joined bytes of the database and of each listing equal ``canonical_json``
+    of the same document. Each namespace is listed before every command, so
+    carried entries are used."""
+    db = _awkward_db()
     for admin, cmd in steps:
         for namespace in LISTED:
             _listing_bytes(db, namespace)
@@ -619,9 +654,10 @@ def test_carried_state_equals_a_rebuild(steps):
         except (NotAuthorized, UnknownSubject, DuplicateGroup):
             pass
         rebuilt = db_from_map(db_to_map(db))
+        assert db_canonical_bytes(db) == canonical_json(db_to_map(db))
         assert db_canonical_bytes(db) == db_canonical_bytes(rebuilt)
         assert db.member_groups == rebuilt.member_groups
-        assert db._derived.grant_lists.keys() <= db.grants.keys()
+        assert db._derived.grant_fragments.keys() <= db.grants.keys()
         for who in db.members | set(IDENTITIES):
             assert user_rights(db, who) == user_rights(rebuilt, who)
         for namespace in LISTED:

@@ -13,16 +13,17 @@ from caslite import wire
 from caslite.assertions import assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import ResponseTooLarge, ServerError
-from caslite.canonical import canonical_json
+from caslite.canonical import canonical_json, parse_canonical
 from caslite.policy import (
-    db_canonical_bytes, db_from_map, db_to_map, intersect_rights, load_database, rights_to_list,
+    db_canonical_bytes, db_from_map, intersect_rights, load_database, rights_to_list,
     scoped_listing, user_rights,
 )
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
 from caslite.vault import ResourceConfig, ResourceService
 
-from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, OWNER, rights
+import oracles
+from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, OWNER, db_to_map, rights
 
 
 def chain_doc(world, short):
@@ -249,6 +250,42 @@ def test_listings_during_commits_match_a_published_revision(world, cas_server):
                 for db in published}
     assert len(expected) == 13
     assert all(canonical_json(listing) in expected for listing in answers)
+
+
+def test_commits_and_listings_are_byte_identical_to_their_documents(world, cas_server):
+    """After each grant, revoke and add_member commit, awkward identities
+    included, the database file is canonical to the reference parser and
+    loads back to the same bytes; each listing answered between commits
+    verifies, and its frame is ``canonical_json`` of the answer map."""
+    quote, astral = '/VO=esg/CN=qu"o\\te', "/VO=esg/CN=\u00e9\U0001d518"
+    commands = [
+        {"op": "grant", "subject": ALICE, "action": "list", "object": "vo://esg/data/**"},
+        {"op": "add_member", "identity": quote},
+        {"op": "grant", "subject": quote, "action": "read", "object": "vo://esg/data/q/**"},
+        {"op": "add_member", "identity": astral},
+        {"op": "grant", "subject": astral, "action": "write", "object": "vo://esg/**"},
+        {"op": "grant", "subject": "publishers", "action": "delete", "object": "vo://esg/x"},
+        {"op": "revoke", "subject": ALICE, "action": "list", "object": "vo://esg/data/**"},
+        {"op": "revoke", "subject": quote, "action": "read", "object": "vo://esg/data/q/**"},
+    ]
+    path = cas_server.config.db_path
+    for command in commands:
+        cas_server.handle_admin({"command": command}, OWNER)
+        data = path.read_bytes()
+        oracles.reference_parse_canonical(data)
+        assert data == canonical_json(db_to_map(cas_server.db))
+        assert db_canonical_bytes(load_database(path)) == data
+        for namespace in ("vo://esg/**", "vo://esg/data/**"):
+            answer = cas_server.handle_query(
+                {"query": "resource_rights", "namespace": namespace}, ALICE)
+            response = wire.ok_response(answer)
+            frame = b"".join(response.chunks)
+            assert frame == canonical_json(response)
+            statement = statement_from_map(parse_canonical(frame)["body"]["statement"])
+            assert verify_statement(statement, world.cas.keys.public())
+    listing = statement.body["listing"]
+    assert listing[astral] == [{"action": "write", "object": "vo://esg/data/**"}]
+    assert quote not in listing
 
 
 PAD = "x" * 1_000_000

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+import struct
 import sys
 import threading
 import time
@@ -282,3 +284,71 @@ def test_concurrent_refreshes_share_one_fetch(flaky_source, authority_keys, case
     else:
         expected = StaleStatement if case == "stale" else SourceUnavailable
         assert all(type(r) is expected for r in results)
+
+
+class _TruncatingSource:
+    """A bare query endpoint that answers its first ``whole`` requests with a
+    signed listing frame and every later one with that frame's header and
+    half its body, then closes the connection or, when ``stall``, holds it
+    open without sending another byte until the client gives up."""
+
+    def __init__(self, authority_keys, whole, stall):
+        statement = sign_statement(authority_keys, QUERY, LISTING, NOW, NOW + 600)
+        body = canonical_json(wire.ok_response({"statement": statement_to_map(statement)}))
+        self.frame = struct.pack(">I", len(body)) + body
+        self.cut = 4 + len(body) // 2
+        self.whole, self.stall, self.requests = whole, stall, 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.endpoint = self._listener.getsockname()[:2]
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                try:
+                    while wire.read_frame(conn) is not None:
+                        self.requests += 1
+                        if self.requests <= self.whole:
+                            conn.sendall(self.frame)
+                            continue
+                        conn.sendall(self.frame[:self.cut])
+                        if self.stall:
+                            conn.recv(1)  # returns once the client closes
+                        break
+                except OSError:
+                    pass
+
+    def close(self):
+        self._closed.set()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+@pytest.mark.parametrize("stall", [False, True], ids=["closed", "stalled"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "expired_cache"])
+def test_truncated_listing_frame_fails_closed(authority_keys, monkeypatch, cached, stall):
+    """A source that sends half a listing frame never yields a statement: the
+    fetcher raises SourceUnavailable with nothing cached and StaleStatement
+    with an expired statement cached, within the frame deadline."""
+    monkeypatch.setattr(wire, "FRAME_DEADLINE", 0.5)
+    source = _TruncatingSource(authority_keys, whole=int(cached), stall=stall)
+    try:
+        fetcher = StatementFetcher(source.endpoint, "vo://esg/data/**", authority_keys.public())
+        now = fetcher.current(NOW).expires_at + 1 if cached else NOW
+        for _ in range(3):
+            started = time.monotonic()
+            with pytest.raises(StaleStatement if cached else SourceUnavailable):
+                fetcher.current(now)
+            assert time.monotonic() - started < wire.FRAME_DEADLINE + 1.0
+        assert source.requests == 3 + int(cached)
+    finally:
+        source.close()

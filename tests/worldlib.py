@@ -27,6 +27,7 @@ from caslite.policy import (
     SitePolicy,
     VOPolicyDatabase,
     pattern_covers,
+    rights_to_list,
     save_database,
     save_site,
 )
@@ -64,6 +65,29 @@ def rights_covers(broad, narrow) -> bool:
 
 def statement_bytes(s: SignedStatement) -> bytes:
     return canonical_json(statement_to_map(s))
+
+
+def db_to_map(db: VOPolicyDatabase) -> dict:
+    """The database as a document, built from its fields alone: the oracle
+    whose ``canonical_json`` :func:`caslite.policy.db_canonical_bytes` must
+    equal, and the input of ``db_from_map`` in round-trip tests."""
+    caps = []
+    for cap in db.admin_caps:
+        doc = {"admin": cap.admin, "powers": sorted(cap.powers)}
+        if cap.namespace is not None:
+            doc["namespace"] = cap.namespace
+        if cap.groups:
+            doc["groups"] = sorted(cap.groups)
+        caps.append(doc)
+    return {
+        "vo_name": db.vo_name,
+        "owner": db.owner,
+        "members": sorted(db.members),
+        "groups": {name: sorted(g.members) for name, g in db.groups.items()},
+        "grants": {ref: rights_to_list(rights) for ref, rights in db.grants.items()},
+        "admin_caps": caps,
+        "revision": db.revision,
+    }
 
 
 def fixture_db() -> VOPolicyDatabase:
