@@ -1,10 +1,10 @@
 """A lightweight partial mirror of the community authority.
 
 The mirror subscribes to query payloads, re-fetches each on an interval, and
-serves the authority's original signed statements back over the same wire
-protocol. It holds no signing key and never re-signs: a served statement is
-byte-identical to what the authority produced, so consumers verify it against
-the authority's key exactly as if they had asked directly.
+serves the authority's signed statements back over the same wire protocol as
+the bytes it received. It holds no key, never re-signs and decodes no listing:
+a served statement is byte-identical to what the authority produced, so
+consumers verify it against the authority's key as if they had asked directly.
 
 Failed refreshes keep the previous entry; an entry is served only while it is
 younger than ``max_age`` and inside its own validity, and requests fail
@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CacheEntry:
-    query: dict
     statement: SignedStatement
     fetched_at: int
 
@@ -50,10 +49,6 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if not self.refresh_interval < self.max_age:
             raise MalformedMessage("refresh_interval must be smaller than max_age")
-
-
-def _query_key(query: dict) -> bytes:
-    return canonical_json(query)
 
 
 class StatementCache:
@@ -75,7 +70,7 @@ class StatementCache:
         """Idempotently add a query and attempt a first fetch immediately;
         fetch failures surface later on serve."""
         query = validate_query(query)
-        key = _query_key(query)
+        key = canonical_json(query)
         with self._lock:
             already = key in self._subscriptions
             self._subscriptions[key] = query
@@ -91,11 +86,11 @@ class StatementCache:
 
     def entry(self, query: dict) -> CacheEntry | None:
         with self._lock:
-            return self._entries.get(_query_key(validate_query(query)))
+            return self._entries.get(canonical_json(validate_query(query)))
 
     def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
         statement = fetch_statement(self.config.authority, query, self.config.client_chain)
-        entry = CacheEntry(query=query, statement=statement, fetched_at=now)
+        entry = CacheEntry(statement=statement, fetched_at=now)
         with self._lock:
             entries = dict(self._entries)
             entries[key] = entry
@@ -117,7 +112,7 @@ class StatementCache:
     def serve_cached(self, query: dict, now: int | None = None) -> SignedStatement:
         """The authority's statement, unchanged, while it is still fresh."""
         now = int(time.time()) if now is None else now
-        key = _query_key(validate_query(query))
+        key = canonical_json(validate_query(query))
         with self._lock:
             entry = self._entries.get(key)
             subscribed = key in self._subscriptions
@@ -151,7 +146,7 @@ class CacheServer:
         if kind == "ping":
             return {"identity": "cache", "subscriptions": len(self.cache.subscriptions())}
         if kind == "query":
-            return statement_answer(self.cache.serve_cached(payload))
+            return statement_answer(self.cache.serve_cached(payload), forwarded=True)
         if kind == "subscribe":
             self.cache.subscribe(payload)
             return {"subscribed": True}

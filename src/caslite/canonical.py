@@ -32,11 +32,10 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     the whole value, which costs about as much as the C encoder itself, so
     ``trusted=True`` skips it for values that cannot hold another type:
 
-    - :meth:`statements.SignedStatement.signing_payload` encodes a statement
-      whose query and body were built from checked objects by the authority,
-      or passed :func:`statements.statement_from_map`, which checks every
-      value's type; :func:`statements.sign_statement` encodes such a
-      statement's fields around its body, and a body not already encoded;
+    - ``statements``: :func:`~statements.sign_statement` encodes the fields
+      of a statement the authority built from checked objects around its
+      body, and ``signing_payload`` a statement that passed
+      :func:`~statements.statement_from_map`, which checks every value's type;
     - :func:`policy.db_canonical_bytes` encodes the sections of a database,
       every field of which was checked when it was loaded or changed, and
       ``policy._fragment`` each grant ref's and listing entry's
@@ -44,8 +43,7 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
       holds no float and, when the bytes hold no ``null``, no None;
     - :meth:`keys.CheckedMemo.recall` keys a chain or assertion map that
-      :func:`parse_canonical` returned from a request frame, at the vault,
-      the decision service and the authority.
+      :func:`parse_canonical` returned from a request frame.
     """
     if not trusted:
         _check(value)

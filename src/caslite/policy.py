@@ -261,15 +261,15 @@ class _Derived:
     grant ref's encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`;
     per namespace listed (``listings``, oldest first, changed under ``lock``),
     each member's :func:`scoped_listing` entry with its encoded
-    ``"member":[...]`` fragment; and the encoded
-    ``"groups":{...},"members":[...]`` of the database file (``sections``).
-    Readers fill the dicts without a lock, so a copy is one C-level
-    ``dict(...)``."""
+    ``"member":[...]`` fragment; the encoded ``"groups":{...},"members":[...]``
+    of the database file (``sections``); and the members in sorted order.
+    Readers fill the dicts without a lock, so a copy is one ``dict(...)``."""
 
     member_groups: dict
     grant_fragments: dict = field(default_factory=dict)
     listings: dict = field(default_factory=dict)
     sections: bytes | None = None
+    sorted_members: tuple | None = None
     lock: Any = field(default_factory=threading.Lock)
 
 
@@ -305,6 +305,8 @@ class VOPolicyDatabase:
             for name, group in self.groups.items():
                 for who in group.members:
                     index[who] = index.get(who, frozenset()) | {name}
+        if carried.sorted_members is None:
+            carried.sorted_members = tuple(sorted(self.members))
         _setattr(self, "_derived", carried)
 
     @property
@@ -349,7 +351,7 @@ def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
     scope = frozenset(Right(action, namespace) for action in ACTIONS)
     docs: dict = {}  # one document per distinct right in the entries built here
     listing, fragments = {}, []
-    for member in sorted(db.members):
+    for member in db._derived.sorted_members:
         entry = entries.get(member)
         if entry is None:
             rights = [docs.setdefault(r, {"action": r.action, "object": r.object}) for r in
@@ -526,16 +528,16 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
         admin_caps=tuple(caps),
         revision=db.revision + 1,
         _carried=_carry(db._derived, member_groups, touched, dropped_ref,
-                        members is db.members and groups is db.groups),
+                        members is db.members, groups is db.groups),
     )
 
 
 def _carry(old: _Derived, member_groups: dict, touched: Iterable[Identity],
-           dropped_ref: str | None, same_sections: bool) -> _Derived:
+           dropped_ref: str | None, same_members: bool, same_groups: bool) -> _Derived:
     """``old`` less the listing entries of ``touched``, the grant fragment of
-    ``dropped_ref``, and the sections unless ``same_sections`` (members and
-    groups unchanged). Readers may be filling ``old``, so each memo is
-    copied whole by one ``dict`` call and trimmed in the copy."""
+    ``dropped_ref``, the sorted members unless ``same_members``, and the
+    sections unless members and groups are the same. Readers may be filling
+    ``old``, so each memo is copied whole by one ``dict`` call and trimmed."""
     grant_fragments = dict(old.grant_fragments)
     grant_fragments.pop(dropped_ref, None)
     with old.lock:
@@ -545,7 +547,8 @@ def _carry(old: _Derived, member_groups: dict, touched: Iterable[Identity],
         for who in touched:
             entries.pop(who, None)
     return _Derived(member_groups, grant_fragments, listings,
-                    old.sections if same_sections else None)
+                    old.sections if same_members and same_groups else None,
+                    old.sorted_members if same_members else None)
 
 
 # --- the site half --------------------------------------------------------------
@@ -671,7 +674,7 @@ def db_canonical_bytes(db: VOPolicyDatabase) -> bytes:
     if derived.sections is None:
         derived.sections = canonical_json({
             "groups": {name: sorted(g.members) for name, g in db.groups.items()},
-            "members": sorted(db.members),
+            "members": derived.sorted_members,
         }, trusted=True)[1:-1]
     head = canonical_json({"admin_caps": [_capability_to_map(c) for c in db.admin_caps]},
                           trusted=True)

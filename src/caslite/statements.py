@@ -2,19 +2,20 @@
 
 The community server answers queries with statements signed by its own key:
 either a rights assertion for one user, or a listing of every member's rights
-within a namespace. Downstream parties (the caching mirror, pull-mode
-resources, the decision service) verify the authority's untouched signature,
-so none of them needs a signing key of its own.
+within a namespace. Downstream parties check the authority's untouched
+signature over the bytes that arrived, before reading them (the caching
+mirror forwards them as they came), so none of them needs a key of its own.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
-from .canonical import canonical_json, expect, fields, from_hex, to_hex
+from .canonical import canonical_json, expect, fields, from_hex, parse_canonical, to_hex
 from .errors import (
     CasliteError,
     MalformedMessage,
@@ -36,15 +37,15 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
 
 
 class _Memo:
-    """What one statement object has worked out about itself: ``payload``,
-    its signing payload, kept once signed or served here; and the listing
-    entries parsed so far, by subject, with one ``Right`` object per
-    distinct right among them, since most entries repeat the same group
-    grants and so share their rights."""
+    """What one statement object keeps: its signing ``payload`` and ``body``
+    (None until decoded or encoded); its listing entries' ``spans`` in the
+    payload, once indexed; and the entries parsed so far, by subject, with
+    one ``Right`` object per distinct right among them, which they share."""
 
-    def __init__(self) -> None:
+    def __init__(self, payload: bytes | None = None, body: Any = None) -> None:
         self.lock = threading.Lock()
-        self.payload: bytes | None = None
+        self.payload, self.body = payload, body
+        self.spans: dict[str, tuple[int, int]] | None = None
         self.by_subject: dict[str, frozenset] = {}
         self.shared: dict = {}
 
@@ -53,35 +54,33 @@ class _Memo:
 class SignedStatement:
     """An authority-signed answer to a query, kept verbatim by caches.
 
-    ``_memo`` holds what this object has computed about itself, not part of
-    its value, and takes no part in equality: the signing payload once it is
-    kept (see :meth:`kept_payload`) and the listing entries parsed so far
-    (see :func:`listing_rights`).
-    """
+    Equality compares the fields, the signature over the body among them. One
+    taken in as bytes decodes ``body`` on first access. Its ``_memo`` is its
+    own: never share one, or pass a statement to ``dataclasses.replace``."""
 
     query: dict
-    body: dict
     issued_at: int
     expires_at: int
     signature: bytes
-    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
+    _memo: _Memo = field(default_factory=_Memo, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.expires_at > self.issued_at:
             raise MalformedMessage("statement expires before it is issued")
 
-    def signing_payload(self) -> bytes:
-        return canonical_json(_statement_payload(self), trusted=True)
+    @property
+    def body(self) -> dict:
+        memo = self._memo
+        if memo.body is None:
+            memo.body = parse_canonical(memo.payload)["body"]
+        return memo.body
 
-    def kept_payload(self) -> bytes:
-        """The signing payload, encoded once per statement object and kept:
-        the bytes ``sign_statement`` signed, or, for a parsed statement, its
-        encoding when first served. Verification never reads it."""
+    def signing_payload(self) -> bytes:
+        """The bytes the signature covers, as signed or received, or for a
+        statement read from a map encoded on first use; kept either way."""
         memo = self._memo
         if memo.payload is None:
-            with memo.lock:
-                if memo.payload is None:
-                    memo.payload = self.signing_payload()
+            memo.payload = canonical_json(_statement_payload(self), trusted=True)
         return memo.payload
 
     def fresh_at(self, now: int) -> bool:
@@ -105,15 +104,13 @@ def sign_statement(
     """Sign ``body`` as the answer to ``query``. The payload's first key is
     ``body``, so its bytes are spliced after ``{"body":`` (the chunks of a
     ``wire.Encoded`` body, encoded no further), then the other fields."""
-    unsigned = SignedStatement(query, body, issued_at, expires_at, b"")
     rest = canonical_json({"caslite": STATEMENT_FORMAT, "expires_at": expires_at,
                            "issued_at": issued_at, "query": query}, trusted=True)
     chunks = (body.chunks if isinstance(body, wire.Encoded)
               else (canonical_json(body, trusted=True),))
     payload = b"".join((b'{"body":', *chunks, b",", memoryview(rest)[1:]))
-    signed = replace(unsigned, signature=sign_payload(keys, payload))
-    signed._memo.payload = payload
-    return signed
+    return SignedStatement(query, issued_at, expires_at, sign_payload(keys, payload),
+                           _Memo(payload, body))
 
 
 def verify_statement(statement: SignedStatement, authority_public: KeyMaterial) -> bool:
@@ -131,16 +128,15 @@ def _statement_payload(s: SignedStatement) -> dict[str, Any]:
 
 
 def statement_to_map(s: SignedStatement) -> dict[str, Any]:
-    out = _statement_payload(s)
-    out["signature"] = to_hex(s.signature)
-    return out
+    return {**_statement_payload(s), "signature": to_hex(s.signature)}
 
 
-def statement_answer(s: SignedStatement) -> wire.Encoded:
+def statement_answer(s: SignedStatement, forwarded: bool = False) -> wire.Encoded:
     """The query answer ``{statement}`` carrying ``s``, sent as the bytes that
-    were signed with the signature field spliced in (see ``wire.Encoded``)."""
-    return wire.Encoded({"statement": statement_to_map(s)}, (
-        b'{"statement":', memoryview(s.kept_payload())[:-1],
+    were signed with the signature field spliced in (see ``wire.Encoded``);
+    a ``forwarded`` one (a mirror's) decodes no map."""
+    return wire.Encoded(None if forwarded else {"statement": statement_to_map(s)}, (
+        b'{"statement":', memoryview(s.signing_payload())[:-1],
         b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
 
 
@@ -161,13 +157,8 @@ def statement_from_map(doc: Any) -> SignedStatement:
         for ident, rights in expect(listing, dict, "listing").items():
             validate_identity(ident)
             rights_from_list(rights)
-    return SignedStatement(
-        query=query,
-        body=doc["body"],
-        issued_at=doc["issued_at"],
-        expires_at=doc["expires_at"],
-        signature=from_hex(doc["signature"]),
-    )
+    return SignedStatement(query, doc["issued_at"], doc["expires_at"],
+                           from_hex(doc["signature"]), _Memo(body=doc["body"]))
 
 
 def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
@@ -176,14 +167,18 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
     An entry is parsed on first use, once per statement object, and kept with
     that object, so a refreshed statement never answers from an older listing.
     Only the entries asked for are parsed: holding every member's rights of a
-    large listing would cost megabytes in each consumer."""
+    large listing would cost megabytes in each consumer. An entry that does
+    not parse raises :class:`MalformedMessage`."""
     memo = statement._memo
     rights = memo.by_subject.get(subject)
     if rights is not None:
         return rights
-    entry = statement.body["listing"].get(subject)
-    if entry is None:
+    if memo.spans is None:
+        memo.spans = _index(statement.signing_payload())
+    span = memo.spans.get(subject)
+    if span is None:
         return frozenset()
+    entry = parse_canonical(memo.payload[span[0]:span[1]])
     with memo.lock:
         rights = memo.by_subject.get(subject)
         if rights is None:
@@ -193,12 +188,65 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
     return rights
 
 
-def fetch_statement(source: wire.Endpoint | str, query: dict,
-                    chain: dict | None) -> SignedStatement:
-    """Ask ``source`` for ``query`` and parse the statement it answers with;
-    the signature is the caller's to check."""
-    body = wire.call(source, "query", query, chain=chain)
-    return statement_from_map(fields(body, "query response", {"statement"})["statement"])
+# A statement answer (see statement_answer), and the bytes after a body.
+_SIGNED = re.compile(rb'\{"statement":(\{"body":.+),"signature":"([0-9a-f]{128})"\}\}', re.DOTALL)
+_FIELDS_HEAD = b',"caslite":"%s","expires_at":' % STATEMENT_FORMAT.encode()
+_BODY, _LISTING = len(b'{"body":'), b'{"listing":{'
+_STRING = re.compile(rb'"(?:[^"\\]++|\\.)*+"', re.DOTALL)
+
+
+def _index(payload: bytes) -> dict[str, tuple[int, int]]:
+    """Each entry's rights list's span by subject in ``payload``, a signing
+    payload whose body is a listing. An entry ends at ``],"/``: a quote in a
+    JSON string is escaped and a list at this depth is an entry's value, so
+    those bytes occur only before a subject, which begins ``/``."""
+    end = payload.rfind(_FIELDS_HEAD) - 2
+    if end < 0 or not (payload.startswith(_LISTING, _BODY) and payload.startswith(b"}}", end)):
+        raise MalformedMessage("resource_rights statement body must be a listing map")
+    spans: dict[str, tuple[int, int]] = {}
+    start = _BODY + len(_LISTING)
+    while start < end:
+        stop = payload.find(b'],"/', start, end) + 1 or end
+        key = _STRING.match(payload, start, stop)
+        if key is None or not payload.startswith(b":[", key.end()):
+            raise MalformedMessage("listing entry has no subject")
+        subject = parse_canonical(key.group())
+        if subject in spans:
+            raise MalformedMessage("listing names a subject twice")
+        spans[subject] = (key.end() + 1, stop)
+        start = stop + 1
+    return spans
+
+
+def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None,
+                    authority_public: KeyMaterial | None = None) -> SignedStatement:
+    """Ask ``source`` for ``query`` and take in the answer's bytes: with
+    ``authority_public`` the signature is checked over them before anything
+    is read (a mirror has no key and forwards them unchecked). The fields
+    after the body must answer ``query``; the body must be a user_rights
+    assertion, read whole, or a listing, whose entries are indexed."""
+    answer = wire.call(source, "query", query, chain=chain, raw=True)
+    signed = _SIGNED.fullmatch(answer)
+    if signed is None:
+        raise MalformedMessage("query response is not a signed statement")
+    payload = b"".join((answer[signed.start(1):signed.end(1)], b"}"))
+    signature = bytes.fromhex(signed.group(2).decode())
+    if authority_public is not None and not verify_payload(authority_public, signature, payload):
+        raise MalformedMessage("statement signature does not verify")
+    cut = payload.rfind(_FIELDS_HEAD)
+    doc = fields(parse_canonical(b"{" + payload[cut + 1:]) if cut > 0 else None,
+                 "statement document", {"caslite", "query", "issued_at", "expires_at"})
+    if doc["query"] != query:
+        raise MalformedMessage("statement answers another query")
+    memo = _Memo(payload)
+    if query["query"] == "user_rights":
+        memo.body = fields(parse_canonical(payload[_BODY:cut]),
+                           "user_rights statement body", {"assertion"})
+        assertion_from_map(memo.body["assertion"])
+    else:
+        memo.spans = _index(payload)
+    return SignedStatement(query, expect(doc["issued_at"], int, "issued_at"),
+                           expect(doc["expires_at"], int, "expires_at"), signature, memo)
 
 
 class _Flight:
@@ -238,15 +286,9 @@ class StatementFetcher:
         self._current: SignedStatement | None = None
         self._flight: _Flight | None = None
 
-    @property
-    def query(self) -> dict:
-        return {"query": "resource_rights", "namespace": self._namespace}
-
     def fetch(self) -> SignedStatement:
-        statement = fetch_statement(self._source, self.query, self._client_chain)
-        if not verify_statement(statement, self._authority_public):
-            raise MalformedMessage("statement signature does not verify")
-        return statement
+        query = {"query": "resource_rights", "namespace": self._namespace}
+        return fetch_statement(self._source, query, self._client_chain, self._authority_public)
 
     def current(self, now: int) -> SignedStatement:
         with self._lock:

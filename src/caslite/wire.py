@@ -36,6 +36,8 @@ RETRYABLE_KINDS = frozenset({"ping", "query", "decide", "read", "list"})
 
 Endpoint = tuple[str, int]
 
+_OK_HEAD, _OK_TAIL = b'{"body":', b',"ok":true}'
+
 
 def parse_endpoint(text: str) -> Endpoint:
     host, sep, port = text.rpartition(":")
@@ -63,10 +65,11 @@ class Encoded(dict):
     and ``,"ok":true}``, and ``statements.sign_statement`` an encoded
     statement body between ``{"body":`` and the encoding of the statement's
     other fields. ``policy.scoped_listing`` builds a listing from its
-    entries' kept ``"member":[...]`` fragments this way."""
+    entries' kept ``"member":[...]`` fragments this way. ``value`` is None
+    for bytes only forwarded, never decoded: a mirror's statement answer."""
 
-    def __init__(self, value: dict, chunks: tuple):
-        super().__init__(value)
+    def __init__(self, value: dict | None, chunks: tuple):
+        super().__init__(value or {})
         self.chunks = chunks
 
     @property
@@ -127,10 +130,11 @@ def _fill(sock: socket.socket, view: memoryview, wait: float | None, deadline: f
         got += received
 
 
-def read_frame(sock: socket.socket) -> Any | None:
+def read_frame(sock: socket.socket, raw: bool = False) -> Any | None:
     """Read one document; None on clean end of stream. The socket's timeout
     bounds the wait for a frame to start; once its first byte has arrived,
-    the whole frame must follow within ``FRAME_DEADLINE`` seconds."""
+    the whole frame must follow within ``FRAME_DEADLINE`` seconds. With
+    ``raw``, an ok answer's frame comes back as its bytes, unparsed."""
     header = bytearray(4)
     got = sock.recv_into(header)
     if not got:
@@ -147,6 +151,8 @@ def read_frame(sock: socket.socket) -> Any | None:
         _fill(sock, memoryview(data), wait, deadline)
     finally:
         sock.settimeout(wait)
+    if raw and data.startswith(_OK_HEAD) and data.endswith(_OK_TAIL):
+        return data
     try:
         return parse_canonical(data)
     except MalformedMessage as exc:
@@ -188,14 +194,14 @@ def _checkout(endpoint: Endpoint, timeout: float) -> socket.socket | None:
     return None
 
 
-def _exchange(sock: socket.socket, request: dict) -> Any | None:
+def _exchange(sock: socket.socket, request: dict, raw: bool) -> Any | None:
     """Send ``request`` and read the answer; None when the connection was
     closed or reset before its first byte. ``sock`` is closed unless a
     whole answer came back."""
     try:
         write_frame(sock, request)
         try:
-            response = read_frame(sock)
+            response = read_frame(sock, raw)
         except FrameError as exc:
             raise ServerError("MalformedResponse", exc.message) from None
     except (ConnectionResetError, BrokenPipeError):
@@ -214,9 +220,11 @@ def call(
     payload: dict | None = None,
     chain: dict | None = None,
     timeout: float = 10.0,
-) -> dict:
+    raw: bool = False,
+) -> dict | memoryview:
     """One request/response exchange; returns the response body or raises
-    :class:`ServerError` with the server's error code.
+    :class:`ServerError` with the server's error code; with ``raw``, an ok
+    body as the bytes that arrived, for the caller to check.
 
     The connection stays open for the calling thread's next call to the same
     endpoint. When a reused connection turns out to have been closed before
@@ -232,20 +240,23 @@ def call(
     sock = _checkout(endpoint, timeout)
     response = None
     if sock is not None:
-        response = _exchange(sock, request)
+        response = _exchange(sock, request, raw)
         if response is None and kind in RETRYABLE_KINDS:
             sock = None
     if sock is None:
         sock = socket.create_connection(endpoint, timeout=timeout)
-        response = _exchange(sock, request)
+        response = _exchange(sock, request, raw)
     if response is None:
         raise ServerError("ConnectionLost", "connection closed before the answer arrived")
-    if not isinstance(response, dict) or "ok" not in response:
+    answered = isinstance(response, bytearray)
+    if not answered and (not isinstance(response, dict) or "ok" not in response):
         sock.close()
         raise ServerError("MalformedResponse", f"bad response document: {response!r}")
     if not hasattr(_pool, "sockets"):
         _pool.sockets = _Sockets()
     _pool.sockets[endpoint] = (sock, time.monotonic())
+    if answered:
+        return memoryview(response)[len(_OK_HEAD):-len(_OK_TAIL)]
     if response["ok"]:
         body = response.get("body")
         if not isinstance(body, dict):
@@ -258,7 +269,7 @@ def call(
 def ok_response(body: dict) -> dict:
     response = {"ok": True, "body": body}
     if isinstance(body, Encoded):
-        return Encoded(response, (b'{"body":', *body.chunks, b',"ok":true}'))
+        return Encoded(response, (_OK_HEAD, *body.chunks, _OK_TAIL))
     return response
 
 

@@ -42,16 +42,17 @@ from caslite.errors import CasliteError, ServerError, StaleEntry
 from caslite.policy import VOPolicyDatabase, db_canonical_bytes, load_database
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import (
+    StatementFetcher,
     statement_from_map,
     verify_statement,
 )
 from caslite.vault import ResourceConfig, ResourceService
-from caslite.authz import AuthzConfig, AuthzServer
+from caslite.authz import AuthzConfig, AuthzServer, DecisionQuery, decide_local
 
 import oracles
 from worldlib import (
-    ALICE, ANN, BOB, CAROL, CAS, NOW,
-    fixture_db, fixture_site, groups_only_db, rights, statement_bytes,
+    ALICE, ANN, BOB, CAROL, CAS, NOW, PULLED, RawSource,
+    fixture_db, fixture_site, groups_only_db, raw_answer, rights, statement_bytes,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -323,6 +324,76 @@ def test_single_byte_tamper_rejection(world, cas_server):
     assert mutations >= 100
     assert not false_accepts, false_accepts
     report(f"tamper-rejection ({mutations} mutations, 0 false accepts)")
+
+
+def _byte_mutants(data: bytes, rng: random.Random, count: int):
+    """``count`` copies of ``data``, each with one byte flipped, inserted or
+    deleted, or cut short, the four in turn."""
+    for i in range(count):
+        at = rng.randrange(len(data))
+        how = i % 4
+        if how == 0:
+            yield data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+        elif how == 1:
+            yield data[:at] + bytes([rng.randrange(256)]) + data[at:]
+        elif how == 2:
+            yield data[:at] + data[at + 1:]
+        else:
+            yield data[:at]
+
+
+def test_mutated_listing_answers_never_allow(world, cas_server, monkeypatch):
+    """A pull source serves byte-mutated copies of a real listing answer. The
+    vault and the decision service deny or raise a domain error, each within
+    the frame deadline; the mirror refuses each copy or forwards bytes that a
+    consumer then refuses."""
+    monkeypatch.setattr(wire, "FRAME_DEADLINE", 2.0)
+    chain = world.proxy("alice")
+    pristine = raw_answer(cas_server.endpoint,
+                          {"kind": "query", "payload": PULLED, "chain": chain_to_map(chain)})
+    source = RawSource(pristine)
+    key, namespace, obj = world.cas.keys.public(), PULLED["namespace"], "vo://esg/data/public/a.nc"
+    vault_cfg = ResourceConfig(site=world.site, cas_public=key, cas_identity=CAS,
+                               anchors=world.anchors, mode="pull", pull_source=source.endpoint,
+                               pull_namespace=namespace)
+    mirror = CacheServer(("127.0.0.1", 0), StatementCache(CacheConfig(
+        authority=source.endpoint, refresh_interval=3000, max_age=3500,
+        subscriptions=[PULLED])))
+    mirror.start()
+    now = int(time.time())
+
+    def vault_allows() -> bool:
+        try:
+            return ResourceService(vault_cfg).authorize(chain, "read", obj, now).allow
+        except CasliteError:
+            return False
+
+    def authz_allows() -> bool:
+        fetcher = StatementFetcher(source.endpoint, namespace, key)
+        try:
+            return decide_local(DecisionQuery(ALICE, "read", obj), world.site, key, CAS, now,
+                                fetcher).allow
+        except CasliteError:
+            return False
+
+    forwarded = 0
+    try:
+        assert vault_allows() and authz_allows()  # so the denials below are real
+        mutants = list(_byte_mutants(pristine, random.Random(20261019), 120))
+        for mutant in mutants:
+            source.doc = mutant
+            started = time.monotonic()
+            assert not vault_allows()
+            assert not authz_allows()
+            if mirror.cache.refresh(now)["updated"]:
+                forwarded += 1
+                with pytest.raises(CasliteError):
+                    StatementFetcher(mirror.endpoint, namespace, key).fetch()
+            assert time.monotonic() - started < wire.FRAME_DEADLINE
+    finally:
+        mirror.stop()
+        source.close()
+    report(f"mutated-listing fail-closed ({len(mutants)} mutants, {forwarded} forwarded)")
 
 
 def test_membership_and_rights_modes_agree(world):

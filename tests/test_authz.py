@@ -22,7 +22,9 @@ from caslite.statements import StatementFetcher
 from caslite.vault import ResourceConfig, ResourceService, assertion_rights
 
 import oracles
-from worldlib import ALICE, BOB, CAROL, CAS, NOW, USER_NAMES, fixture_db
+from worldlib import (
+    ALICE, BOB, CAROL, CAS, NOW, PULLED, USER_NAMES, RawSource, fixture_db, misbound_answers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,24 @@ def test_unreachable_pull_source_becomes_deny_answer(world):
     q = DecisionQuery(identity=ALICE, action="read", object="vo://esg/data/public/a.nc")
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, fetcher)
     assert not answer.allow and "SourceUnavailable" in answer.reason
+
+
+@pytest.mark.parametrize("case", ["wider_namespace", "user_rights"])
+def test_pull_refuses_a_statement_for_another_query(world, case):
+    """A pull source answering another query with a validly signed statement
+    becomes a deny answer, never an allow and never Internal."""
+    source = RawSource(misbound_answers(world)[case])
+    server = AuthzServer(("127.0.0.1", 0), AuthzConfig(
+        site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+        pull_source=source.endpoint, pull_namespace=PULLED["namespace"]))
+    server.start()
+    try:
+        answer = wire.call(server.endpoint, "decide", {
+            "identity": ALICE, "action": "read", "object": "vo://esg/data/public/a.nc"})
+        assert answer["allow"] is False and "SourceUnavailable" in answer["reason"]
+    finally:
+        server.stop()
+        source.close()
 
 
 def test_attributes_are_accepted_but_unused(world, assertions):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import socket
-import struct
 import time
 
 import pytest
@@ -20,7 +18,10 @@ from caslite.statements import (
     verify_statement,
 )
 
-from worldlib import ALICE, rights, statement_bytes
+from worldlib import (
+    ALICE, PULLED, RawSource, answer_frame, misbound_answers, raw_answer, rights,
+    statement_bytes,
+)
 
 USER_QUERY = {"query": "user_rights", "subject": ALICE}
 RES_QUERY = {"query": "resource_rights", "namespace": "vo://esg/data/**"}
@@ -68,15 +69,6 @@ def test_pass_through_is_byte_identical(world, cas_server, cache):
     direct_statement = statement_from_map(direct["statement"])
     assert mirrored.body == direct_statement.body  # same policy content
     assert verify_statement(direct_statement, world.cas.keys.public())
-
-
-def raw_answer(endpoint, request: dict) -> bytes:
-    """The answer frame's document bytes, exactly as they came off the socket."""
-    with socket.create_connection(endpoint, timeout=10) as sock:
-        wire.write_frame(sock, request)
-        stream = sock.makefile("rb")
-        (length,) = struct.unpack(">I", stream.read(4))
-        return stream.read(length)
 
 
 def test_listing_answers_are_the_canonical_bytes(world, cas_server, cache):
@@ -230,3 +222,19 @@ def test_mirror_survives_malformed_authority_answers(world):
             server.stop()
     finally:
         stub.stop()
+
+
+def test_mirror_refuses_a_statement_for_another_query(world):
+    """A refresh answered with a validly signed statement for another query
+    counts as failed, and the mirror keeps serving its last good entry."""
+    now = int(time.time())
+    source = RawSource(answer_frame(world.cas.keys, PULLED, {"listing": {}}, now))
+    try:
+        cache = StatementCache(CacheConfig(authority=source.endpoint, refresh_interval=1,
+                                           max_age=5, subscriptions=[PULLED]))
+        kept = cache.serve_cached(PULLED, now)
+        for source.doc in misbound_answers(world).values():
+            assert cache.refresh(now) == {"updated": [], "failed": [PULLED]}
+            assert cache.serve_cached(PULLED, now) is kept
+    finally:
+        source.close()

@@ -640,7 +640,8 @@ def _awkward_db():
 def test_carried_state_equals_a_rebuild(steps):
     """After every command, refused and failing ones included, the database
     ``apply_admin`` carried forward equals one rebuilt from its document:
-    same bytes, same index, same rights and byte-equal listings; and the
+    same bytes, same index, same rights, byte-equal listings and the same
+    sorted members, which are carried unless members change; and the
     joined bytes of the database and of each listing equal ``canonical_json``
     of the same document. Each namespace is listed before every command, so
     carried entries are used."""
@@ -653,6 +654,7 @@ def test_carried_state_equals_a_rebuild(steps):
             db = apply_admin(db, admin, cmd)
         except (NotAuthorized, UnknownSubject, DuplicateGroup):
             pass
+        assert db._derived.sorted_members == tuple(sorted(db.members))
         rebuilt = db_from_map(db_to_map(db))
         assert db_canonical_bytes(db) == canonical_json(db_to_map(db))
         assert db_canonical_bytes(db) == db_canonical_bytes(rebuilt)

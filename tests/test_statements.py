@@ -7,13 +7,15 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caslite import statements, wire
 from caslite.canonical import canonical_json
 from caslite.errors import MalformedMessage, SourceUnavailable, StaleStatement
-from caslite.keys import generate_keys
+from caslite.keys import generate_keys, sign_payload
 from caslite.policy import rights_from_list
 from caslite.statements import (
     StatementFetcher,
@@ -26,7 +28,12 @@ from caslite.statements import (
 )
 from caslite.canonical import parse_canonical
 
-from worldlib import ALICE, BOB, CAROL, NOW, rights, statement_bytes
+import oracles
+from test_policy import AWKWARD
+from worldlib import (
+    ALICE, BOB, CAROL, NOW, PULLED, RawSource, answer_frame, misbound_answers, raw_answer,
+    rights, statement_bytes,
+)
 
 
 def payload_size(statement) -> int | None:
@@ -352,3 +359,151 @@ def test_truncated_listing_frame_fails_closed(authority_keys, monkeypatch, cache
         assert source.requests == 3 + int(cached)
     finally:
         source.close()
+
+
+# --- taking in an answer's bytes ------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["wider_namespace", "user_rights"])
+def test_fetcher_refuses_a_statement_for_another_query(world, case):
+    """A validly signed statement answering another query is refused: the
+    fetch fails and the fetcher fails closed, as with no source at all."""
+    source = RawSource(misbound_answers(world)[case])
+    try:
+        fetcher = StatementFetcher(source.endpoint, PULLED["namespace"], world.cas.keys.public())
+        with pytest.raises(MalformedMessage, match="another query"):
+            fetcher.fetch()
+        with pytest.raises(SourceUnavailable):
+            fetcher.current(NOW)
+    finally:
+        source.close()
+
+
+def _answer(keys, payload: bytes) -> bytes:
+    """An ok answer carrying ``payload`` as a statement's signing payload,
+    signed by ``keys``, spliced as the authority splices it."""
+    return b"".join((b'{"body":{"statement":', payload[:-1], b',"signature":"',
+                     sign_payload(keys, payload).hex().encode(), b'"}},"ok":true}'))
+
+
+def _listing_payload(entries: bytes, query: dict = QUERY) -> bytes:
+    return b"".join((b'{"body":{"listing":{', entries, b'}},"caslite":"statement/1",',
+                     b'"expires_at":%d,"issued_at":%d,"query":' % (NOW + 600, NOW),
+                     canonical_json(query), b"}"))
+
+
+def test_an_entry_that_does_not_parse_never_allows(authority_keys):
+    """Signed entries that are not rights lists raise a domain error for
+    their own subject only; one that is not JSON at all swallows the next
+    entry, whose subject then has no rights."""
+    dave = "/VO=esg/CN=dave"
+    entries = (b'"%s":[1],"%s":[{"action":"read","object":"vo://esg/**"},"%s":'
+               b'[{"action":"read","object":"vo://esg/**"}],"%s":[{"action":"read",'
+               b'"object":"vo://esg/data/**"}]' % tuple(w.encode() for w in
+                                                    (ALICE, BOB, CAROL, dave)))
+    source = RawSource(_answer(authority_keys, _listing_payload(entries)))
+    try:
+        statement = StatementFetcher(source.endpoint, QUERY["namespace"],
+                                     authority_keys.public()).fetch()
+    finally:
+        source.close()
+    for who in (ALICE, BOB):
+        with pytest.raises(MalformedMessage):
+            listing_rights(statement, who)
+    assert listing_rights(statement, CAROL) == frozenset()
+    assert listing_rights(statement, dave) == rights(("read", "vo://esg/data/**"))
+
+
+def test_a_listing_naming_a_subject_twice_is_refused(authority_keys):
+    entries = b'"%s":[],"%s":[{"action":"read","object":"vo://esg/**"}]' % ((ALICE.encode(),) * 2)
+    source = RawSource(_answer(authority_keys, _listing_payload(entries)))
+    try:
+        fetcher = StatementFetcher(source.endpoint, QUERY["namespace"], authority_keys.public())
+        with pytest.raises(MalformedMessage, match="twice"):
+            fetcher.fetch()
+    finally:
+        source.close()
+
+
+# Subjects a listing may name: awkward ones, and one a prefix of another.
+SUBJECTS = [ALICE, "/VO=esg/CN=alic", BOB, *AWKWARD]
+# Objects holding the bytes the entry index cuts at, quotes and escapes.
+OBJECTS = ["vo://esg/data/**", 'vo://esg/a],"/VO=esg/CN=bob":[/**', "vo://esg/z],",
+           'vo://esg/q"],/x', "vo://esg/back\\slash/**", "vo://esg/\u00e9/\U0001d518",
+           "vo://esg/t\tb\x07/**"]
+LISTINGS = st.dictionaries(
+    st.sampled_from(SUBJECTS),
+    st.lists(st.builds(lambda a, o: {"action": a, "object": o},
+                       st.sampled_from(["read", "write", "list"]), st.sampled_from(OBJECTS)),
+             max_size=4, unique_by=lambda r: (r["action"], r["object"])),
+)
+
+
+@pytest.fixture(scope="module")
+def listing_source():
+    source = RawSource(b"")
+    yield source
+    source.close()
+
+
+@given(listing=LISTINGS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_listing_rights_from_bytes_equal_the_reference_parse(authority_keys, listing_source,
+                                                             listing):
+    """Each subject's rights from a listing taken in as bytes equal
+    ``rights_from_list`` over the reference parse of the same bytes; every
+    subject the listing leaves out has none."""
+    listing_source.doc = answer_frame(authority_keys, QUERY, {"listing": listing})
+    statement = StatementFetcher(listing_source.endpoint, QUERY["namespace"],
+                                 authority_keys.public()).fetch()
+    reference = oracles.reference_parse_canonical(listing_source.doc)
+    entries = reference["body"]["statement"]["body"]["listing"]
+    for subject in SUBJECTS + [CAROL, "/VO=esg/CN=alice2"]:
+        expected = rights_from_list(entries[subject]) if subject in entries else frozenset()
+        assert listing_rights(statement, subject) == expected
+    assert statement.body == {"listing": entries}
+
+
+def test_mirror_forwards_awkward_listings_byte_for_byte(authority_keys, listing_source):
+    """The mirror answers with the bytes the authority answered with."""
+    from caslite.cache import CacheConfig, CacheServer, StatementCache
+
+    listing = {who: [{"action": "read", "object": obj}]
+               for who, obj in zip(SUBJECTS, OBJECTS + OBJECTS)}
+    listing_source.doc = answer_frame(authority_keys, QUERY, {"listing": listing})
+    mirror = CacheServer(("127.0.0.1", 0), StatementCache(CacheConfig(
+        authority=listing_source.endpoint, refresh_interval=1, max_age=5,
+        subscriptions=[QUERY])))
+    mirror.start()
+    try:
+        request = {"kind": "query", "payload": QUERY}
+        assert raw_answer(mirror.endpoint, request) == listing_source.doc
+    finally:
+        mirror.stop()
+
+
+def test_intake_memory_stays_within_bounds(authority_keys):
+    """Taking in a listing of over 1 MB, before any entry is used, retains at
+    most 3 times and peaks at most 5 times the answer's bytes."""
+    listing = {f"/VO=esg/CN=user{i:05d}": [
+        {"action": action, "object": f"vo://esg/data/g{(i + k) % 97}/s{k}/**"}
+        for k, action in enumerate(["read", "write", "list", "read", "write", "list"])]
+        for i in range(3300)}
+    doc = answer_frame(authority_keys, QUERY, {"listing": listing})
+    assert len(doc) > 2**20
+    del listing
+    source = RawSource(doc)
+    try:
+        fetcher = StatementFetcher(source.endpoint, QUERY["namespace"], authority_keys.public())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            statement = fetcher.fetch()
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+    finally:
+        source.close()
+    assert listing_rights(statement, "/VO=esg/CN=user00007")
+    assert retained <= 3 * len(doc), retained / len(doc)
+    assert peak <= 5 * len(doc), peak / len(doc)

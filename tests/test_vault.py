@@ -25,8 +25,8 @@ from caslite.vault import ObjectStore, ResourceConfig, ResourceService, VaultSer
 
 import oracles
 from worldlib import (
-    ALICE, BOB, CAROL, CAS, NOW,
-    fixture_db, fixture_site, groups_only_db, rights,
+    ALICE, BOB, CAROL, CAS, NOW, PULLED, RawSource,
+    fixture_db, fixture_site, groups_only_db, misbound_answers, rights,
 )
 
 
@@ -328,6 +328,28 @@ def test_pull_statement_expiry_fails_closed(world, cas_server, seeded_store):
     with pytest.raises(StaleStatement):
         service.authorize(world.proxy("alice"), "read",
                           "vo://esg/data/public/a.nc", after_statement_expiry)
+
+
+@pytest.mark.parametrize("case", ["wider_namespace", "user_rights"])
+def test_pull_refuses_a_statement_for_another_query(world, seeded_store, case):
+    """A pull source answering another query with a validly signed statement
+    gets a SourceUnavailable answer, never an allow and never Internal."""
+    source = RawSource(misbound_answers(world)[case])
+    cfg = ResourceConfig(
+        site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+        anchors=world.anchors, mode="pull", pull_source=source.endpoint,
+        pull_namespace=PULLED["namespace"], client_chain=chain_to_map(world.proxy("alice")),
+    )
+    server = VaultServer(("127.0.0.1", 0), ResourceService(cfg, ObjectStore(seeded_store)))
+    server.start()
+    try:
+        with pytest.raises(ServerError) as info:
+            wire.call(server.endpoint, "read", {"path": "vo://esg/data/public/a.nc"},
+                      chain=chain_to_map(world.proxy("alice")))
+        assert info.value.code == "SourceUnavailable"
+    finally:
+        server.stop()
+        source.close()
 
 
 # --- the wire front end -----------------------------------------------------------------

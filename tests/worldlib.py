@@ -7,10 +7,16 @@ remain usable by the real-time server tests in the same run.
 
 from __future__ import annotations
 
+import socket
+import socketserver
+import struct
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from caslite import wire
+from caslite.assertions import assertion_to_map, issue_assertion
 from caslite.credentials import (
     CredentialChain,
     EndEntityCredential,
@@ -31,7 +37,7 @@ from caslite.policy import (
     save_database,
     save_site,
 )
-from caslite.statements import SignedStatement, statement_to_map
+from caslite.statements import SignedStatement, sign_statement, statement_to_map
 
 NOW = int(time.time())
 DAY = 86400
@@ -189,3 +195,73 @@ def make_world(now: int = NOW) -> World:
     }
     cas = issue_eec(ca, CAS, window)
     return World(ca=ca, cas=cas, users=users, db=fixture_db(), site=fixture_site())
+
+
+def answer_frame(keys, query: dict, body: dict, now: int = NOW) -> bytes:
+    """The document bytes of an ok answer carrying ``body`` signed by ``keys``
+    as the answer to ``query``, valid for a day from ``now``."""
+    statement = sign_statement(keys, query, body, now, now + DAY)
+    return canonical_json(wire.ok_response({"statement": statement_to_map(statement)}))
+
+
+class RawSource:
+    """A bare endpoint that answers every request frame with one frame
+    holding ``doc``, whatever bytes it is set to, so tests can serve answers
+    no well-behaved server would send. Each connection gets a thread."""
+
+    def __init__(self, doc: bytes):
+        self.doc = doc
+        outer = self
+
+        class _Handler(socketserver.BaseRequestHandler):
+            def handle(self) -> None:
+                self.request.settimeout(30)
+                self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                try:
+                    while wire.read_frame(self.request) is not None:
+                        doc = outer.doc
+                        self.request.sendall(struct.pack(">I", len(doc)))
+                        self.request.sendall(doc)
+                except OSError:
+                    pass
+
+        class _Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+
+        self._server = _Server(("127.0.0.1", 0), _Handler)
+        self.endpoint = self._server.server_address[:2]
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+def raw_answer(endpoint, request: dict) -> bytes:
+    """The answer frame's document bytes, exactly as they came off the socket."""
+    with socket.create_connection(endpoint, timeout=10) as sock:
+        wire.write_frame(sock, request)
+        stream = sock.makefile("rb")
+        (length,) = struct.unpack(">I", stream.read(4))
+        return stream.read(length)
+
+
+# The query a pull consumer in these tests asks its source.
+PULLED = {"query": "resource_rights", "namespace": "vo://esg/**"}
+
+
+def misbound_answers(world: World) -> dict:
+    """Answers validly signed by the world's authority to queries other than
+    :data:`PULLED`, each granting alice reads that the answer to ``PULLED``
+    would: a listing of a wider namespace, and her own rights."""
+    assertion = issue_assertion(world.db, world.cas.keys, CAS, ALICE, now=NOW)
+    wider = {"query": "resource_rights", "namespace": "vo://**"}
+    listing = {ALICE: [{"action": "read", "object": "vo://**"}]}
+    return {
+        "wider_namespace": answer_frame(world.cas.keys, wider, {"listing": listing}),
+        "user_rights": answer_frame(world.cas.keys, {"query": "user_rights", "subject": ALICE},
+                                    {"assertion": assertion_to_map(assertion)}),
+    }
