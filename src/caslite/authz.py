@@ -134,7 +134,7 @@ class AuthzConfig:
     client_chain: dict | None = None
 
 
-class AuthzServer:
+class AuthzServer(wire.FrameServer):
     """Wire front end for :func:`decide_local`. A presented assertion's
     signature and issuer checks are remembered per assertion map (see
     :class:`~caslite.keys.CheckedMemo`); its window, its binding to the
@@ -148,11 +148,7 @@ class AuthzServer:
                 cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
             )
         self._checked = CheckedMemo()
-        self._frame_server = wire.FrameServer(listen, self.handle)
-
-    @property
-    def endpoint(self) -> wire.Endpoint:
-        return self._frame_server.endpoint
+        super().__init__(listen, self.handle)
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":
@@ -176,13 +172,6 @@ class AuthzServer:
                 assertion_from_map(d), self.cfg.cas_public, self.cfg.cas_identity))
         except DeniedError:
             return assertion_from_map(doc)
-
-    def start(self) -> None:
-        self._frame_server.start()
-        logger.info("decision service listening on %s", wire.format_endpoint(self.endpoint))
-
-    def stop(self) -> None:
-        self._frame_server.stop()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -129,27 +129,21 @@ class StatementCache:
         return entry.statement
 
 
-class CacheServer:
-    """Wire front end plus the periodic refresh loop."""
+class CacheServer(wire.FrameServer):
+    """Wire front end plus the periodic refresh loop. Subscriptions are set
+    in process (``CacheConfig.subscriptions``), never over the wire."""
 
     def __init__(self, listen: wire.Endpoint, cache: StatementCache):
         self.cache = cache
-        self._frame_server = wire.FrameServer(listen, self.handle)
         self._stop = threading.Event()
         self._refresher: threading.Thread | None = None
+        super().__init__(listen, self.handle)
 
-    @property
-    def endpoint(self) -> wire.Endpoint:
-        return self._frame_server.endpoint
-
-    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
+    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | wire.Encoded:
         if kind == "ping":
             return {"identity": "cache", "subscriptions": len(self.cache.subscriptions())}
         if kind == "query":
-            return statement_answer(self.cache.serve_cached(payload), forwarded=True)
-        if kind == "subscribe":
-            self.cache.subscribe(payload)
-            return {"subscribed": True}
+            return statement_answer(self.cache.serve_cached(payload))
         raise MalformedMessage(f"unknown request kind {kind!r}")
 
     def _refresh_loop(self) -> None:
@@ -157,17 +151,15 @@ class CacheServer:
             self.cache.refresh()
 
     def start(self) -> None:
-        self._frame_server.start()
+        super().start()
         self._refresher = threading.Thread(target=self._refresh_loop, daemon=True)
         self._refresher.start()
-        logger.info("mirror of %s listening on %s",
-                    self.cache.config.authority, wire.format_endpoint(self.endpoint))
 
     def stop(self) -> None:
         self._stop.set()
         if self._refresher is not None:
             self._refresher.join(timeout=5)
-        self._frame_server.stop()
+        super().stop()
 
 
 def main(argv: list[str] | None = None) -> int:

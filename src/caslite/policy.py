@@ -260,10 +260,11 @@ class _Derived:
     """What a database works out from its own fields: ``member_groups``; each
     grant ref's encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`;
     per namespace listed (``listings``, oldest first, changed under ``lock``),
-    each member's :func:`scoped_listing` entry with its encoded
-    ``"member":[...]`` fragment; the encoded ``"groups":{...},"members":[...]``
-    of the database file (``sections``); and the members in sorted order.
-    Readers fill the dicts without a lock, so a copy is one ``dict(...)``."""
+    each member's encoded ``"member":[...]`` entry of :func:`scoped_listing`,
+    empty for a member with no rights there; the encoded
+    ``"groups":{...},"members":[...]`` of the database file (``sections``);
+    and the members in sorted order. Readers fill the dicts without a lock,
+    so a copy is one ``dict(...)``."""
 
     member_groups: dict
     grant_fragments: dict = field(default_factory=dict)
@@ -335,32 +336,29 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
 
 
 def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
-    """Each member's rights within ``namespace`` as :func:`rights_to_list`
-    entries, in member order, members with none left out, as an
-    :class:`~caslite.wire.Encoded` map joined from each entry's fragment.
+    """The map of each member's rights within ``namespace`` as
+    :func:`rights_to_list` entries, members with none left out, as an
+    :class:`~caslite.wire.Encoded` map joined from each entry's encoded
+    ``"member":[...]`` fragment in member order.
 
-    The entries, with their fragments, are kept on ``db`` for the last
-    :data:`LISTING_NAMESPACES` namespaces listed and carried to later
-    revisions for every member a command does not touch, so the lists
-    returned and the documents in them are shared: never change them."""
+    The fragments are kept on ``db`` for the last :data:`LISTING_NAMESPACES`
+    namespaces listed and carried to later revisions for every member a
+    command does not touch."""
     kept = db._derived.listings
     with db._derived.lock:
         entries = kept[namespace] = kept.pop(namespace, None) or {}
         if len(kept) > LISTING_NAMESPACES:
             del kept[next(iter(kept))]
     scope = frozenset(Right(action, namespace) for action in ACTIONS)
-    docs: dict = {}  # one document per distinct right in the entries built here
-    listing, fragments = {}, []
+    fragments = []
     for member in db._derived.sorted_members:
-        entry = entries.get(member)
-        if entry is None:
-            rights = [docs.setdefault(r, {"action": r.action, "object": r.object}) for r in
-                      sorted(intersect_rights(user_rights(db, member), scope), key=_RIGHT_KEY)]
-            entry = entries[member] = (rights, _fragment(member, rights) if rights else b"")
-        if entry[0]:
-            listing[member], fragment = entry
+        fragment = entries.get(member)
+        if fragment is None:
+            rights = rights_to_list(intersect_rights(user_rights(db, member), scope))
+            fragment = entries[member] = _fragment(member, rights) if rights else b""
+        if fragment:
             fragments.append(fragment)
-    return Encoded(listing, (b"{", b",".join(fragments), b"}"))
+    return Encoded((b"{", b",".join(fragments), b"}"))
 
 
 def _fragment(key: str, value: Any) -> bytes:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -57,8 +56,6 @@ from .policy import (
     scoped_listing,
 )
 from .statements import sign_statement, statement_answer, validate_query
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -107,8 +104,9 @@ class AuditLog:
                 self._handle = None
 
 
-class CasServer:
-    """Request handlers plus persistence for one community."""
+class CasServer(wire.FrameServer):
+    """Request handlers plus persistence for one community, served on
+    ``config.listen``."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
@@ -121,7 +119,7 @@ class CasServer:
         self._write_lock = threading.Lock()
         audit_path = config.audit_path or Path(str(config.db_path) + ".audit")
         self._audit = AuditLog(audit_path)
-        self._frame_server: wire.FrameServer | None = None
+        super().__init__(config.listen, self.handle)
 
     @property
     def identity(self) -> Identity:
@@ -131,14 +129,9 @@ class CasServer:
     def db(self):
         return self._db
 
-    @property
-    def endpoint(self) -> wire.Endpoint:
-        assert self._frame_server is not None
-        return self._frame_server.endpoint
-
     # --- request plumbing ----------------------------------------------------
 
-    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
+    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | wire.Encoded:
         caller = "unauthenticated"
         try:
             if kind == "ping":
@@ -221,7 +214,7 @@ class CasServer:
             self._db = new_db
             return {"revision": new_db.revision}
 
-    def handle_query(self, payload: dict, caller: Identity) -> dict:
+    def handle_query(self, payload: dict, caller: Identity) -> wire.Encoded:
         query = validate_query(payload)
         db = self._db
         now = int(time.time())
@@ -237,8 +230,8 @@ class CasServer:
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
-            listing = scoped_listing(db, query["namespace"])
-            body = wire.Encoded({"listing": listing}, (b'{"listing":', *listing.chunks, b"}"))
+            body = wire.Encoded((b'{"listing":', *scoped_listing(db, query["namespace"]).chunks,
+                                 b"}"))
         statement = sign_statement(
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,
@@ -251,18 +244,8 @@ class CasServer:
             )
         return answer
 
-    # --- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        self._frame_server = wire.FrameServer(self.config.listen, self.handle)
-        self._frame_server.start()
-        logger.info("authority for %s listening on %s", self._db.vo_name,
-                    wire.format_endpoint(self.endpoint))
-
     def stop(self) -> None:
-        if self._frame_server is not None:
-            self._frame_server.stop()
-            self._frame_server = None
+        super().stop()
         self._audit.close()
 
 

@@ -9,7 +9,6 @@ mirror forwards them as they came), so none of them needs a key of its own.
 
 from __future__ import annotations
 
-import logging
 import re
 import threading
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ from .keys import KeyMaterial, sign_payload, verify_payload
 from .policy import rights_from_list, split_pattern, validate_identity
 from . import wire
 from .assertions import assertion_from_map
-
-logger = logging.getLogger(__name__)
 
 STATEMENT_FORMAT = "statement/1"
 
@@ -99,18 +96,19 @@ def validate_query(payload: Any) -> dict:
 
 
 def sign_statement(
-    keys: KeyMaterial, query: dict, body: dict, issued_at: int, expires_at: int
+    keys: KeyMaterial, query: dict, body: dict | wire.Encoded, issued_at: int, expires_at: int
 ) -> SignedStatement:
     """Sign ``body`` as the answer to ``query``. The payload's first key is
     ``body``, so its bytes are spliced after ``{"body":`` (the chunks of a
-    ``wire.Encoded`` body, encoded no further), then the other fields."""
+    ``wire.Encoded`` body, encoded no further), then the other fields. Only
+    the payload is kept: the statement's ``body`` is decoded from it."""
     rest = canonical_json({"caslite": STATEMENT_FORMAT, "expires_at": expires_at,
                            "issued_at": issued_at, "query": query}, trusted=True)
     chunks = (body.chunks if isinstance(body, wire.Encoded)
               else (canonical_json(body, trusted=True),))
     payload = b"".join((b'{"body":', *chunks, b",", memoryview(rest)[1:]))
     return SignedStatement(query, issued_at, expires_at, sign_payload(keys, payload),
-                           _Memo(payload, body))
+                           _Memo(payload))
 
 
 def verify_statement(statement: SignedStatement, authority_public: KeyMaterial) -> bool:
@@ -131,13 +129,14 @@ def statement_to_map(s: SignedStatement) -> dict[str, Any]:
     return {**_statement_payload(s), "signature": to_hex(s.signature)}
 
 
-def statement_answer(s: SignedStatement, forwarded: bool = False) -> wire.Encoded:
-    """The query answer ``{statement}`` carrying ``s``, sent as the bytes that
-    were signed with the signature field spliced in (see ``wire.Encoded``);
-    a ``forwarded`` one (a mirror's) decodes no map."""
-    return wire.Encoded(None if forwarded else {"statement": statement_to_map(s)}, (
-        b'{"statement":', memoryview(s.signing_payload())[:-1],
-        b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
+def statement_answer(s: SignedStatement) -> wire.Encoded:
+    """The query answer ``{"statement":...}`` carrying ``s``: the signing
+    payload as signed or received, with ``signature``, the key sorting last,
+    spliced in before its closing brace (see ``wire.Encoded``). Nothing is
+    decoded or encoded again, so the authority and a mirror send the same
+    bytes."""
+    return wire.Encoded((b'{"statement":', memoryview(s.signing_payload())[:-1],
+                         b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
 
 
 def statement_from_map(doc: Any) -> SignedStatement:

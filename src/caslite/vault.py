@@ -30,7 +30,6 @@ for its callers' chains.
 from __future__ import annotations
 
 import argparse
-import logging
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -72,8 +71,6 @@ from .policy import (
     validate_concrete,
 )
 from .statements import StatementFetcher, listing_rights
-
-logger = logging.getLogger(__name__)
 
 PULL_NAMESPACE = "vo://**"
 
@@ -392,16 +389,12 @@ class ResourceService:
         return self.store.list_under(prefix)
 
 
-class VaultServer:
+class VaultServer(wire.FrameServer):
     """Wire front end for a :class:`ResourceService`."""
 
     def __init__(self, listen: wire.Endpoint, service: ResourceService):
         self.service = service
-        self._frame_server = wire.FrameServer(listen, self.handle)
-
-    @property
-    def endpoint(self) -> wire.Endpoint:
-        return self._frame_server.endpoint
+        super().__init__(listen, self.handle)
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":
@@ -423,13 +416,6 @@ class VaultServer:
             return {"path": path, "paths": self.service.list_paths(chain_doc, path)}
         self.service.delete(chain_doc, path)
         return {"path": path, "deleted": True}
-
-    def start(self) -> None:
-        self._frame_server.start()
-        logger.info("vault listening on %s", wire.format_endpoint(self.endpoint))
-
-    def stop(self) -> None:
-        self._frame_server.stop()
 
 
 def service_parser(prog: str, description: str) -> argparse.ArgumentParser:

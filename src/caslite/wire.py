@@ -50,26 +50,22 @@ def format_endpoint(endpoint: Endpoint) -> str:
     return f"{endpoint[0]}:{endpoint[1]}"
 
 
-class Encoded(dict):
-    """A map that carries its own canonical form as ``chunks``: buffers whose
-    concatenation is ``canonical_json`` of the map. :func:`write_frame` sends
-    the chunks as they are, so a large document kept in encoded form, such
-    as a signed statement, is neither encoded again nor copied into one
-    frame. The map must not change once built.
+class Encoded:
+    """A canonical document kept only as its bytes: ``chunks``, buffers
+    whose concatenation is the document's canonical form. :func:`write_frame`
+    sends the chunks as they are, so a large document, such as a signed
+    statement, is neither encoded again nor copied into one frame.
 
-    Chunks are spliced by one rule: canonical maps list keys in sorted
-    order, so a key sorting after every key of an encoded map is added by
-    dropping its closing brace and writing ``,"key":value}``, as
-    ``statements.statement_answer`` adds ``signature`` to a kept signing
-    payload; :func:`ok_response` likewise wraps a body between ``{"body":``
-    and ``,"ok":true}``, and ``statements.sign_statement`` an encoded
-    statement body between ``{"body":`` and the encoding of the statement's
-    other fields. ``policy.scoped_listing`` builds a listing from its
-    entries' kept ``"member":[...]`` fragments this way. ``value`` is None
-    for bytes only forwarded, never decoded: a mirror's statement answer."""
+    Chunks are spliced by one rule: a canonical map is ``{``, its
+    ``"key":value`` fragments joined by ``,`` in sorted key order, then
+    ``}``. So a map whose keys are known is joined from encoded fragments,
+    an encoded value is wrapped as ``{"key":`` value ``}``, and a key sorting
+    after every key of an encoded map is added by dropping its closing brace
+    and writing ``,"key":value}``."""
 
-    def __init__(self, value: dict | None, chunks: tuple):
-        super().__init__(value or {})
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: tuple):
         self.chunks = chunks
 
     @property
@@ -266,11 +262,10 @@ def call(
     raise ServerError(str(error.get("code", "Internal")), str(error.get("message", "")))
 
 
-def ok_response(body: dict) -> dict:
-    response = {"ok": True, "body": body}
+def ok_response(body: dict | Encoded) -> dict | Encoded:
     if isinstance(body, Encoded):
-        return Encoded(response, (_OK_HEAD, *body.chunks, _OK_TAIL))
-    return response
+        return Encoded((_OK_HEAD, *body.chunks, _OK_TAIL))
+    return {"ok": True, "body": body}
 
 
 def error_response(code: str, message: str) -> dict:
@@ -278,25 +273,29 @@ def error_response(code: str, message: str) -> dict:
 
 
 class FrameServer:
-    """Threaded TCP server running ``handler`` for each request document.
+    """Threaded TCP server running ``handler`` for each request document; every
+    service is one, passing its own ``handle``. The listener is bound on
+    construction, so ``endpoint`` is known before ``start``.
 
     The handler receives ``(kind, payload, chain_or_None)`` and returns the
-    response body; domain errors become error responses by code. Each
-    connection gets a thread that answers its requests in order until the
-    client closes it, sends a frame that leaves the stream untrustworthy, or
-    stays silent for ``IDLE_TIMEOUT`` seconds. Once a frame has started, all
-    of it must arrive within ``FRAME_DEADLINE`` seconds, so a client that
-    drips bytes cannot hold a thread. At most ``MAX_CONNECTIONS`` are open
-    at once; a connection beyond that gets one ``Busy`` error response and
-    is closed without starting a thread.
+    response body, a map or :class:`Encoded`; domain errors become error
+    responses by code. Each connection gets a thread that answers its
+    requests in order until the client closes it, sends a frame that leaves
+    the stream untrustworthy, or stays silent for ``IDLE_TIMEOUT`` seconds.
+    Once a frame has started, all of it must arrive within
+    ``FRAME_DEADLINE`` seconds, so a client that drips bytes cannot hold a
+    thread. At most ``MAX_CONNECTIONS`` are open at once; a connection
+    beyond that gets one ``Busy`` error response and is closed without
+    starting a thread.
 
     ``stop`` closes the listener, then shuts the read side of every open
     connection: idle handlers see end of stream and close, and a handler
     in the middle of a request still writes its answer. No request read
-    once ``stop`` has begun is answered.
+    once ``stop`` has begun is answered. A server never started is stopped
+    by closing its listener.
     """
 
-    def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict]):
+    def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict | Encoded]):
         self._handler = handler
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
@@ -362,7 +361,7 @@ class FrameServer:
         self._server = _Server(listen, _Handler)
         self._thread: threading.Thread | None = None
 
-    def _dispatch(self, doc: Any) -> dict:
+    def _dispatch(self, doc: Any) -> dict | Encoded:
         if not isinstance(doc, dict) or not {"kind", "payload"} <= set(doc) \
                 or not set(doc) <= {"kind", "payload", "chain"}:
             return error_response("MalformedRequest", "request must carry kind and payload")
@@ -388,10 +387,13 @@ class FrameServer:
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
+        logger.info("%s listening on %s", type(self).__name__, format_endpoint(self.endpoint))
 
     def stop(self) -> None:
         self._stopping = True
-        self._server.shutdown()
+        if self._thread is not None:
+            # Waits for the serve loop to end, so only once one was started.
+            self._server.shutdown()
         self._server.server_close()
         with self._lock:
             for conn in self._connections:

@@ -150,9 +150,25 @@ def test_cache_server_over_the_wire(world, cas_server, cache):
         with pytest.raises(ServerError) as info:
             wire.call(server.endpoint, "query", RES_QUERY)
         assert info.value.code == "CacheMiss"
-        wire.call(server.endpoint, "subscribe", RES_QUERY)
+        cache.subscribe(RES_QUERY)
         body = wire.call(server.endpoint, "query", RES_QUERY)
         assert statement_from_map(body["statement"]).query == RES_QUERY
+    finally:
+        server.stop()
+
+
+def test_subscriptions_cannot_be_added_over_the_wire(cache):
+    """Subscriptions come from the mirror's own configuration: a ``subscribe``
+    request is an unknown kind and leaves them as they were."""
+    server = CacheServer(("127.0.0.1", 0), cache)
+    server.start()
+    try:
+        before = cache.subscriptions()
+        with pytest.raises(ServerError) as info:
+            wire.call(server.endpoint, "subscribe", RES_QUERY)
+        assert info.value.code == MalformedMessage.code
+        assert cache.subscriptions() == before == [USER_QUERY]
+        assert cache.entry(RES_QUERY) is None
     finally:
         server.stop()
 

@@ -123,8 +123,10 @@ def _server_readers(server: CasServer) -> dict:
 def server(tmp_path_factory):
     paths = WORLD.write_server_files(tmp_path_factory.mktemp("malformed"))
     save_database(DB, paths["db"])
-    return CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
-                                  credential_path=paths["key"], anchors_path=paths["anchors"]))
+    server = CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                                    credential_path=paths["key"], anchors_path=paths["anchors"]))
+    yield server
+    server.stop()
 
 
 # Stand-ins for every JSON type this stack carries, unhashable ones included.

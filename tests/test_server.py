@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -13,17 +14,18 @@ from caslite import wire
 from caslite.assertions import assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import ResponseTooLarge, ServerError
-from caslite.canonical import canonical_json, parse_canonical
+from caslite.canonical import canonical_json
 from caslite.policy import (
-    db_canonical_bytes, db_from_map, intersect_rights, load_database, rights_to_list,
-    scoped_listing, user_rights,
+    db_canonical_bytes, intersect_rights, load_database, rights_to_list, user_rights,
 )
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
 from caslite.vault import ResourceConfig, ResourceService
 
 import oracles
-from worldlib import ALICE, BOB, CAROL, CAS, DAY, NOW, OWNER, db_to_map, rights
+from worldlib import (
+    ALICE, BOB, CAROL, CAS, DAY, NOW, OWNER, db_to_map, listing_to_map, rights, stops_within,
+)
 
 
 def chain_doc(world, short):
@@ -246,8 +248,7 @@ def test_listings_during_commits_match_a_published_revision(world, cas_server):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(published) == 25 and answers
-    expected = {canonical_json(scoped_listing(db_from_map(db_to_map(db)), namespace))
-                for db in published}
+    expected = {canonical_json(listing_to_map(db, namespace)) for db in published}
     assert len(expected) == 13
     assert all(canonical_json(listing) in expected for listing in answers)
 
@@ -256,7 +257,8 @@ def test_commits_and_listings_are_byte_identical_to_their_documents(world, cas_s
     """After each grant, revoke and add_member commit, awkward identities
     included, the database file is canonical to the reference parser and
     loads back to the same bytes; each listing answered between commits
-    verifies, and its frame is ``canonical_json`` of the answer map."""
+    verifies, its frame is canonical to the reference parser, and its
+    listing is the one built from the database's fields alone."""
     quote, astral = '/VO=esg/CN=qu"o\\te', "/VO=esg/CN=\u00e9\U0001d518"
     commands = [
         {"op": "grant", "subject": ALICE, "action": "list", "object": "vo://esg/data/**"},
@@ -278,11 +280,11 @@ def test_commits_and_listings_are_byte_identical_to_their_documents(world, cas_s
         for namespace in ("vo://esg/**", "vo://esg/data/**"):
             answer = cas_server.handle_query(
                 {"query": "resource_rights", "namespace": namespace}, ALICE)
-            response = wire.ok_response(answer)
-            frame = b"".join(response.chunks)
-            assert frame == canonical_json(response)
-            statement = statement_from_map(parse_canonical(frame)["body"]["statement"])
+            frame = b"".join(wire.ok_response(answer).chunks)
+            statement = statement_from_map(oracles.reference_parse_canonical(frame)["body"]
+                                           ["statement"])
             assert verify_statement(statement, world.cas.keys.public())
+            assert statement.body["listing"] == listing_to_map(cas_server.db, namespace)
     listing = statement.body["listing"]
     assert listing[astral] == [{"action": "write", "object": "vo://esg/data/**"}]
     assert quote not in listing
@@ -318,7 +320,7 @@ def _listing_query(world, server):
 
 def test_oversized_listing_is_audited_as_refused(world, cas_server, monkeypatch):
     body = _listing_query(world, cas_server)
-    frame = len(wire.canonical_json(wire.ok_response(body)))
+    frame = len(b"".join(wire.ok_response(body).chunks))
     monkeypatch.setattr(wire, "MAX_FRAME", frame)
     _listing_query(world, cas_server)  # exactly at the limit still goes out
     assert audit_lines(cas_server)[-1]["outcome"] == "ok"
@@ -330,6 +332,16 @@ def test_oversized_listing_is_audited_as_refused(world, cas_server, monkeypatch)
     last = audit_lines(cas_server)[-1]
     assert (last["caller"], last["kind"], last["outcome"]) == \
         (ALICE, "query", "error:ResponseTooLarge")
+
+
+def test_unstarted_authority_stops_and_frees_its_port(world, tmp_path):
+    paths = world.write_server_files(tmp_path)
+    server = CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                                    credential_path=paths["key"], anchors_path=paths["anchors"]))
+    endpoint = server.endpoint
+    assert stops_within(server, 2)
+    with socket.socket() as sock:
+        sock.bind(endpoint)
 
 
 def test_audit_log_survives_stop_and_restart(world, tmp_path):
@@ -415,6 +427,8 @@ def test_crash_between_write_and_rename_preserves_previous(world, tmp_path, monk
             {"command": {"op": "add_member", "identity": "/VO=esg/CN=dave"}}, OWNER
         )
     monkeypatch.undo()
+    server.stop()
     assert paths["db"].read_bytes() == original
     restarted = CasServer(config)
     assert restarted.db.revision == 1  # previous revision intact
+    restarted.stop()

@@ -19,6 +19,7 @@ from caslite.credentials import chain_to_map
 from caslite.errors import FrameError, MalformedMessage, ServerError
 
 import oracles
+from worldlib import stops_within
 
 
 @pytest.fixture()
@@ -102,17 +103,18 @@ def test_unparseable_frame_is_a_recoverable_error(echo_server, data):
 
 
 def chunked(doc: dict, pieces: int) -> wire.Encoded:
-    """``doc`` as an Encoded map whose chunks are slices of its bytes."""
+    """``doc`` as Encoded, its chunks slices of its bytes."""
     data = canonical_json(doc)
     cuts = [len(data) * i // pieces for i in range(pieces + 1)]
-    return wire.Encoded(doc, tuple(memoryview(data)[a:b] for a, b in zip(cuts, cuts[1:])))
+    return wire.Encoded(tuple(memoryview(data)[a:b] for a, b in zip(cuts, cuts[1:])))
 
 
 def test_encoded_response_goes_out_as_its_chunks():
     doc = {"blob": "é" * 1000, "n": [1, 2, 3]}
     response = wire.ok_response(chunked(doc, 3))
-    assert b"".join(response.chunks) == canonical_json(response) == \
-        canonical_json(wire.ok_response(doc))
+    expected = canonical_json({"ok": True, "body": doc})
+    assert b"".join(response.chunks) == expected
+    assert response.size == len(expected)
 
 
 def test_oversized_chunked_frame_sends_nothing(monkeypatch):
@@ -461,6 +463,15 @@ def test_stop_ends_idle_pooled_connections():
     with pytest.raises((OSError, ServerError)):
         wire.call(endpoint, "ping")
     assert seen == ["ping"]
+
+
+def test_stop_without_start_returns_and_frees_the_port():
+    server = wire.FrameServer(("127.0.0.1", 0), lambda kind, payload, chain: {})
+    endpoint = server.endpoint
+    assert stops_within(server, 2)
+    with socket.socket() as sock:
+        sock.bind(endpoint)
+    assert stops_within(server, 2)  # a second stop is harmless too
 
 
 def test_stop_answers_the_request_in_flight_and_no_later_one():

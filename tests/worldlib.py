@@ -96,6 +96,43 @@ def db_to_map(db: VOPolicyDatabase) -> dict:
     }
 
 
+def _naive_covers(outer: str, inner: str) -> bool:
+    """Every path ``inner`` matches is matched by ``outer``, by string
+    comparison: ``p/**`` matches ``p`` and everything under ``p/``."""
+    if outer.endswith("/**"):
+        return inner == outer[:-3] or inner.startswith(outer[:-2])
+    return inner == outer
+
+
+def listing_to_map(db: VOPolicyDatabase, namespace: str) -> dict:
+    """A namespace's listing built from the database's fields alone: each
+    member's direct and group grants narrowed to ``namespace`` by
+    :func:`_naive_covers`, sorted by (action, object), members with none left
+    out. The oracle whose ``canonical_json`` the joined bytes of
+    :func:`caslite.policy.scoped_listing` must equal."""
+    listing = {}
+    for member in db.members:
+        refs = [member] + [name for name, group in db.groups.items() if member in group.members]
+        found = set()
+        for right in (r for ref in refs for r in db.grants.get(ref, ())):
+            if _naive_covers(namespace, right.object):
+                found.add((right.action, right.object))
+            elif _naive_covers(right.object, namespace):
+                found.add((right.action, namespace))
+        if found:
+            listing[member] = [{"action": a, "object": o} for a, o in sorted(found)]
+    return listing
+
+
+def stops_within(server, seconds: float) -> bool:
+    """Whether ``server.stop()`` returns within ``seconds``; a stop that hangs
+    is left behind in a daemon thread rather than hanging the test."""
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=seconds)
+    return not stopper.is_alive()
+
+
 def fixture_db() -> VOPolicyDatabase:
     return VOPolicyDatabase(
         vo_name="esg",
