@@ -6,10 +6,10 @@ the bytes it received. It holds no key, never re-signs and decodes no listing:
 a served statement is byte-identical to what the authority produced, so
 consumers verify it against the authority's key as if they had asked directly.
 
-Failed refreshes keep the previous entry; an entry is served only while it is
-younger than ``max_age`` and inside its own validity, and requests fail
-closed afterwards. That bounds both staleness and the window the mirror can
-bridge across an authority outage.
+Failed refreshes, an expired answer among them, keep the previous entry; an
+entry is served only while it is younger than ``max_age`` and inside its own
+validity, and requests fail closed afterwards. That bounds both staleness and
+the window the mirror can bridge across an authority outage.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class StatementCache:
 
     def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
         statement = fetch_statement(self.config.authority, query, self.config.client_chain)
+        if not statement.fresh_at(now):
+            raise StaleEntry(f"fetched statement already expired at {statement.expires_at}")
         entry = CacheEntry(statement=statement, fetched_at=now)
         with self._lock:
             entries = dict(self._entries)

@@ -32,10 +32,8 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     the whole value, which costs about as much as the C encoder itself, so
     ``trusted=True`` skips it for values that cannot hold another type:
 
-    - ``statements``: :func:`~statements.sign_statement` encodes the fields
-      of a statement the authority built from checked objects around its
-      body, and ``signing_payload`` a statement that passed
-      :func:`~statements.statement_from_map`, which checks every value's type;
+    - :func:`statements.sign_statement` encodes the fields of a statement
+      the authority built from checked objects around its body;
     - :func:`policy.db_canonical_bytes` encodes the sections of a database,
       every field of which was checked when it was loaded or changed, and
       ``policy._fragment`` each grant ref's and listing entry's
@@ -174,7 +172,8 @@ def decode_blocks(text: str, tag: str) -> list[bytes]:
 
 def write_atomic(path: Path | str, data: bytes) -> None:
     """Write ``data`` to ``path`` via a same-directory temp file and rename,
-    so a crash mid-write leaves the previous contents intact."""
+    so a crash mid-write leaves the previous contents intact; the directory
+    is synced after the rename, so the new contents are on disk on return."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -189,6 +188,11 @@ def write_atomic(path: Path | str, data: bytes) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def write_private(path: Path | str, data: str) -> None:

@@ -5,6 +5,8 @@ either a rights assertion for one user, or a listing of every member's rights
 within a namespace. Downstream parties check the authority's untouched
 signature over the bytes that arrived, before reading them (the caching
 mirror forwards them as they came), so none of them needs a key of its own.
+A statement is only those signed bytes and the signature: one reader takes
+it in, whether it came off the wire or from a statement document.
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
 
 
 class _Memo:
-    """What one statement object keeps: its signing ``payload`` and ``body``
-    (None until decoded or encoded); its listing entries' ``spans`` in the
-    payload, once indexed; and the entries parsed so far, by subject, with
-    one ``Right`` object per distinct right among them, which they share."""
+    """What one statement object keeps: its signing ``payload``; its
+    ``body``, once decoded; its listing entries' ``spans`` in the payload,
+    once indexed; and the entries parsed so far, by subject, with one
+    ``Right`` object per distinct right among them, which they share."""
 
-    def __init__(self, payload: bytes | None = None, body: Any = None) -> None:
+    def __init__(self, payload: bytes) -> None:
         self.lock = threading.Lock()
-        self.payload, self.body = payload, body
+        self.payload, self.body = payload, None
         self.spans: dict[str, tuple[int, int]] | None = None
         self.by_subject: dict[str, frozenset] = {}
         self.shared: dict = {}
@@ -49,17 +51,18 @@ class _Memo:
 
 @dataclass(frozen=True)
 class SignedStatement:
-    """An authority-signed answer to a query, kept verbatim by caches.
+    """An authority-signed answer to a query: the bytes the signature covers,
+    kept verbatim by caches, and the fields read from them.
 
-    Equality compares the fields, the signature over the body among them. One
-    taken in as bytes decodes ``body`` on first access. Its ``_memo`` is its
-    own: never share one, or pass a statement to ``dataclasses.replace``."""
+    Equality compares the fields, the signature over the body among them.
+    ``body`` is decoded on first access. Its ``_memo`` is its own: never
+    share one, or pass a statement to ``dataclasses.replace``."""
 
     query: dict
     issued_at: int
     expires_at: int
     signature: bytes
-    _memo: _Memo = field(default_factory=_Memo, compare=False, repr=False)
+    _memo: _Memo = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.expires_at > self.issued_at:
@@ -73,12 +76,8 @@ class SignedStatement:
         return memo.body
 
     def signing_payload(self) -> bytes:
-        """The bytes the signature covers, as signed or received, or for a
-        statement read from a map encoded on first use; kept either way."""
-        memo = self._memo
-        if memo.payload is None:
-            memo.payload = canonical_json(_statement_payload(self), trusted=True)
-        return memo.payload
+        """The bytes the signature covers, as signed or received."""
+        return self._memo.payload
 
     def fresh_at(self, now: int) -> bool:
         return now < self.expires_at
@@ -115,18 +114,8 @@ def verify_statement(statement: SignedStatement, authority_public: KeyMaterial) 
     return verify_payload(authority_public, statement.signature, statement.signing_payload())
 
 
-def _statement_payload(s: SignedStatement) -> dict[str, Any]:
-    return {
-        "caslite": STATEMENT_FORMAT,
-        "query": s.query,
-        "body": s.body,
-        "issued_at": s.issued_at,
-        "expires_at": s.expires_at,
-    }
-
-
 def statement_to_map(s: SignedStatement) -> dict[str, Any]:
-    return {**_statement_payload(s), "signature": to_hex(s.signature)}
+    return {**parse_canonical(s.signing_payload()), "signature": to_hex(s.signature)}
 
 
 def statement_answer(s: SignedStatement) -> wire.Encoded:
@@ -140,24 +129,13 @@ def statement_answer(s: SignedStatement) -> wire.Encoded:
 
 
 def statement_from_map(doc: Any) -> SignedStatement:
+    """Take in a statement document (see :func:`statement_to_map`) through
+    :func:`fetch_statement`'s reader: its signing payload is the document
+    without ``signature``, encoded. Listing entries are checked when read."""
     fields(doc, "statement document",
            {"caslite", "query", "body", "issued_at", "expires_at", "signature"})
-    if doc["caslite"] != STATEMENT_FORMAT:
-        raise MalformedMessage(f"not a statement document: {doc['caslite']!r}")
-    for name in ("issued_at", "expires_at"):
-        expect(doc[name], int, name)
-    query = validate_query(doc["query"])
-    # Validate the body shape against the echoed query before trusting it.
-    if query["query"] == "user_rights":
-        assertion_from_map(fields(doc["body"], "user_rights statement body", {"assertion"})
-                           ["assertion"])
-    else:
-        listing = fields(doc["body"], "resource_rights statement body", {"listing"})["listing"]
-        for ident, rights in expect(listing, dict, "listing").items():
-            validate_identity(ident)
-            rights_from_list(rights)
-    return SignedStatement(query, doc["issued_at"], doc["expires_at"],
-                           from_hex(doc["signature"]), _Memo(body=doc["body"]))
+    payload = canonical_json({k: v for k, v in doc.items() if k != "signature"})
+    return _take_in(payload, from_hex(doc["signature"]), validate_query(doc["query"]))
 
 
 def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
@@ -221,9 +199,7 @@ def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None
                     authority_public: KeyMaterial | None = None) -> SignedStatement:
     """Ask ``source`` for ``query`` and take in the answer's bytes: with
     ``authority_public`` the signature is checked over them before anything
-    is read (a mirror has no key and forwards them unchecked). The fields
-    after the body must answer ``query``; the body must be a user_rights
-    assertion, read whole, or a listing, whose entries are indexed."""
+    is read (a mirror has no key and forwards them unchecked)."""
     answer = wire.call(source, "query", query, chain=chain, raw=True)
     signed = _SIGNED.fullmatch(answer)
     if signed is None:
@@ -232,6 +208,13 @@ def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None
     signature = bytes.fromhex(signed.group(2).decode())
     if authority_public is not None and not verify_payload(authority_public, signature, payload):
         raise MalformedMessage("statement signature does not verify")
+    return _take_in(payload, signature, query)
+
+
+def _take_in(payload: bytes, signature: bytes, query: dict) -> SignedStatement:
+    """The statement whose signing payload is ``payload``. The fields after
+    the body must answer ``query``; the body must be a user_rights assertion,
+    read whole, or a listing, whose entries are indexed."""
     cut = payload.rfind(_FIELDS_HEAD)
     doc = fields(parse_canonical(b"{" + payload[cut + 1:]) if cut > 0 else None,
                  "statement document", {"caslite", "query", "issued_at", "expires_at"})

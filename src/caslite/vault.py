@@ -452,12 +452,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--mode", required=True, choices=("push", "pull"))
     parser.add_argument("--groups", type=Path, default=None,
                         help="group name to rights map for membership-mode assertions")
-    parser.add_argument("--anchors", type=Path, default=None,
+    parser.add_argument("--anchors", required=True, type=Path,
                         help="trust anchor file for verifying presented chains")
     args = parser.parse_args(argv)
     cfg = ResourceConfig(
         **service_settings(args),
-        anchors=load_anchors(args.anchors) if args.anchors else (),
+        anchors=load_anchors(args.anchors),
         mode=args.mode,
         group_rights=load_group_rights(args.groups) if args.groups else None,
     )

@@ -19,7 +19,7 @@ from caslite.statements import (
 )
 
 from worldlib import (
-    ALICE, PULLED, RawSource, answer_frame, misbound_answers, raw_answer, rights,
+    ALICE, DAY, PULLED, RawSource, answer_frame, misbound_answers, raw_answer, rights,
     statement_bytes,
 )
 
@@ -241,15 +241,17 @@ def test_mirror_survives_malformed_authority_answers(world):
 
 
 def test_mirror_refuses_a_statement_for_another_query(world):
-    """A refresh answered with a validly signed statement for another query
-    counts as failed, and the mirror keeps serving its last good entry."""
+    """A refresh answered with a validly signed statement for another query,
+    or for this one but already expired, counts as failed, and the mirror
+    keeps serving its last good entry."""
     now = int(time.time())
     source = RawSource(answer_frame(world.cas.keys, PULLED, {"listing": {}}, now))
     try:
         cache = StatementCache(CacheConfig(authority=source.endpoint, refresh_interval=1,
                                            max_age=5, subscriptions=[PULLED]))
         kept = cache.serve_cached(PULLED, now)
-        for source.doc in misbound_answers(world).values():
+        expired = answer_frame(world.cas.keys, PULLED, {"listing": {}}, now - 2 * DAY)
+        for source.doc in [*misbound_answers(world).values(), expired]:
             assert cache.refresh(now) == {"updated": [], "failed": [PULLED]}
             assert cache.serve_cached(PULLED, now) is kept
     finally:

@@ -165,6 +165,28 @@ def test_write_atomic_survives_replace_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]  # temp file cleaned up
 
 
+def test_write_atomic_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    calls = []
+
+    class RecordingOs:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def replace(self, src, dst):
+            calls.append("replace")
+            os.replace(src, dst)
+
+        def fsync(self, fd):
+            same = os.path.samestat(os.fstat(fd), os.stat(tmp_path))
+            calls.append("fsync directory" if same else "fsync file")
+            os.fsync(fd)
+
+    monkeypatch.setattr("caslite.canonical.os", RecordingOs())
+    write_atomic(tmp_path / "state.json", b"contents")
+    assert calls == ["fsync file", "replace", "fsync directory"]
+    assert (tmp_path / "state.json").read_bytes() == b"contents"
+
+
 def test_write_private_mode(tmp_path):
     path = tmp_path / "secret.chain"
     write_private(path, "contents")

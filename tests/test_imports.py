@@ -1,8 +1,10 @@
-"""Source hygiene: each caslite module uses every name it imports."""
+"""Source hygiene: each caslite module uses every name it imports, and the
+package reads every private module-level name it defines."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,54 @@ def test_the_check_sees_an_unused_import_and_a_stranded_logger():
               "def f():\n    return sys.argv\n")
     assert unused_imports(ast.parse(source), {"USED"}) == \
         ["b (line 4)", "logging (line 1)", "os (line 2)"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read in ``node``: as a variable, an attribute
+    or a ``from ... import`` name."""
+    counts = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            counts.update(alias.name for alias in n.names)
+    return counts
+
+
+def stranded_private_names(trees: dict) -> list:
+    """Module-level ``_name`` definitions (dunders aside) in ``trees``, by
+    module name, that no module reads outside the definition itself."""
+    read = sum(map(_reads, trees.values()), Counter())
+    stranded = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            stranded += [f"{module}: {name} (line {node.lineno})" for name in names
+                         if name.startswith("_") and not name.startswith("__")
+                         and read[name] == own[name]]
+    return sorted(stranded)
+
+
+def test_package_reads_every_private_name_it_defines():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert stranded_private_names(trees) == []
+
+
+def test_the_check_sees_a_stranded_private_helper():
+    trees = {name: ast.parse(source) for name, source in {
+        "a.py": ("__all__ = []\n_IMPORTED = 1\n_ATTR = 2\n_LEFT, _RIGHT = 3, 4\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Unused:\n    pass\n"),
+        "b.py": "from .a import _IMPORTED\nfrom . import a\nX = a._ATTR + _RIGHT\n",
+    }.items()}
+    assert stranded_private_names(trees) == \
+        ["a.py: _LEFT (line 4)", "a.py: _Unused (line 7)", "a.py: _recursive (line 5)"]

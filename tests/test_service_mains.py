@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from caslite import wire
+from caslite import vault, wire
 from caslite.credentials import CredentialChain, chain_to_map, save_chain
 from caslite.errors import ServerError
 from caslite.statements import statement_from_map, verify_statement
@@ -118,3 +118,14 @@ def test_full_stack_of_processes(world, stack):
         "identity": BOB, "action": "write", "object": "vo://esg/data/public/pulled.nc",
     })
     assert answer["allow"] is False and "vo_user" in answer["reason"]
+
+
+def test_vault_without_anchors_is_a_usage_error(world, tmp_path, capsys):
+    """A vault with no trust anchors would refuse every chain, so the flag
+    is required: leaving it out exits with argparse's usage code."""
+    paths = world.write_server_files(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        vault.main(["--listen", "127.0.0.1:0", "--site", str(paths["site"]),
+                    "--cas-key", str(paths["cas_public"]), "--mode", "push"])
+    assert info.value.code == 2
+    assert "--anchors" in capsys.readouterr().err

@@ -36,10 +36,9 @@ from worldlib import (
 )
 
 
-def payload_size(statement) -> int | None:
-    """Length of the statement's kept signing payload; None while none is kept."""
-    payload = statement._memo.payload
-    return None if payload is None else len(payload)
+def payload_size(statement) -> int:
+    """Length of the statement's kept signing payload."""
+    return len(statement._memo.payload)
 
 
 def response_size(statement) -> int:
@@ -135,7 +134,7 @@ def test_response_size_is_the_exact_frame_length(statement):
     assert payload_size(statement) == len(statement.signing_payload())
     assert response_size(statement) == expected
     restored = statement_from_map(statement_to_map(statement))
-    assert payload_size(restored) is None
+    assert payload_size(restored) == len(statement.signing_payload())
     assert response_size(restored) == expected
 
 
@@ -148,6 +147,17 @@ def test_statement_body_shape_is_validated(statement):
     doc["query"] = {"query": "nonsense"}
     with pytest.raises(MalformedMessage):
         statement_from_map(doc)
+
+
+def test_a_document_entry_is_checked_when_read(statement):
+    """A statement document's listing is read as a fetched one is: an entry
+    that is not a rights list raises a domain error for its own subject."""
+    doc = statement_to_map(statement)
+    doc["body"] = {"listing": {ALICE: [1], BOB: LISTING["listing"][ALICE]}}
+    restored = statement_from_map(doc)
+    with pytest.raises(MalformedMessage):
+        listing_rights(restored, ALICE)
+    assert listing_rights(restored, BOB) == rights(("read", "vo://esg/data/**"))
 
 
 def test_expiry_must_follow_issue(authority_keys):
@@ -445,17 +455,21 @@ def listing_source():
     source.close()
 
 
+@pytest.mark.parametrize("intake", ["fetched", "from_map"])
 @given(listing=LISTINGS)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_listing_rights_from_bytes_equal_the_reference_parse(authority_keys, listing_source,
-                                                             listing):
-    """Each subject's rights from a listing taken in as bytes equal
-    ``rights_from_list`` over the reference parse of the same bytes; every
-    subject the listing leaves out has none."""
+                                                             intake, listing):
+    """Each subject's rights from a listing taken in as bytes, or as the
+    reference parse of those bytes, equal ``rights_from_list`` over that
+    parse; every subject the listing leaves out has none."""
     listing_source.doc = answer_frame(authority_keys, QUERY, {"listing": listing})
-    statement = StatementFetcher(listing_source.endpoint, QUERY["namespace"],
-                                 authority_keys.public()).fetch()
     reference = oracles.reference_parse_canonical(listing_source.doc)
+    if intake == "fetched":
+        statement = StatementFetcher(listing_source.endpoint, QUERY["namespace"],
+                                     authority_keys.public()).fetch()
+    else:
+        statement = statement_from_map(reference["body"]["statement"])
     entries = reference["body"]["statement"]["body"]["listing"]
     for subject in SUBJECTS + [CAROL, "/VO=esg/CN=alice2"]:
         expected = rights_from_list(entries[subject]) if subject in entries else frozenset()
