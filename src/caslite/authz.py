@@ -23,7 +23,7 @@ from . import wire
 from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map
 from .canonical import expect, fields, set_of
 from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
-from .keys import CheckedMemo, KeyMaterial
+from .keys import CheckedMemo, KeyMaterial, Received
 from .policy import (
     Identity,
     SitePolicy,
@@ -41,6 +41,10 @@ from .vault import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Where a presented assertion sits in a decide request (see
+# :class:`~caslite.wire.FrameServer`).
+ASSERTION = (("payload", "assertion"), ("attributes", "identity"))
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,8 @@ class AuthzConfig:
 
 class AuthzServer(wire.FrameServer):
     """Wire front end for :func:`decide_local`. A presented assertion's
-    signature and issuer checks are remembered per assertion map (see
-    :class:`~caslite.keys.CheckedMemo`); its window, its binding to the
+    signature and issuer checks are remembered per assertion as received
+    (see :class:`~caslite.keys.CheckedMemo`); its window, its binding to the
     query identity and the decision run on every query."""
 
     def __init__(self, listen: wire.Endpoint, cfg: AuthzConfig):
@@ -148,7 +152,7 @@ class AuthzServer(wire.FrameServer):
                 cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
             )
         self._checked = CheckedMemo()
-        super().__init__(listen, self.handle)
+        super().__init__(listen, self.handle, ASSERTION, self._checked)
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":
@@ -171,7 +175,7 @@ class AuthzServer(wire.FrameServer):
             return self._checked.recall(doc, lambda d: vouch_assertion(
                 assertion_from_map(d), self.cfg.cas_public, self.cfg.cas_identity))
         except DeniedError:
-            return assertion_from_map(doc)
+            return assertion_from_map(doc.doc if isinstance(doc, Received) else doc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,14 +2,18 @@
 
 The mirror subscribes to query payloads, re-fetches each on an interval, and
 serves the authority's signed statements back over the same wire protocol as
-the bytes it received. It holds no key, never re-signs and decodes no listing:
-a served statement is byte-identical to what the authority produced, so
-consumers verify it against the authority's key as if they had asked directly.
+the bytes it received. It holds no signing key, never re-signs and decodes no
+listing: a served statement is byte-identical to what the authority produced,
+so consumers verify it against the authority's key as if they had asked
+directly. Given that key too (``authority_public``, ``--cas-key``), the
+mirror checks each answer's signature over the received bytes before the
+answer may replace an entry.
 
-Failed refreshes, an expired answer among them, keep the previous entry; an
-entry is served only while it is younger than ``max_age`` and inside its own
-validity, and requests fail closed afterwards. That bounds both staleness and
-the window the mirror can bridge across an authority outage.
+Failed refreshes, an expired, unsigned or badly signed answer among them,
+keep the previous entry; an entry is served only while it is younger than
+``max_age`` and inside its own validity, and requests fail closed
+afterwards. That bounds both staleness and the window the mirror can bridge
+across an authority outage.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from . import wire
 from .canonical import canonical_json
 from .credentials import chain_to_map, load_chain
 from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
+from .keys import KeyMaterial
 from .statements import SignedStatement, fetch_statement, statement_answer, validate_query
 
 logger = logging.getLogger(__name__)
@@ -45,6 +50,7 @@ class CacheConfig:
     max_age: int
     subscriptions: list = field(default_factory=list)
     client_chain: dict | None = None
+    authority_public: KeyMaterial | None = None
 
     def __post_init__(self) -> None:
         if not self.refresh_interval < self.max_age:
@@ -89,7 +95,8 @@ class StatementCache:
             return self._entries.get(canonical_json(validate_query(query)))
 
     def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
-        statement = fetch_statement(self.config.authority, query, self.config.client_chain)
+        statement = fetch_statement(self.config.authority, query, self.config.client_chain,
+                                    self.config.authority_public)
         if not statement.fresh_at(now):
             raise StaleEntry(f"fetched statement already expired at {statement.expires_at}")
         entry = CacheEntry(statement=statement, fetched_at=now)
@@ -176,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="JSON file with a list of query payloads")
     parser.add_argument("--chain", type=Path, default=None,
                         help="client chain used to authenticate to the authority")
+    parser.add_argument("--cas-key", type=Path, default=None,
+                        help="community server credential file (public part is used); "
+                             "with it, an answer whose signature does not verify is refused")
     args = parser.parse_args(argv)
 
     subscriptions = json.loads(args.subscriptions.read_text(encoding="utf-8"))
@@ -187,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         max_age=args.max_age,
         subscriptions=subscriptions,
         client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
+        authority_public=load_chain(args.cas_key).innermost_keys().public()
+        if args.cas_key else None,
     )
     # Built inside the runner: StatementCache fetches (and may log) on construction.
     return wire.run_service(

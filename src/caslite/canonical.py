@@ -22,6 +22,10 @@ from .errors import MalformedMessage
 
 _HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 
+# One encoder for every call: ``json.dumps`` with these options builds a new
+# one each time.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+
 
 def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
     """Serialize ``value`` to canonical bytes.
@@ -40,14 +44,13 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
       ``"key":[...]`` fragment, built from checked ``Right`` objects;
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
       holds no float and, when the bytes hold no ``null``, no None;
-    - :meth:`keys.CheckedMemo.recall` keys a chain or assertion map that
-      :func:`parse_canonical` returned from a request frame.
+    - :class:`wire.FrameServer` encodes the parts around a presented document
+      of a request frame that :func:`parse_canonical` returned whole, to find
+      the document's byte span; the document itself is never encoded.
     """
     if not trusted:
         _check(value)
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODE(value).encode("utf-8")
 
 
 def _check(value: Any) -> None:

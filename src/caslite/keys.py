@@ -7,9 +7,11 @@ serialization.
 
 Each service remembers the checks it made of presented documents in its own
 :class:`CheckedMemo`, keyed on the SHA-256 :func:`digest` of a document's
-canonical bytes. The digest comes from ``cryptography`` rather than
-``hashlib``: importing ``hashlib`` loads the system libcrypto beside the one
-``cryptography`` carries, about 3.7 MiB more resident memory per service.
+canonical bytes as they arrived: a :class:`Received` span of the request
+frame, which is neither decoded nor encoded again when it is remembered. The
+digest comes from ``cryptography`` rather than ``hashlib``: importing
+``hashlib`` loads the system libcrypto beside the one ``cryptography``
+carries, about 3.7 MiB more resident memory per service.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import canonical_json, fields, from_hex, to_hex
+from .canonical import canonical_json, fields, from_hex, parse_canonical, to_hex
 from .errors import CasliteError, MalformedMessage
 
 ED25519 = "ed25519"
@@ -75,30 +77,57 @@ def digest(data: bytes) -> bytes:
     return h.finalize()
 
 
+class Received:
+    """A presented document as the bytes that arrived: ``data``, its
+    canonical form, cut from a request frame (see
+    :class:`~caslite.wire.FrameServer`); ``key``, their :func:`digest`; and
+    ``doc``, what :func:`~caslite.canonical.parse_canonical` made of them,
+    or None while they are unparsed."""
+
+    __slots__ = ("data", "key", "doc")
+
+    def __init__(self, data: bytes, doc: Any = None):
+        self.data = data
+        self.key = digest(data)
+        self.doc = doc
+
+
 class CheckedMemo:
     """Successful time-free checks of presented documents, keyed on the
-    SHA-256 of each document's canonical bytes, so any changed byte misses.
-    One memo belongs to one service, because a result holds only for that
-    service's anchors and authority."""
+    SHA-256 of each document's canonical bytes as received, so any changed
+    byte misses. Only bytes that passed
+    :func:`~caslite.canonical.parse_canonical` are remembered, so a key the
+    memo knows names canonical bytes. One memo belongs to one service,
+    because a result holds only for that service's anchors and authority."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[bytes, Any] = OrderedDict()
         self._lock = threading.Lock()
 
-    def recall(self, doc: Any, check: Callable[[Any], Any]) -> Any:
-        """``check(doc)``, remembered when it returns; a check that raises
-        is run again next time. ``doc`` is a document as
-        :func:`~caslite.canonical.parse_canonical` returned it, so its
-        canonical bytes need no type walk."""
-        key = digest(canonical_json(doc, trusted=True))
+    def knows(self, key: bytes) -> bool:
+        """Whether a check of the bytes whose digest is ``key`` is remembered."""
         with self._lock:
-            value = self._entries.get(key)
+            return key in self._entries
+
+    def recall(self, doc: Received | Any, check: Callable[[Any], Any]) -> Any:
+        """``check`` of the parsed document, remembered when it returns; a
+        check that raises is run again next time. ``doc`` is
+        :class:`Received`, or a map given in process, which is encoded
+        first. A remembered document is neither parsed nor encoded; on a
+        miss, ``check`` gets the parse of the keyed bytes, which a
+        :class:`Received` ``doc`` keeps."""
+        if not isinstance(doc, Received):
+            doc = Received(canonical_json(doc))
+        with self._lock:
+            value = self._entries.get(doc.key)
             if value is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(doc.key)
                 return value
-        value = check(doc)
+        if doc.doc is None:
+            doc.doc = parse_canonical(doc.data)
+        value = check(doc.doc)
         with self._lock:
-            self._entries[key] = value
+            self._entries[doc.key] = value
             while len(self._entries) > CHECKED_MEMO_SIZE:
                 self._entries.popitem(last=False)
         return value

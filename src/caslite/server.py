@@ -119,7 +119,7 @@ class CasServer(wire.FrameServer):
         self._write_lock = threading.Lock()
         audit_path = config.audit_path or Path(str(config.db_path) + ".audit")
         self._audit = AuditLog(audit_path)
-        super().__init__(config.listen, self.handle)
+        super().__init__(config.listen, self.handle, wire.CHAIN, self._checked)
 
     @property
     def identity(self) -> Identity:
@@ -155,7 +155,7 @@ class CasServer(wire.FrameServer):
 
     def _authenticate(self, chain_doc: Any) -> Identity:
         """Credential validity is checked before any policy lookup. The
-        time-free check of each caller chain map is remembered (see
+        time-free check of each caller chain as received is remembered (see
         :class:`~caslite.keys.CheckedMemo`); its windows run on every
         request."""
         if chain_doc is None:

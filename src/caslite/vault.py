@@ -22,7 +22,7 @@ mode, the carried assertion's form, signature and issuer), and a clock half
 that runs on every request: each element's window, then in :func:`judge` the
 assertion's window, its binding to the authenticated subject and the
 decision. :class:`ResourceService` remembers the time-free result of each
-presented chain map in its own :class:`~caslite.keys.CheckedMemo`; the
+presented chain's bytes in its own :class:`~caslite.keys.CheckedMemo`; the
 decision service keeps one for presented assertions, and the authority one
 for its callers' chains.
 """
@@ -56,7 +56,7 @@ from .credentials import (
     load_chain,
 )
 from .errors import CasliteError, DeniedError, MalformedMessage, NotFound
-from .keys import CheckedMemo, KeyMaterial
+from .keys import CheckedMemo, KeyMaterial, Received
 from .policy import (
     ACTIONS,
     EnforcementDecision,
@@ -74,8 +74,9 @@ from .statements import StatementFetcher, listing_rights
 
 PULL_NAMESPACE = "vo://**"
 
-# A presented chain: parsed, or its map as a request frame carried it.
-Presented = CredentialChain | dict
+# A presented chain: parsed, its bytes as a request frame carried them, or its
+# map given in process.
+Presented = CredentialChain | Received | dict
 
 
 class ObjectStore:
@@ -331,10 +332,11 @@ def _shared(items: frozenset | None) -> frozenset | None:
 class ResourceService:
     """Enforcement plus the object store behind it.
 
-    ``chain`` in every method is :data:`Presented`. A map's time-free result
-    is remembered (see :class:`~caslite.keys.CheckedMemo`), so the same map
-    presented again skips its parse and its signature checks; a
-    :class:`CredentialChain` is checked in full each time.
+    ``chain`` in every method is :data:`Presented`. The time-free result of
+    received bytes or a map is remembered (see
+    :class:`~caslite.keys.CheckedMemo`), so the same bytes presented again
+    skip their parse and their signature checks; a :class:`CredentialChain`
+    is checked in full each time.
     """
 
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):
@@ -394,7 +396,7 @@ class VaultServer(wire.FrameServer):
 
     def __init__(self, listen: wire.Endpoint, service: ResourceService):
         self.service = service
-        super().__init__(listen, self.handle)
+        super().__init__(listen, self.handle, wire.CHAIN, service._checked)
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":

@@ -7,6 +7,21 @@ Connections are persistent: :func:`call` keeps one open socket per endpoint
 and calling thread and reuses it, and servers answer any number of requests
 per connection, answering malformed frames with an error response rather
 than dropping dead.
+
+A service that remembers checks of presented documents takes its requests
+in from the bytes that arrived: the presented chain or assertion is cut out
+of the frame as its byte span, and only the rest of the frame is parsed. The
+cut rests on how canonical maps compose: a map's canonical bytes are its
+keys' ``"key":value`` fragments in sorted order, so a frame is canonical
+exactly when the frame with a placeholder in the span's place is canonical
+and the span is. The span is guessed, from the first ``"key":`` of its
+place's last key to the first key that can follow it there, and taken only
+when that ``"key":`` occurs nowhere else, the rest parses as canonical with
+a value at the place (which can then only be the placeholder), and the span
+is bytes the service's memo knows or parses as canonical itself. A
+remembered span is neither decoded nor encoded. A frame that cannot be cut
+so, a wrong guess included, is parsed whole and the span sliced from it, so
+every frame gets the answer a service without a memo gives.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from typing import Any, Callable
 
 from .canonical import canonical_json, parse_canonical
 from .errors import CasliteError, FrameError, MalformedMessage, ResponseTooLarge, ServerError
+from .keys import CheckedMemo, Received
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +53,11 @@ RETRYABLE_KINDS = frozenset({"ping", "query", "decide", "read", "list"})
 Endpoint = tuple[str, int]
 
 _OK_HEAD, _OK_TAIL = b'{"body":', b',"ok":true}'
+
+# Where a presented document sits in a request frame: the keys that lead to
+# it, and the keys that can follow it in its map, in sorted order. A
+# caller's chain is the first key of the request, before ``kind``.
+CHAIN = (("chain",), ("kind",))
 
 
 def parse_endpoint(text: str) -> Endpoint:
@@ -126,11 +147,10 @@ def _fill(sock: socket.socket, view: memoryview, wait: float | None, deadline: f
         got += received
 
 
-def read_frame(sock: socket.socket, raw: bool = False) -> Any | None:
-    """Read one document; None on clean end of stream. The socket's timeout
+def _receive(sock: socket.socket) -> bytearray | None:
+    """One frame's bytes; None on clean end of stream. The socket's timeout
     bounds the wait for a frame to start; once its first byte has arrived,
-    the whole frame must follow within ``FRAME_DEADLINE`` seconds. With
-    ``raw``, an ok answer's frame comes back as its bytes, unparsed."""
+    the whole frame must follow within ``FRAME_DEADLINE`` seconds."""
     header = bytearray(4)
     got = sock.recv_into(header)
     if not got:
@@ -147,13 +167,44 @@ def read_frame(sock: socket.socket, raw: bool = False) -> Any | None:
         _fill(sock, memoryview(data), wait, deadline)
     finally:
         sock.settimeout(wait)
-    if raw and data.startswith(_OK_HEAD) and data.endswith(_OK_TAIL):
-        return data
+    return data
+
+
+def _parse(data: bytes) -> Any:
     try:
         return parse_canonical(data)
     except MalformedMessage as exc:
         # The frame was consumed cleanly, so the stream stays usable.
         raise FrameError(str(exc), recoverable=True) from None
+
+
+def read_frame(sock: socket.socket, raw: bool = False) -> Any | None:
+    """Read one document; None on clean end of stream. Waits as
+    :func:`_receive` does. With ``raw``, an ok answer's frame comes back as
+    its bytes, unparsed."""
+    data = _receive(sock)
+    if data is None or raw and data.startswith(_OK_HEAD) and data.endswith(_OK_TAIL):
+        return data
+    return _parse(data)
+
+
+def _holder(doc: Any, path: tuple[str, ...]) -> dict | None:
+    """The map holding the value at ``path`` in ``doc``; None when ``path``
+    does not lead through maps to a value."""
+    for key in path[:-1]:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc if isinstance(doc, dict) and path[-1] in doc else None
+
+
+def _head(doc: dict, path: tuple[str, ...]) -> bytes:
+    """The canonical bytes of ``doc`` before the value at ``path``."""
+    parts = []
+    for key in path:
+        before = {k: v for k, v in doc.items() if k < key}
+        parts.append(canonical_json(before, trusted=True)[:-1] + b"," if before else b"{")
+        parts.append(b'"%s":' % key.encode())
+        doc = doc[key]
+    return b"".join(parts)
 
 
 # The calling thread's open connections: ``sockets`` maps an endpoint to
@@ -279,9 +330,17 @@ class FrameServer:
 
     The handler receives ``(kind, payload, chain_or_None)`` and returns the
     response body, a map or :class:`Encoded`; domain errors become error
-    responses by code. Each connection gets a thread that answers its
-    requests in order until the client closes it, sends a frame that leaves
-    the stream untrustworthy, or stays silent for ``IDLE_TIMEOUT`` seconds.
+    responses by code.
+
+    A service that remembers checks of presented documents in ``memo``
+    names their place in its requests, ``presented`` (such as
+    :data:`CHAIN`), and its handler gets the document there as
+    :class:`~caslite.keys.Received` bytes, cut from the frame as the module
+    docstring describes.
+
+    Each connection gets a thread that answers its requests in order until
+    the client closes it, sends a frame that leaves the stream
+    untrustworthy, or stays silent for ``IDLE_TIMEOUT`` seconds.
     Once a frame has started, all of it must arrive within
     ``FRAME_DEADLINE`` seconds, so a client that drips bytes cannot hold a
     thread. At most ``MAX_CONNECTIONS`` are open at once; a connection
@@ -295,8 +354,16 @@ class FrameServer:
     by closing its listener.
     """
 
-    def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict | Encoded]):
+    def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict | Encoded],
+                 presented: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
+                 memo: CheckedMemo | None = None):
         self._handler = handler
+        self._memo = memo
+        self._presented = None
+        if presented is not None:
+            path, followers = presented
+            self._presented = (path, b'"%s":' % path[-1].encode(),
+                               tuple(b',"%s":' % key.encode() for key in followers))
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._stopping = False
@@ -307,7 +374,10 @@ class FrameServer:
                 self.request.settimeout(IDLE_TIMEOUT)
                 while True:
                     try:
-                        doc = read_frame(self.request)
+                        data = _receive(self.request)
+                        if data is None or outer._stopping:
+                            return
+                        doc = outer._take_in(data)
                     except FrameError as exc:
                         try:
                             write_frame(self.request, error_response(exc.code, exc.message))
@@ -317,8 +387,6 @@ class FrameServer:
                             continue
                         return
                     except OSError:
-                        return
-                    if doc is None or outer._stopping:
                         return
                     response = outer._dispatch(doc)
                     try:
@@ -332,7 +400,7 @@ class FrameServer:
                         return
                     # An idle connection must not keep the last request and
                     # answer alive.
-                    del doc, response
+                    del data, doc, response
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -360,6 +428,57 @@ class FrameServer:
 
         self._server = _Server(listen, _Handler)
         self._thread: threading.Thread | None = None
+
+    def _take_in(self, data: bytearray) -> Any:
+        """The request document in ``data``, its presented document, if any,
+        as :class:`~caslite.keys.Received`."""
+        if self._presented is None:
+            return _parse(data)
+        doc = self._cut(data)
+        if doc is None:
+            doc = _parse(data)
+            path = self._presented[0]
+            holder = _holder(doc, path)
+            if holder is not None:
+                value, holder[path[-1]] = holder[path[-1]], 0
+                start = len(_head(doc, path))
+                stop = start + len(data) + 1 - len(canonical_json(doc, trusted=True))
+                holder[path[-1]] = Received(data[start:stop], value)
+        return doc
+
+    def _cut(self, data: bytearray) -> Any | None:
+        """The request document with its presented document's span taken in
+        unparsed when remembered; None when the frame cannot be cut."""
+        path, lead, ends = self._presented
+        start = data.find(lead)
+        if start < 0:
+            return None
+        start += len(lead)
+        for end in ends:
+            stop = data.find(end, start)
+            if stop >= 0:
+                break
+        else:
+            return None
+        # With the lead nowhere else, the rest holds at most one key of that
+        # name, so a value at ``path`` is the placeholder after the lead.
+        if data.find(lead, stop) >= 0:
+            return None
+        try:
+            doc = parse_canonical(data[:start] + b"0" + data[stop:])
+        except MalformedMessage:
+            return None
+        holder = _holder(doc, path)
+        if holder is None:
+            return None
+        received = Received(data[start:stop])
+        if not self._memo.knows(received.key):
+            try:
+                received.doc = parse_canonical(received.data)
+            except MalformedMessage:
+                return None
+        holder[path[-1]] = received
+        return doc
 
     def _dispatch(self, doc: Any) -> dict | Encoded:
         if not isinstance(doc, dict) or not {"kind", "payload"} <= set(doc) \

@@ -11,6 +11,7 @@ from caslite.cache import CacheConfig, CacheServer, StatementCache
 from caslite.canonical import canonical_json, parse_canonical
 from caslite.credentials import chain_to_map
 from caslite.errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
+from caslite.keys import generate_keys
 from caslite.statements import (
     sign_statement,
     statement_from_map,
@@ -254,5 +255,34 @@ def test_mirror_refuses_a_statement_for_another_query(world):
         for source.doc in [*misbound_answers(world).values(), expired]:
             assert cache.refresh(now) == {"updated": [], "failed": [PULLED]}
             assert cache.serve_cached(PULLED, now) is kept
+    finally:
+        source.close()
+
+
+def test_mirror_with_the_authority_key_refuses_a_badly_signed_refresh(world):
+    """Given the authority's key, a refresh answered unsigned, signed by
+    another key, or with one signature digit changed counts as failed, and
+    the mirror keeps serving its last good entry; a good answer replaces it."""
+    now = int(time.time())
+    good = answer_frame(world.cas.keys, PULLED, {"listing": {}}, now)
+    source = RawSource(good)
+    try:
+        cache = StatementCache(CacheConfig(authority=source.endpoint, refresh_interval=1,
+                                           max_age=5, subscriptions=[PULLED],
+                                           authority_public=world.cas.keys.public()))
+        kept = cache.serve_cached(PULLED, now)
+        answer = parse_canonical(good)
+        statement = answer["body"]["statement"]
+        unsigned = {key: value for key, value in statement.items() if key != "signature"}
+        flipped = dict(statement, signature=format(int(statement["signature"][0], 16) ^ 1, "x")
+                       + statement["signature"][1:])
+        bad = [canonical_json(dict(answer, body={"statement": doc})) for doc in (unsigned, flipped)]
+        bad.append(answer_frame(generate_keys(), PULLED, {"listing": {}}, now))
+        for source.doc in bad:
+            assert cache.refresh(now) == {"updated": [], "failed": [PULLED]}
+            assert cache.serve_cached(PULLED, now) is kept
+        source.doc = answer_frame(world.cas.keys, PULLED, {"listing": {}}, now + 1)
+        assert cache.refresh(now) == {"updated": [PULLED], "failed": []}
+        assert cache.serve_cached(PULLED, now) is not kept
     finally:
         source.close()

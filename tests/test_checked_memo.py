@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import socket
 import struct
 import sys
@@ -20,7 +21,7 @@ import types
 
 import pytest
 
-from caslite import authz, keys, server as server_module, vault, wire
+from caslite import authz, canonical, keys, server as server_module, vault, wire
 from caslite.assertions import (
     PolicyAssertion,
     assertion_bytes,
@@ -44,10 +45,11 @@ from caslite.credentials import (
     make_ca,
     verify_chain,
 )
-from caslite.errors import AuthFailed, CasliteError, ServerError
+from caslite.errors import AuthFailed, CasliteError, MalformedMessage, ServerError
 from caslite.server import CasServer
 from caslite.vault import ObjectStore, ResourceConfig, ResourceService, VaultServer
 
+from test_wire import _mutations
 from worldlib import ALICE, BOB, CAS, DAY, NOW
 
 OBJ = "vo://esg/data/public/a.nc"
@@ -196,6 +198,10 @@ def _raw_answer(sock, data):
     sock.sendall(struct.pack(">I", len(data)) + data)
     response = wire.read_frame(sock)
     assert response is not None
+    return _answer(response)
+
+
+def _answer(response):
     if not response["ok"]:
         return response["error"]["code"], response["error"]["message"]
     body = response["body"]
@@ -518,3 +524,164 @@ def test_concurrent_requests_agree_with_cold_checks(world):
     assert not wrong
     assert [d.allow for d in expected] == [True, False, False, True, False, False]
     assert len(service._checked._entries) == 2
+
+
+# --- intake from the received bytes ----------------------------------------------------------
+
+def _intake_cases(world, cas_server):
+    """(service, a fresh server, a push request as the benchmark sends it,
+    its presented document) for each service that keeps a memo."""
+    chain = chain_to_map(alice_chain(world))
+    caller = chain_to_map(world.proxy("alice"))
+    assertion = assertion_to_map(alice_assertion(world, lifetime=DAY))
+    store = ObjectStore({OBJ: b"x"})
+    return [
+        ("vault", lambda: VaultServer(("127.0.0.1", 0), ResourceService(push_config(world), store)),
+         {"kind": "read", "payload": {"path": OBJ}, "chain": chain}, chain),
+        ("authz", lambda: AuthzServer(("127.0.0.1", 0), authz_config(world)),
+         {"kind": "decide", "payload": decide_payload(assertion)}, assertion),
+        ("authority", lambda: CasServer(cas_server.config),
+         {"kind": "get_credential", "payload": {"mode": "assertion"}, "chain": caller}, caller),
+    ]
+
+
+def _memo(server):
+    return getattr(server, "service", server)._checked
+
+
+def _surrounding_faults(request):
+    """The canonical frame of ``request`` with one fault outside its presented
+    document."""
+    data = canonical_json(request)
+    kind = canonical_json({"kind": request["kind"]})[1:-1]
+    yield "space after a colon", data.replace(b'"kind":', b'"kind": ', 1)
+    yield "keys out of order", b"{" + b",".join(
+        canonical_json({key: request[key]})[1:-1] for key in sorted(request, reverse=True)) + b"}"
+    yield "duplicate kind", data.replace(kind, kind + b"," + kind, 1)
+    yield "trailing space", data + b" "
+    yield "trailing document", data + b"{}"
+
+
+def _whole_answer(server, data):
+    """The answer ``server`` gives ``data`` when it parses the frame whole and
+    remembers nothing: a framing error, or its handler's answer to the
+    parsed request."""
+    try:
+        doc = canonical.parse_canonical(data)
+    except MalformedMessage as exc:
+        return "MalformedRequest", str(exc)
+    _memo(server)._entries.clear()
+    return _answer(server._dispatch(doc))
+
+
+def test_remembered_document_in_a_non_canonical_frame_is_refused(world, cas_server):
+    """A frame whose presented document is remembered, but whose bytes around
+    it are not canonical, gets the framing error a cold service gives, never
+    an answer."""
+    for name, make, request, doc in _intake_cases(world, cas_server):
+        warm, cold = make(), make()
+        warm.start()
+        cold.start()
+        try:
+            with socket.create_connection(warm.endpoint, timeout=10) as hot, \
+                    socket.create_connection(cold.endpoint, timeout=10) as fresh:
+                assert _raw_answer(hot, canonical_json(request))[0] == "allow", name
+                assert _memo(warm).knows(keys.digest(canonical_json(doc))), name
+                for fault, data in _surrounding_faults(request):
+                    got = _raw_answer(hot, data)
+                    assert got[0] == "MalformedRequest", (name, fault, got)
+                    assert got == _raw_answer(fresh, data) == _whole_answer(cold, data), \
+                        (name, fault)
+                assert _raw_answer(hot, canonical_json(request))[0] == "allow", name
+        finally:
+            warm.stop()
+            cold.stop()
+
+
+def _elsewhere(request, doc):
+    """Canonical frames that carry ``doc`` at a place other than the one a
+    service takes its presented document from, with none there."""
+    if "chain" in request:
+        yield canonical_json({**request, "a": {"chain": doc, "kind": 1}, "chain": 0})
+        yield canonical_json({**request, "payload": {**request["payload"],
+                                                     "chain": doc, "kind": 1}})
+    else:
+        payload = {**request["payload"], "action": {"assertion": doc, "identity": ALICE},
+                   "assertion": 0}
+        yield canonical_json({**request, "payload": payload})
+
+
+def test_mutated_push_frames_answer_warm_as_cold(world, cas_server):
+    """Byte-mutated push requests, and requests carrying the presented
+    document at another place, get the same answer from a service that
+    remembers the unmutated document, from one that remembers nothing, and
+    from parsing the frame whole; never ``Internal``."""
+    rng = random.Random(20261019)
+    for name, make, request, doc in _intake_cases(world, cas_server):
+        warm, cold = make(), make()
+        warm.start()
+        cold.start()
+        try:
+            with socket.create_connection(warm.endpoint, timeout=10) as hot, \
+                    socket.create_connection(cold.endpoint, timeout=10) as fresh:
+                assert _raw_answer(hot, canonical_json(request))[0] == "allow", name
+                frames = [*_mutations(rng, canonical_json(request), 100), *_elsewhere(request, doc)]
+                for data in frames:
+                    if not data:
+                        continue  # a zero-length frame closes the connection by design
+                    _memo(cold)._entries.clear()
+                    got = _raw_answer(hot, data)
+                    assert got == _raw_answer(fresh, data) == _whole_answer(cold, data), \
+                        (name, data)
+                    assert got[0] != "Internal", (name, data, got)
+                assert _memo(warm).knows(keys.digest(canonical_json(doc))), name
+        finally:
+            warm.stop()
+            cold.stop()
+
+
+def test_remembered_request_neither_parses_nor_encodes_its_document(world, cas_server,
+                                                                   monkeypatch):
+    """On a remembered request, the service parses one document, the frame
+    around the presented one, and no ``parse_canonical`` or
+    ``canonical_json`` call gets the presented document's bytes or map."""
+    for name, make, request, doc in _intake_cases(world, cas_server):
+        span = canonical_json(doc)
+        calls = []
+        server = make()
+        server.start()
+        try:
+            with socket.create_connection(server.endpoint, timeout=10) as sock:
+                assert _raw_answer(sock, canonical_json(request))[0] == "allow", name
+                with monkeypatch.context() as patch:
+                    _record_canonical(patch, calls)
+                    assert _raw_answer(sock, canonical_json(request))[0] == "allow", name
+        finally:
+            server.stop()
+        served = [(fn, arg, out) for fn, thread, arg, out in calls
+                  if thread != threading.get_ident()]
+        parsed = [arg for fn, arg, _ in served if fn == "parse_canonical"]
+        assert len(parsed) == 1 and span not in bytes(parsed[0]), (name, parsed)
+        encoded = [(arg, out) for fn, arg, out in served if fn == "canonical_json"]
+        assert encoded, name
+        for arg, out in encoded:
+            assert arg != doc and span not in out, name
+
+
+def _record_canonical(patch, calls):
+    """Record each ``parse_canonical`` and ``canonical_json`` call made
+    through any module of the package: (name, thread, argument, result)."""
+    originals = {"parse_canonical": canonical.parse_canonical,
+                 "canonical_json": canonical.canonical_json}
+
+    def recording(name, fn):
+        def wrapper(value, *args, **kwargs):
+            out = fn(value, *args, **kwargs)
+            calls.append((name, threading.get_ident(), value, out))
+            return out
+        return wrapper
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("caslite.") and m]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                patch.setattr(module, name, recording(name, fn))

@@ -67,7 +67,7 @@ def stack(world, tmp_path):
               "--authority", f"127.0.0.1:{ports['server']}",
               "--refresh", 1, "--max-age", 30,
               "--subscriptions", tmp_path / "subscriptions.json",
-              "--chain", tmp_path / "alice.proxy"),
+              "--chain", tmp_path / "alice.proxy", "--cas-key", paths["cas_public"]),
         spawn("caslite.vault", "--listen", f"127.0.0.1:{ports['vault']}",
               "--site", paths["site"], "--cas-key", paths["cas_public"],
               "--mode", "pull", "--pull-source", f"127.0.0.1:{ports['server']}",
