@@ -152,7 +152,7 @@ class AuthzServer(wire.FrameServer):
                 cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
             )
         self._checked = CheckedMemo()
-        super().__init__(listen, self.handle, ASSERTION, self._checked)
+        super().__init__(listen, self.handle, (ASSERTION, self._checked))
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":

@@ -53,8 +53,8 @@ class CacheConfig:
     authority_public: KeyMaterial | None = None
 
     def __post_init__(self) -> None:
-        if not self.refresh_interval < self.max_age:
-            raise MalformedMessage("refresh_interval must be smaller than max_age")
+        if not 0 < self.refresh_interval < self.max_age:
+            raise MalformedMessage("refresh_interval must be positive and smaller than max_age")
 
 
 class StatementCache:

@@ -43,10 +43,7 @@ def canonical_json(value: Any, *, trusted: bool = False) -> bytes:
       ``policy._fragment`` each grant ref's and listing entry's
       ``"key":[...]`` fragment, built from checked ``Right`` objects;
     - :func:`parse_canonical` re-encodes what ``json.loads`` just built, which
-      holds no float and, when the bytes hold no ``null``, no None;
-    - :class:`wire.FrameServer` encodes the parts around a presented document
-      of a request frame that :func:`parse_canonical` returned whole, to find
-      the document's byte span; the document itself is never encoded.
+      holds no float and, when the bytes hold no ``null``, no None.
     """
     if not trusted:
         _check(value)
@@ -113,9 +110,9 @@ def fields(doc: Any, what: str, required: AbstractSet[str],
 
 
 def expect(value: Any, kind: type, what: str) -> Any:
-    """``value`` when it is an instance of ``kind``; otherwise
-    :class:`MalformedMessage` naming ``what``."""
-    if not isinstance(value, kind):
+    """``value`` when it is an instance of ``kind``, where a JSON boolean is
+    no ``int``; otherwise :class:`MalformedMessage` naming ``what``."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         raise MalformedMessage(f"{what} must be a {kind.__name__}")
     return value
 

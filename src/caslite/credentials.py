@@ -63,8 +63,8 @@ CHAIN_TAG = "CHAIN"
 
 
 def _check_interval(not_before: Any, not_after: Any) -> None:
-    if not isinstance(not_before, int) or not isinstance(not_after, int):
-        raise MalformedMessage("validity bounds must be integer timestamps")
+    expect(not_before, int, "not_before")
+    expect(not_after, int, "not_after")
     if not not_before < not_after:
         raise MalformedMessage(f"empty validity interval [{not_before}, {not_after})")
 

@@ -78,18 +78,18 @@ def digest(data: bytes) -> bytes:
 
 
 class Received:
-    """A presented document as the bytes that arrived: ``data``, its
-    canonical form, cut from a request frame (see
-    :class:`~caslite.wire.FrameServer`); ``key``, their :func:`digest`; and
-    ``doc``, what :func:`~caslite.canonical.parse_canonical` made of them,
-    or None while they are unparsed."""
+    """A presented document as canonical bytes: ``data``, cut from a request
+    frame (see :class:`~caslite.wire.FrameServer`) or encoded from a map by
+    :meth:`CheckedMemo.recall`; ``key``, their :func:`digest`; and ``doc``,
+    what :func:`~caslite.canonical.parse_canonical` made of them, or None
+    while they are unparsed."""
 
     __slots__ = ("data", "key", "doc")
 
-    def __init__(self, data: bytes, doc: Any = None):
+    def __init__(self, data: bytes):
         self.data = data
         self.key = digest(data)
-        self.doc = doc
+        self.doc = None
 
 
 class CheckedMemo:
@@ -112,10 +112,11 @@ class CheckedMemo:
     def recall(self, doc: Received | Any, check: Callable[[Any], Any]) -> Any:
         """``check`` of the parsed document, remembered when it returns; a
         check that raises is run again next time. ``doc`` is
-        :class:`Received`, or a map given in process, which is encoded
-        first. A remembered document is neither parsed nor encoded; on a
-        miss, ``check`` gets the parse of the keyed bytes, which a
-        :class:`Received` ``doc`` keeps."""
+        :class:`Received`, or a map, which is encoded first: one given in
+        process, or one from a request frame parsed whole, whose canonical
+        form is its span of the frame. A remembered :class:`Received` is
+        neither parsed nor encoded; on a miss, ``check`` gets the parse of
+        the keyed bytes, which ``doc`` keeps."""
         if not isinstance(doc, Received):
             doc = Received(canonical_json(doc))
         with self._lock:

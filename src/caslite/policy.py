@@ -631,7 +631,7 @@ def db_from_map(doc: Any) -> VOPolicyDatabase:
            {"vo_name", "owner", "members", "groups", "grants", "admin_caps", "revision"})
     if not isinstance(doc["vo_name"], str) or not doc["vo_name"]:
         raise MalformedMessage("vo_name must be a non-empty string")
-    if not isinstance(doc["revision"], int) or doc["revision"] < 0:
+    if expect(doc["revision"], int, "revision") < 0:
         raise MalformedMessage("revision must be a non-negative integer")
     members = set_of(validate_identity, doc["members"], "members")
     groups = {

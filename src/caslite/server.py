@@ -29,7 +29,7 @@ from .assertions import (
     issue_assertion,
     issue_restricted_proxy,
 )
-from .canonical import fields
+from .canonical import expect, fields
 from .credentials import (
     chain_from_map,
     chain_to_map,
@@ -119,7 +119,7 @@ class CasServer(wire.FrameServer):
         self._write_lock = threading.Lock()
         audit_path = config.audit_path or Path(str(config.db_path) + ".audit")
         self._audit = AuditLog(audit_path)
-        super().__init__(config.listen, self.handle, wire.CHAIN, self._checked)
+        super().__init__(config.listen, self.handle, (wire.CHAIN, self._checked))
 
     @property
     def identity(self) -> Identity:
@@ -175,9 +175,7 @@ class CasServer(wire.FrameServer):
         third parties."""
         fields(payload, "get_credential payload", {"mode"},
                {"lifetime", "assertion_mode", "requested"})
-        lifetime = payload.get("lifetime", self.config.default_lifetime)
-        if not isinstance(lifetime, int):
-            raise MalformedMessage("lifetime must be an integer number of seconds")
+        lifetime = expect(payload.get("lifetime", self.config.default_lifetime), int, "lifetime")
         db = self._db
         now = int(time.time())
         requested = rights_from_list(payload["requested"]) if "requested" in payload else None

@@ -75,7 +75,7 @@ from .statements import StatementFetcher, listing_rights
 PULL_NAMESPACE = "vo://**"
 
 # A presented chain: parsed, its bytes as a request frame carried them, or its
-# map given in process.
+# map, given in process or from a request frame parsed whole.
 Presented = CredentialChain | Received | dict
 
 
@@ -266,18 +266,13 @@ def vouch(cfg: ResourceConfig, chain: CredentialChain, push: bool) -> Vouched:
 
 
 def enforce(
-    cfg: ResourceConfig,
-    chain: CredentialChain | Vouched,
-    action: str,
-    obj: str,
-    now: int,
+    cfg: ResourceConfig, vouched: Vouched, action: str, obj: str, now: int
 ) -> EnforcementDecision:
-    """Push mode: the community half travels in ``chain``, as an embedded
-    assertion or as a chain the community server issued itself. A
-    :class:`Vouched` chain has passed :func:`vouch` already, so only the
-    clock checks, the subject binding and the decision run."""
+    """Push mode: the community half travels in the presented chain, as an
+    embedded assertion or as a chain the community server issued itself.
+    The chain has passed :func:`vouch` already, so only the clock checks,
+    the subject binding and the decision run."""
     try:
-        vouched = chain if isinstance(chain, Vouched) else vouch(cfg, chain, push=True)
         _credential("chain rejected", check_windows, vouched.chain.windows, now)
         return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
                      obj, now, assertion=vouched.assertion, group_rights=cfg.group_rights,
@@ -287,19 +282,14 @@ def enforce(
 
 
 def pull_authorize(
-    cfg: ResourceConfig,
-    chain: CredentialChain | Vouched,
-    action: str,
-    obj: str,
-    now: int,
+    cfg: ResourceConfig, vouched: Vouched, action: str, obj: str, now: int,
     fetcher: StatementFetcher,
 ) -> EnforcementDecision:
-    """Pull mode: authenticate a bare user chain and authorize it from a
-    fetched rights listing. Raises SourceUnavailable/StaleStatement when no
-    trustworthy listing can be had; both amount to deny. A :class:`Vouched`
-    chain is taken as :func:`enforce` takes it."""
+    """Pull mode: authorize a vouched bare user chain, as :func:`enforce`
+    takes it, from a fetched rights listing. Raises
+    SourceUnavailable/StaleStatement when no trustworthy listing can be had;
+    both amount to deny."""
     try:
-        vouched = chain if isinstance(chain, Vouched) else vouch(cfg, chain, push=False)
         _credential("chain rejected", check_windows, vouched.chain.windows, now)
         return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
                      obj, now, fetcher=fetcher)
@@ -351,15 +341,17 @@ class ResourceService:
 
     def authorize(self, chain: Presented, action: str, obj: str, now: int) -> EnforcementDecision:
         push = self.cfg.mode == "push"
-        if not isinstance(chain, CredentialChain):
-            try:
-                chain = self._checked.recall(
+        try:
+            if isinstance(chain, CredentialChain):
+                vouched = vouch(self.cfg, chain, push)
+            else:
+                vouched = self._checked.recall(
                     chain, lambda doc: vouch(self.cfg, chain_from_map(doc), push))
-            except DeniedError as exc:
-                return exc.decision
+        except DeniedError as exc:
+            return exc.decision
         if push:
-            return enforce(self.cfg, chain, action, obj, now)
-        return pull_authorize(self.cfg, chain, action, obj, now, self._fetcher)
+            return enforce(self.cfg, vouched, action, obj, now)
+        return pull_authorize(self.cfg, vouched, action, obj, now, self._fetcher)
 
     def _authorize_or_raise(self, chain: Presented, action: str, obj: str, now: int) -> None:
         decision = self.authorize(chain, action, obj, now)
@@ -396,7 +388,7 @@ class VaultServer(wire.FrameServer):
 
     def __init__(self, listen: wire.Endpoint, service: ResourceService):
         self.service = service
-        super().__init__(listen, self.handle, wire.CHAIN, service._checked)
+        super().__init__(listen, self.handle, (wire.CHAIN, service._checked))
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":

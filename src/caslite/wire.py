@@ -20,8 +20,10 @@ when that ``"key":`` occurs nowhere else, the rest parses as canonical with
 a value at the place (which can then only be the placeholder), and the span
 is bytes the service's memo knows or parses as canonical itself. A
 remembered span is neither decoded nor encoded. A frame that cannot be cut
-so, a wrong guess included, is parsed whole and the span sliced from it, so
-every frame gets the answer a service without a memo gives.
+so, a wrong guess included, is parsed whole and its presented document
+handed on as a map, so every frame gets the answer a service without a memo
+gives. The memo encodes such a map to key it, and a canonical frame's
+document encodes to exactly its span, so both intakes key a document alike.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _OK_HEAD, _OK_TAIL = b'{"body":', b',"ok":true}'
 # Where a presented document sits in a request frame: the keys that lead to
 # it, and the keys that can follow it in its map, in sorted order. A
 # caller's chain is the first key of the request, before ``kind``.
+Place = tuple[tuple[str, ...], tuple[str, ...]]
 CHAIN = (("chain",), ("kind",))
 
 
@@ -196,17 +199,6 @@ def _holder(doc: Any, path: tuple[str, ...]) -> dict | None:
     return doc if isinstance(doc, dict) and path[-1] in doc else None
 
 
-def _head(doc: dict, path: tuple[str, ...]) -> bytes:
-    """The canonical bytes of ``doc`` before the value at ``path``."""
-    parts = []
-    for key in path:
-        before = {k: v for k, v in doc.items() if k < key}
-        parts.append(canonical_json(before, trusted=True)[:-1] + b"," if before else b"{")
-        parts.append(b'"%s":' % key.encode())
-        doc = doc[key]
-    return b"".join(parts)
-
-
 # The calling thread's open connections: ``sockets`` maps an endpoint to
 # (socket, time of its last answer).
 _pool = threading.local()
@@ -332,11 +324,11 @@ class FrameServer:
     response body, a map or :class:`Encoded`; domain errors become error
     responses by code.
 
-    A service that remembers checks of presented documents in ``memo``
-    names their place in its requests, ``presented`` (such as
-    :data:`CHAIN`), and its handler gets the document there as
-    :class:`~caslite.keys.Received` bytes, cut from the frame as the module
-    docstring describes.
+    A service that remembers checks of presented documents passes
+    ``presented``: their place in its requests (such as :data:`CHAIN`) and
+    its :class:`~caslite.keys.CheckedMemo`. Its handler gets the document
+    there as :class:`~caslite.keys.Received` bytes when the frame is cut as
+    the module docstring describes, and as a map when it is parsed whole.
 
     Each connection gets a thread that answers its requests in order until
     the client closes it, sends a frame that leaves the stream
@@ -355,15 +347,13 @@ class FrameServer:
     """
 
     def __init__(self, listen: Endpoint, handler: Callable[[str, dict, Any], dict | Encoded],
-                 presented: tuple[tuple[str, ...], tuple[str, ...]] | None = None,
-                 memo: CheckedMemo | None = None):
+                 presented: tuple[Place, CheckedMemo] | None = None):
         self._handler = handler
-        self._memo = memo
         self._presented = None
         if presented is not None:
-            path, followers = presented
+            (path, followers), memo = presented
             self._presented = (path, b'"%s":' % path[-1].encode(),
-                               tuple(b',"%s":' % key.encode() for key in followers))
+                               tuple(b',"%s":' % key.encode() for key in followers), memo)
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._stopping = False
@@ -430,26 +420,15 @@ class FrameServer:
         self._thread: threading.Thread | None = None
 
     def _take_in(self, data: bytearray) -> Any:
-        """The request document in ``data``, its presented document, if any,
-        as :class:`~caslite.keys.Received`."""
-        if self._presented is None:
-            return _parse(data)
-        doc = self._cut(data)
-        if doc is None:
-            doc = _parse(data)
-            path = self._presented[0]
-            holder = _holder(doc, path)
-            if holder is not None:
-                value, holder[path[-1]] = holder[path[-1]], 0
-                start = len(_head(doc, path))
-                stop = start + len(data) + 1 - len(canonical_json(doc, trusted=True))
-                holder[path[-1]] = Received(data[start:stop], value)
-        return doc
+        """The request document in ``data``: cut, with its presented document
+        as :class:`~caslite.keys.Received`, or else parsed whole."""
+        doc = self._cut(data) if self._presented is not None else None
+        return _parse(data) if doc is None else doc
 
     def _cut(self, data: bytearray) -> Any | None:
         """The request document with its presented document's span taken in
         unparsed when remembered; None when the frame cannot be cut."""
-        path, lead, ends = self._presented
+        path, lead, ends, memo = self._presented
         start = data.find(lead)
         if start < 0:
             return None
@@ -472,7 +451,7 @@ class FrameServer:
         if holder is None:
             return None
         received = Received(data[start:stop])
-        if not self._memo.knows(received.key):
+        if not memo.knows(received.key):
             try:
                 received.doc = parse_canonical(received.data)
             except MalformedMessage:

@@ -40,8 +40,9 @@ def cache(world, cas_server):
 
 
 def test_config_requires_refresh_below_max_age():
-    with pytest.raises(MalformedMessage):
-        CacheConfig(authority="x:1", refresh_interval=5, max_age=5)
+    for refresh_interval in (5, 0, -1):
+        with pytest.raises(MalformedMessage):
+            CacheConfig(authority="x:1", refresh_interval=refresh_interval, max_age=5)
 
 
 def test_subscribe_fetches_immediately(cache):
@@ -107,8 +108,12 @@ def test_entry_never_outlives_statement_expiry(world, cas_server):
     ))
     now = int(time.time())
     statement = cache.serve_cached(USER_QUERY, now)
-    with pytest.raises(StaleEntry):
-        cache.serve_cached(USER_QUERY, statement.expires_at + 1)
+    # A statement has no CLOCK_SKEW: it is served to its last second, and
+    # refused from ``expires_at`` on.
+    assert cache.serve_cached(USER_QUERY, statement.expires_at - 1) is statement
+    for now in (statement.expires_at, statement.expires_at + 1):
+        with pytest.raises(StaleEntry):
+            cache.serve_cached(USER_QUERY, now)
 
 
 def test_refresh_survives_authority_outage(world, cas_server, cache):

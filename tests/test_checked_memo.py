@@ -685,3 +685,30 @@ def _record_canonical(patch, calls):
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
                 patch.setattr(module, name, recording(name, fn))
+
+
+def test_both_intakes_key_the_memo_alike(world, cas_server, monkeypatch):
+    """A caller chain from a frame that the cut refuses, and so parsed whole,
+    is remembered under the digest of its span of the frame, so the next
+    frame with that chain is cut and parses none of it."""
+    caller = chain_to_map(world.proxy("alice"))
+    span = canonical_json(caller)
+    request = {"kind": "get_credential", "payload": {"mode": "assertion"}, "chain": caller}
+    refused = canonical_json({**request, "payload": {"chain": caller, "mode": "assertion"}})
+    server = CasServer(cas_server.config)
+    assert server._cut(bytearray(refused)) is None
+    assert not server._checked.knows(keys.digest(span))
+    calls = []
+    server.start()
+    try:
+        with socket.create_connection(server.endpoint, timeout=10) as sock:
+            assert _raw_answer(sock, refused)[0] == "MalformedMessage"
+            assert server._checked.knows(keys.digest(span))
+            with monkeypatch.context() as patch:
+                _record_canonical(patch, calls)
+                assert _raw_answer(sock, canonical_json(request))[0] == "allow"
+    finally:
+        server.stop()
+    parsed = [arg for fn, thread, arg, _ in calls
+              if fn == "parse_canonical" and thread != threading.get_ident()]
+    assert len(parsed) == 1 and span not in bytes(parsed[0]), parsed

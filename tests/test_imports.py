@@ -1,15 +1,19 @@
-"""Source hygiene: each caslite module uses every name it imports, and the
-package reads every private module-level name it defines."""
+"""Source hygiene: each caslite module uses every name it imports, the
+package reads every private module-level name it defines, and every encode
+that skips the type walk is one that ``canonical_json`` documents."""
 
 from __future__ import annotations
 
 import ast
+import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import caslite
+from caslite.canonical import canonical_json
 
 PACKAGE = Path(caslite.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -109,3 +113,58 @@ def test_the_check_sees_a_stranded_private_helper():
     }.items()}
     assert stranded_private_names(trees) == \
         ["a.py: _LEFT (line 4)", "a.py: _Unused (line 7)", "a.py: _recursive (line 5)"]
+
+
+def _trusted_encodes(node: ast.AST, function: str):
+    """(function, line) of each ``canonical_json`` call under ``node`` that
+    passes ``trusted``, or may through ``**``; ``function`` is the name of
+    the innermost ``def`` around it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call) \
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "canonical_json" \
+            and any(k.arg in ("trusted", None) and not (
+                isinstance(k.value, ast.Constant) and k.value.value is False) for k in node.keywords):
+        yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _trusted_encodes(child, function)
+
+
+def trusted_encode_faults(trees: dict, doc: str) -> list:
+    """Faults of the modules in ``trees``, by name, against ``doc``, the
+    docstring of ``canonical_json``, whose list names the functions that may
+    pass ``trusted``: as ``module.function``, or by the function alone in
+    ``canonical``. A call that passes it outside them is a fault, and so is
+    a named function of the package that makes no such call."""
+    named = {name if "." in name else "canonical." + name
+             for name in re.findall(r"`([\w.]+)`", doc[doc.index("\n- "):])}
+    defined = {f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sites = [(f"{module}.{function}", line) for module, tree in trees.items()
+             for function, line in _trusted_encodes(tree, "<module>")]
+    faults = [f"{where} (line {line}) is not in the list" for where, line in sites
+              if where not in named]
+    faults += [f"{name} makes no trusted encode"
+               for name in named & defined - {where for where, _ in sites}]
+    return sorted(faults)
+
+
+def test_every_trusted_encode_is_documented():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert trusted_encode_faults(trees, inspect.getdoc(canonical_json)) == []
+
+
+def test_the_check_sees_an_undocumented_trusted_encode():
+    doc = "Encode.\n\n- :func:`parse_canonical` re-encodes;\n- ``wire._gone`` and ``Right``.\n"
+    trees = {name: ast.parse(source) for name, source in {
+        "canonical": "def parse_canonical(data):\n    return canonical_json(data, trusted=True)\n",
+        "wire": ("def _gone():\n    return canonical_json({}, trusted=False)\n"
+                 "class Server:\n    def take(self, doc):\n"
+                 "        return canonical.canonical_json(doc, trusted=True)\n"
+                 "HEAD = canonical_json({}, **{'trusted': True})\n"),
+    }.items()}
+    assert trusted_encode_faults(trees, doc) == [
+        "wire.<module> (line 6) is not in the list",
+        "wire._gone makes no trusted encode",
+        "wire.take (line 5) is not in the list",
+    ]

@@ -25,7 +25,7 @@ from caslite.credentials import (
     link_from_map,
     link_to_map,
 )
-from caslite.errors import CasliteError
+from caslite.errors import CasliteError, MalformedMessage
 from caslite.keys import generate_keys, key_from_map, key_to_map
 from caslite.policy import (
     AdminCapability,
@@ -182,3 +182,27 @@ def test_mutated_documents_raise_only_domain_errors(server, name, data):
                 reader(mutant)
             except CasliteError:
                 pass
+
+
+# reader name -> the integer fields of its documents
+INTEGER_FIELDS = {
+    "assertion_from_map": ("serial", "db_revision", "not_before", "not_after"),
+    "eec_from_map": ("not_before", "not_after"),
+    "link_from_map": ("not_before", "not_after"),
+    "statement_from_map": ("issued_at", "expires_at"),
+    "db_from_map": ("revision",),
+    "handle_get_credential": ("lifetime",),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_json_true_is_no_integer(server, name):
+    """``true`` in an integer field is refused, although Python's ``bool`` is
+    an ``int``: a ``lifetime`` of ``true`` would otherwise issue a one-second
+    assertion, and a database file with ``"revision":true`` would load."""
+    reader, valid = {**PURE_READERS, **_server_readers(server)}[name]
+    for doc in valid:
+        reader(doc)
+        for field in INTEGER_FIELDS[name]:
+            with pytest.raises(MalformedMessage, match=field):
+                reader({**doc, field: True})

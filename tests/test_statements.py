@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from caslite import statements, wire
 from caslite.canonical import canonical_json
-from caslite.errors import MalformedMessage, SourceUnavailable, StaleStatement
+from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
 from caslite.keys import generate_keys, sign_payload
 from caslite.policy import rights_from_list
 from caslite.statements import (
@@ -237,8 +237,13 @@ def test_fetcher_distinguishes_stale_from_unavailable(flaky_source, authority_ke
     )
     first = fetcher.current(NOW)
     flaky_source.down = True
-    with pytest.raises(StaleStatement):
-        fetcher.current(first.expires_at + 1)  # had one, now expired
+    # A statement has no CLOCK_SKEW: it is served to its last second, and
+    # refused from ``expires_at`` on once its refresh fails, which keeps it.
+    assert fetcher.current(first.expires_at - 1) is first
+    for now in (first.expires_at, first.expires_at + 1):
+        with pytest.raises(StaleStatement):
+            fetcher.current(now)  # had one, now expired
+    assert fetcher.current(first.expires_at - 1) is first
     with pytest.raises(SourceUnavailable):
         fresh.current(NOW)  # never had one
 
@@ -355,18 +360,42 @@ class _TruncatingSource:
 def test_truncated_listing_frame_fails_closed(authority_keys, monkeypatch, cached, stall):
     """A source that sends half a listing frame never yields a statement: the
     fetcher raises SourceUnavailable with nothing cached and StaleStatement
-    with an expired statement cached, within the frame deadline."""
+    with an expired statement cached, within the frame deadline. Eight
+    callers that arrive while a stalled fetch is open share it, and each
+    fails closed as a lone caller does."""
     monkeypatch.setattr(wire, "FRAME_DEADLINE", 0.5)
     source = _TruncatingSource(authority_keys, whole=int(cached), stall=stall)
+    expected = StaleStatement if cached else SourceUnavailable
     try:
         fetcher = StatementFetcher(source.endpoint, "vo://esg/data/**", authority_keys.public())
         now = fetcher.current(NOW).expires_at + 1 if cached else NOW
-        for _ in range(3):
-            started = time.monotonic()
-            with pytest.raises(StaleStatement if cached else SourceUnavailable):
-                fetcher.current(now)
-            assert time.monotonic() - started < wire.FRAME_DEADLINE + 1.0
-        assert source.requests == 3 + int(cached)
+        rounds = 0
+        for callers in (1, 8) if stall else (1,):
+            for _ in range(3):
+                start, results = threading.Barrier(callers), []
+
+                def call():
+                    start.wait(timeout=10)
+                    started = time.monotonic()
+                    try:
+                        fetcher.current(now)
+                    except CasliteError as exc:
+                        results.append((exc, time.monotonic() - started))
+
+                # This thread is one of the callers, so a lone caller reuses
+                # the connection it fetched the cached statement on.
+                threads = [threading.Thread(target=call) for _ in range(callers - 1)]
+                for t in threads:
+                    t.start()
+                call()
+                for t in threads:
+                    t.join(timeout=30)
+                assert len(results) == callers
+                for exc, elapsed in results:
+                    assert type(exc) is expected
+                    assert elapsed < wire.FRAME_DEADLINE + 1.0
+                rounds += 1
+                assert source.requests == rounds + int(cached)
     finally:
         source.close()
 
