@@ -176,15 +176,16 @@ _VALID = AssertionVerdict(ok=True)
 @dataclass(frozen=True, slots=True)
 class CheckedAssertion:
     """What an assertion's time-free checks (:func:`check_assertion`)
-    establish: its subject, mode, window and content, without the signature,
-    serial or issuer that were checked."""
+    establish: its subject, window and the rights it asserts at the service
+    that checked it, without the signature, serial or issuer that were
+    checked. A membership assertion's ``rights`` are its groups' rights at
+    that service, or None where the service maps no groups (see
+    :func:`caslite.vault.vouch_assertion`)."""
 
     subject: Identity
-    mode: str
     not_before: int
     not_after: int
     rights: frozenset | None
-    groups: frozenset | None
 
 
 def check_assertion(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature
@@ -41,11 +41,17 @@ CHECKED_MEMO_SIZE = 1024
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """A public key plus, for the holder, the matching private part."""
+    """A public key plus, for the holder, the matching private part.
+
+    ``_signer`` is the private key object :func:`sign_payload` builds from
+    ``private_part`` on first use and keeps; it takes no part in equality,
+    hashing or repr."""
 
     algorithm_id: str
     public_part: bytes
     private_part: bytes | None = None
+    _signer: Ed25519PrivateKey | None = field(default=None, init=False, compare=False,
+                                              repr=False)
 
     def public(self) -> "KeyMaterial":
         if self.private_part is None:
@@ -67,7 +73,11 @@ def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
         raise CasliteError(f"unsupported signature algorithm {keys.algorithm_id!r}")
     if keys.private_part is None:
         raise CasliteError("private key material required for signing")
-    return Ed25519PrivateKey.from_private_bytes(keys.private_part).sign(payload)
+    signer = keys._signer
+    if signer is None:
+        signer = Ed25519PrivateKey.from_private_bytes(keys.private_part)
+        object.__setattr__(keys, "_signer", signer)
+    return signer.sign(payload)
 
 
 def digest(data: bytes) -> bytes:

@@ -15,8 +15,10 @@ without the wildcard match one concrete path exactly.
 
 Each pattern is parsed once: a :class:`Right` keeps its (scheme, segments,
 wildcard) from construction, and ``decide`` parses the request object once,
-so matching, covering and intersecting only compare tuples. The functions
-taking pattern strings parse them and share the same matcher.
+so covering and intersecting only compare tuples. The functions taking
+pattern strings parse them and share the same matcher. ``decide`` matches a
+request through a :class:`RightsSet`'s per-action prefix index instead, so
+its cost follows the request path's depth, not the number of rights.
 """
 
 from __future__ import annotations
@@ -165,12 +167,58 @@ def _by_action(rights: Iterable[Right]) -> dict[str, list[Right]]:
     return out
 
 
-def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:
-    """``target`` is an already validated concrete path."""
-    for right in rights:
-        if right.action == action and _covers(right, target):
+# A RightsSet index's kinds of right on one segments tuple, as bits.
+_EXACT, _PREFIX = 1, 2
+
+
+class RightsSet(frozenset):
+    """A frozenset of :class:`Right` that keeps a per-action prefix index of
+    itself, built on its first :meth:`matches`: for each action and scheme,
+    the rights' ``segments``, each with the bits of its kinds (exact,
+    wildcard prefix). A concrete target then costs one exact lookup and at
+    most one prefix lookup per segment plus one, however many rights the
+    set holds.
+
+    Equality, hashing and iteration are frozenset's, and set operations on
+    it return plain frozensets. :func:`rights_from_list` hands these out, and
+    so does every memo of asserted rights (listing entries, remembered
+    assertions and restrictions), so a set that is kept is indexed once."""
+
+    __slots__ = ("_index",)
+
+    def matches(self, action: str, target: Pattern) -> bool:
+        """Whether some right permits ``action`` on ``target``, an already
+        validated concrete path."""
+        try:
+            index = self._index
+        except AttributeError:
+            index = {}
+            for right in self:
+                kinds = index.setdefault((right.action, right.scheme), {})
+                kinds[right.segments] = (kinds.get(right.segments, 0)
+                                         | (_PREFIX if right.wildcard else _EXACT))
+            self._index = index  # whole, for readers on other threads
+        kinds = index.get((action, target.scheme))
+        if kinds is None:
+            return False
+        segments = target.segments
+        if kinds.get(segments, 0) & _EXACT:
             return True
-    return False
+        for depth in range(len(segments) + 1):
+            if kinds.get(segments[:depth], 0) & _PREFIX:
+                return True
+        return False
+
+
+NO_RIGHTS = RightsSet()
+
+
+def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:
+    """``target`` is an already validated concrete path. A set that is not a
+    :class:`RightsSet` is indexed for this one call."""
+    if not isinstance(rights, RightsSet):
+        rights = RightsSet(rights)
+    return rights.matches(action, target)
 
 
 def intersect_rights(a: Iterable[Right], b: Iterable[Right]) -> frozenset[Right]:
@@ -203,7 +251,7 @@ def rights_to_list(rights: Iterable[Right]) -> list[dict[str, str]]:
 _RIGHT_FIELDS = frozenset({"action", "object"})
 
 
-def rights_from_list(doc: Any) -> frozenset[Right]:
+def rights_from_list(doc: Any) -> RightsSet:
     out = set()
     for item in expect(doc, list, "rights"):
         fields(item, "right entry", _RIGHT_FIELDS)
@@ -211,7 +259,7 @@ def rights_from_list(doc: Any) -> frozenset[Right]:
             out.add(Right(item["action"], item["object"]))
         except MalformedPattern as exc:
             raise MalformedMessage(str(exc)) from None
-    return frozenset(out)
+    return RightsSet(out)
 
 
 # --- the community database -----------------------------------------------------
@@ -600,6 +648,12 @@ def decide(
     and the first failure names its stage: credential (issuer unmapped),
     site_vo (site grants the community no such right), vo_user (community
     grants the user no such right), site_user (blacklist).
+
+    Both rights checks go through :meth:`RightsSet.matches`, whose index a
+    :class:`RightsSet` keeps across calls; any other set, the site's rights
+    included, is indexed for this call alone. Callers that decide often on
+    one set pass a kept :class:`RightsSet`: site rights loaded by
+    :func:`site_from_map`, and each remembered asserted set.
     """
     validate_action(action)
     target = _concrete(obj)

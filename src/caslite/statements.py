@@ -24,7 +24,7 @@ from .errors import (
     StaleStatement,
 )
 from .keys import KeyMaterial, sign_payload, verify_payload
-from .policy import rights_from_list, split_pattern, validate_identity
+from .policy import NO_RIGHTS, RightsSet, rights_from_list, split_pattern, validate_identity
 from . import wire
 from .assertions import assertion_from_map
 
@@ -138,14 +138,16 @@ def statement_from_map(doc: Any) -> SignedStatement:
     return _take_in(payload, from_hex(doc["signature"]), validate_query(doc["query"]))
 
 
-def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
+def listing_rights(statement: SignedStatement, subject: str) -> RightsSet:
     """A subject's entry in a resource_rights listing; absent means none.
 
     An entry is parsed on first use, once per statement object, and kept with
-    that object, so a refreshed statement never answers from an older listing.
-    Only the entries asked for are parsed: holding every member's rights of a
-    large listing would cost megabytes in each consumer. An entry that does
-    not parse raises :class:`MalformedMessage`."""
+    that object as a :class:`~caslite.policy.RightsSet`, with the prefix
+    index ``decide`` builds on it, so a refreshed statement never answers
+    from an older listing or its index. Only the entries asked for are
+    parsed: holding every member's rights of a large listing would cost
+    megabytes in each consumer. An entry that does not parse raises
+    :class:`MalformedMessage`."""
     memo = statement._memo
     rights = memo.by_subject.get(subject)
     if rights is not None:
@@ -154,13 +156,13 @@ def listing_rights(statement: SignedStatement, subject: str) -> frozenset:
         memo.spans = _index(statement.signing_payload())
     span = memo.spans.get(subject)
     if span is None:
-        return frozenset()
+        return NO_RIGHTS
     entry = parse_canonical(memo.payload[span[0]:span[1]])
     with memo.lock:
         rights = memo.by_subject.get(subject)
         if rights is None:
             shared = memo.shared
-            rights = frozenset(shared.setdefault(r, r) for r in rights_from_list(entry))
+            rights = RightsSet(shared.setdefault(r, r) for r in rights_from_list(entry))
             memo.by_subject[subject] = rights
     return rights
 

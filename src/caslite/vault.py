@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import threading
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -58,16 +59,15 @@ from .credentials import (
 from .errors import CasliteError, DeniedError, MalformedMessage, NotFound
 from .keys import CheckedMemo, KeyMaterial, Received
 from .policy import (
-    ACTIONS,
+    NO_RIGHTS,
     EnforcementDecision,
     Identity,
-    Right,
+    RightsSet,
     SitePolicy,
     decide,
     deny,
     load_group_rights,
     load_site,
-    split_pattern,
     validate_concrete,
 )
 from .statements import StatementFetcher, listing_rights
@@ -80,13 +80,15 @@ Presented = CredentialChain | Received | dict
 
 
 class ObjectStore:
-    """Concrete object paths to byte strings, single mutation lock."""
+    """Concrete object paths to byte strings, single mutation lock; the
+    paths are also kept sorted, for :meth:`list_under`."""
 
     def __init__(self, initial: Mapping[str, bytes] | None = None):
         self._lock = threading.Lock()
         self._objects: dict[str, bytes] = dict(initial or {})
         for path in self._objects:
             validate_concrete(path)
+        self._paths = sorted(self._objects)
 
     def read(self, path: str) -> bytes | None:
         with self._lock:
@@ -95,17 +97,26 @@ class ObjectStore:
     def write(self, path: str, data: bytes) -> None:
         validate_concrete(path)
         with self._lock:
+            if path not in self._objects:
+                insort(self._paths, path)
             self._objects[path] = data
 
     def delete(self, path: str) -> bool:
         with self._lock:
-            return self._objects.pop(path, None) is not None
+            if self._objects.pop(path, None) is None:
+                return False
+            del self._paths[bisect_left(self._paths, path)]
+            return True
 
     def list_under(self, prefix: str) -> list[str]:
+        """``prefix`` itself, if stored, then every path under ``prefix + "/"``
+        in order: those sort from ``prefix + "/"`` up to ``prefix + "0"``
+        (``"0"`` follows ``"/"``), while a sibling such as ``prefix + "-x"``
+        sorts between ``prefix`` and that range."""
         with self._lock:
-            return sorted(
-                p for p in self._objects if p == prefix or p.startswith(prefix + "/")
-            )
+            paths = self._paths
+            under = paths[bisect_left(paths, prefix + "/"):bisect_left(paths, prefix + "0")]
+            return [prefix, *under] if prefix in self._objects else under
 
 
 @dataclass
@@ -136,28 +147,24 @@ class ResourceConfig:
             raise MalformedMessage("pull mode requires a pull_source")
 
 
-def _unrestricted_for(obj: str) -> frozenset:
-    # A chain from the community server with no restriction asserts the
-    # community's full rights; model that as every action on the object's
-    # whole scheme so the decision math stays a plain intersection.
-    scheme, _, _ = split_pattern(obj)
-    return frozenset(Right(a, f"{scheme}://**") for a in ACTIONS)
-
-
 def vouch_assertion(
     assertion: PolicyAssertion,
     cas_public: KeyMaterial,
     cas_identity: Identity,
+    group_rights: Mapping[str, frozenset] | None = None,
 ) -> CheckedAssertion:
     """The time-free half of :func:`assertion_rights`: the signature and the
-    issuer. Raises :class:`DeniedError` when either fails."""
+    issuer, and the rights asserted. A membership assertion asserts the
+    union of its groups' rights in ``group_rights``, and none without
+    ``group_rights``. Raises :class:`DeniedError` when a check fails."""
     verdict = check_assertion(assertion, cas_public, cas_identity)
     if not verdict.ok:
         raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
-    return CheckedAssertion(
-        assertion.subject, assertion.mode, assertion.not_before, assertion.not_after,
-        _shared(assertion.rights), _shared(assertion.groups),
-    )
+    rights = assertion.rights
+    if assertion.mode == "membership" and group_rights is not None:
+        rights = frozenset().union(*(group_rights.get(name, ()) for name in assertion.groups))
+    return CheckedAssertion(assertion.subject, assertion.not_before, assertion.not_after,
+                            _shared(rights))
 
 
 def assertion_rights(
@@ -170,11 +177,12 @@ def assertion_rights(
 ) -> frozenset:
     """Verify a presented assertion, bind it to ``user`` and return the rights
     it asserts. A :class:`CheckedAssertion` has passed
-    :func:`vouch_assertion` already, so only its window is checked again.
-    Membership mode maps groups through ``group_rights``. Raises
-    :class:`DeniedError` when the assertion cannot vouch for ``user``."""
+    :func:`vouch_assertion` already, with the same ``group_rights``, so only
+    its window is checked again. Membership mode maps groups through
+    ``group_rights``. Raises :class:`DeniedError` when the assertion cannot
+    vouch for ``user``."""
     if isinstance(assertion, PolicyAssertion):
-        assertion = vouch_assertion(assertion, cas_public, cas_identity)
+        assertion = vouch_assertion(assertion, cas_public, cas_identity, group_rights)
     verdict = check_window(assertion.not_before, assertion.not_after, now)
     if not verdict.ok:
         raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
@@ -184,13 +192,11 @@ def assertion_rights(
             f"assertion subject {assertion.subject} does not match "
             f"authenticated identity {user}",
         ))
-    if assertion.mode == "rights":
-        return assertion.rights
-    if group_rights is None:
+    if assertion.rights is None:
         raise DeniedError(deny(
             "vo_user", "membership assertion presented but no group rights are configured"
         ))
-    return frozenset().union(*(group_rights.get(name, frozenset()) for name in assertion.groups))
+    return assertion.rights
 
 
 def judge(
@@ -222,9 +228,12 @@ def judge(
     elif community_chain is not None and community_chain.subject == cas_identity:
         # Restricted-proxy model: the only identity visible is the community
         # server's, so per-user site policy cannot distinguish the bearer.
+        # With no restriction the chain asserts the community's full rights,
+        # of which this site honours only what it grants the community: its
+        # own rights, kept indexed, keep the decision a plain intersection.
         asserted = community_chain.effective_restriction
         if asserted is None:
-            asserted = _unrestricted_for(obj)
+            asserted = site.site_rights.get(site.vo_accounts.get(cas_identity), NO_RIGHTS)
     elif fetcher is not None:
         asserted = listing_rights(fetcher.current(now), user)
     else:
@@ -261,7 +270,8 @@ def vouch(cfg: ResourceConfig, chain: CredentialChain, push: bool) -> Vouched:
     if push:
         carried = _credential("carried assertion unreadable", extract_from_proxy, chain)
         if carried is not None:
-            assertion = vouch_assertion(carried, cfg.cas_public, cfg.cas_identity)
+            assertion = vouch_assertion(carried, cfg.cas_public, cfg.cas_identity,
+                                        cfg.group_rights)
     return Vouched(checked, assertion)
 
 
@@ -297,24 +307,26 @@ def pull_authorize(
         return exc.decision
 
 
-# Rights, rights sets and group sets that remembered results share: equal
-# ones are held once, which keeps a memo's entries small. The table holds only
-# immutable values equal to the ones it hands out, so sharing it between the
-# services of one process changes no answer. Past this many entries new ones
-# are kept unshared.
+# Rights and rights sets that remembered results share: equal ones are held
+# once, which keeps a memo's entries small, and each shared set keeps its one
+# index. The table holds only immutable values equal to the ones it hands out,
+# so sharing it between the services of one process changes no answer. Past
+# this many entries new ones are kept unshared.
 SHARED_SIZE = 8192
 
 _shared_items: dict = {}
 
 
-def _shared(items: frozenset | None) -> frozenset | None:
-    if not items:
-        return items
-    shared = _shared_items.get(items)
+def _shared(rights: frozenset | None) -> RightsSet | None:
+    """``rights`` as a :class:`RightsSet` held once per process while the
+    table has room, so a remembered set is indexed once."""
+    if rights is None:
+        return None
+    shared = _shared_items.get(rights)
     if shared is None:
-        if len(_shared_items) + len(items) > SHARED_SIZE:
-            return items
-        shared = frozenset(_shared_items.setdefault(item, item) for item in items)
+        if len(_shared_items) + len(rights) > SHARED_SIZE:
+            return RightsSet(rights)
+        shared = RightsSet(_shared_items.setdefault(right, right) for right in rights)
         shared = _shared_items.setdefault(shared, shared)
     return shared
 

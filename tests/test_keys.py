@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from caslite import keys
 from caslite.keys import KeyMaterial, generate_keys, sign_payload, verify_payload
 
 PAYLOAD = b'{"caslite":"test","subject":"/O=Grid/CN=Alice","not_after":1700000000}'
@@ -35,3 +36,29 @@ def test_algorithm_check_precedes_the_signature_check():
     assert verify_payload(signer.public(), signature, PAYLOAD)
     foreign = KeyMaterial("rsa-sha256", signer.public_part)
     assert not verify_payload(foreign, signature, PAYLOAD)
+
+
+def test_signing_keeps_one_key_object(monkeypatch):
+    """The private key object is built from the private part once per
+    KeyMaterial and signs byte-identically to a freshly built one; the kept
+    object changes neither equality nor hashing."""
+    signer = generate_keys()
+    twin = KeyMaterial(signer.algorithm_id, signer.public_part, signer.private_part)
+    fresh = keys.Ed25519PrivateKey.from_private_bytes(signer.private_part)
+    builds = []
+    real = keys.Ed25519PrivateKey
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(data):
+            builds.append(data)
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(keys, "Ed25519PrivateKey", Counting)
+    for n in range(5):
+        payload = PAYLOAD + bytes([n])
+        assert sign_payload(signer, payload) == fresh.sign(payload)
+    assert builds == [signer.private_part]
+    assert signer == twin and hash(signer) == hash(twin)
+    sign_payload(twin, PAYLOAD)
+    assert len(builds) == 2

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,8 @@ from caslite.policy import (
     LISTING_NAMESPACES,
     EnforcementDecision,
     Right,
+    RightsSet,
+    SitePolicy,
     apply_admin,
     db_canonical_bytes,
     db_from_map,
@@ -331,6 +335,131 @@ def test_large_decide_agrees_with_oracle(seed, n, user):
         decision = decide(site, CAS, asserted, user, action, obj)
         expected = oracles.naive_decide(CAS, _pairs(asserted), user, action, obj)
         assert (decision.allow, decision.stage) == expected, (action, obj)
+
+
+# --- the per-action prefix index ------------------------------------------------------
+#
+# ``decide`` matches through a RightsSet's index. Sets here mix exact and
+# wildcard rights over the same segments, root wildcards, three schemes and
+# every action; each target is a pattern's own path, the path above it, one
+# below it, and a sibling whose name only extends the last segment.
+
+INDEX_SCHEMES = ["vo", "ftp", "s3"]
+INDEX_SEGMENTS = ["a", "b", "ab"]
+EVERYTHING = SitePolicy(
+    vo_accounts={CAS: "esg"},
+    site_rights={"esg": frozenset(Right(action, f"{scheme}://**")
+                                  for action in oracles.ACTIONS for scheme in INDEX_SCHEMES)},
+)
+
+
+@st.composite
+def indexed_pairs(draw):
+    pairs = set()
+    for _ in range(draw(st.integers(0, 12))):
+        action = draw(st.sampled_from(sorted(oracles.ACTIONS)))
+        scheme = draw(st.sampled_from(INDEX_SCHEMES))
+        segs = draw(st.lists(st.sampled_from(INDEX_SEGMENTS), max_size=3))
+        path = f"{scheme}://" + "/".join(segs)
+        kinds = draw(st.sampled_from(["exact", "wildcard", "both"])) if segs else "wildcard"
+        if kinds != "wildcard":
+            pairs.add((action, path))
+        if kinds != "exact":
+            pairs.add((action, path + "/**" if segs else path + "**"))
+    return sorted(pairs)
+
+
+def _index_targets(pairs) -> list[str]:
+    targets = {"vo://a", "ftp://b/ab", "s3://ab/a/b/a"}
+    for _, pattern in pairs:
+        scheme, _, rest = pattern.partition("://")
+        segs = [s for s in rest.split("/") if s != "**"]
+        for other in INDEX_SCHEMES:
+            base = f"{other}://"
+            targets.add(base + "/".join(segs + ["z"]))                  # below
+            if segs:
+                targets.add(base + "/".join(segs))                      # at
+                targets.add(base + "/".join(segs[:-1] + [segs[-1] + "x"]))  # beside
+            if len(segs) > 1:
+                targets.add(base + "/".join(segs[:-1]))                 # above
+    return sorted(targets)
+
+
+@given(pairs=indexed_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_index_agrees_with_a_naive_matcher(pairs):
+    """Through a kept RightsSet, used for every target in turn, and through a
+    fresh plain frozenset each time, ``decide`` answers as the naive string
+    matcher does."""
+    kept = rights_from_list([{"action": a, "object": o} for a, o in pairs])
+    assert isinstance(kept, RightsSet)
+    for obj in _index_targets(pairs):
+        for action in oracles.ACTIONS:
+            expected = oracles.naive_rights_match(pairs, action, obj)
+            for asserted in (kept, frozenset(rights(*pairs))):
+                decision = decide(EVERYTHING, CAS, asserted, ALICE, action, obj)
+                assert decision.allow == expected, (action, obj)
+                assert decision.stage == (None if expected else "vo_user")
+
+
+def test_decide_never_iterates_a_warm_indexed_set():
+    """Once indexed, a set of 1,000 rights answers without being walked: no
+    iteration, hit or miss."""
+    walks = []
+
+    class Watched(RightsSet):
+        __slots__ = ()
+
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    rnd = random.Random(19)
+    pairs = []
+    for i in range(1000):
+        path = "vo://" + "/".join(["esg", *rnd.choices(VOCAB, k=rnd.randrange(3)), f"n{i}"])
+        pairs.append((rnd.choice(oracles.ACTIONS), path + "/**" if i % 2 else path))
+    asserted = Watched(rights(*pairs))
+    assert len(asserted) == 1000
+    site = fixture_site()
+    requests = _random_requests(rnd, 100) + [
+        (action, path.removesuffix("/**") + "/leaf") for action, path in rnd.sample(pairs, 100)]
+    expected = [decide(site, CAS, asserted, ALICE, a, o) for a, o in requests]
+    assert walks == [1]
+    walks.clear()
+    assert [decide(site, CAS, asserted, ALICE, a, o) for a, o in requests] == expected
+    assert {d.stage for d in expected} >= {None, "vo_user"}
+    assert not walks
+
+
+def test_threads_share_a_set_while_it_is_indexed():
+    """Threads that decide on one new set at once all see a whole index: a
+    thread never answers from one that another is still building."""
+    site = fixture_site()
+    filler = [("write", f"vo://esg/data/f{i}/**") for i in range(2000)]
+    wrong, ready = [], threading.Barrier(6)
+
+    def worker(asserted):
+        ready.wait(timeout=30)
+        for obj in ("vo://esg/data/x", "vo://esg/data/public/a/b"):
+            if not decide(site, CAS, asserted, ALICE, "read", obj).allow:
+                wrong.append(obj)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            asserted = RightsSet(rights(*filler, ("read", "vo://esg/data/x"),
+                                        ("read", "vo://esg/data/public/**")))
+            threads = [threading.Thread(target=worker, args=(asserted,)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_right_from_every_path_is_the_same_value(world, tmp_path):

@@ -16,7 +16,8 @@ from caslite import statements, wire
 from caslite.canonical import canonical_json
 from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
 from caslite.keys import generate_keys, sign_payload
-from caslite.policy import rights_from_list
+from caslite.authz import DecisionQuery, decide_local
+from caslite.policy import decide, rights_from_list
 from caslite.statements import (
     StatementFetcher,
     listing_rights,
@@ -27,11 +28,12 @@ from caslite.statements import (
     verify_statement,
 )
 from caslite.canonical import parse_canonical
+from caslite.vault import ResourceConfig, ResourceService
 
 import oracles
 from test_policy import AWKWARD
 from worldlib import (
-    ALICE, BOB, CAROL, NOW, PULLED, RawSource, answer_frame, misbound_answers, raw_answer,
+    ALICE, BOB, CAROL, CAS, NOW, PULLED, RawSource, answer_frame, misbound_answers, raw_answer,
     rights, statement_bytes,
 )
 
@@ -226,6 +228,43 @@ def test_refreshed_statement_answers_from_the_new_listing(flaky_source, authorit
     assert listing_rights(second, ALICE) == frozenset()
     assert listing_rights(second, BOB) == rights(("write", "vo://esg/data/public/**"))
     assert listing_rights(first, ALICE) == rights(("read", "vo://esg/data/**"))
+
+
+def test_decisions_follow_a_refresh_that_revokes(world):
+    """The vault and the decision service deny a right as soon as a refreshed
+    listing revokes it, though each decided on the old entry's index until
+    then: an index belongs to its statement's entry."""
+    source = _FlakySource(world.cas.keys)
+    try:
+        granted = [{"action": "read", "object": "vo://esg/data/**"},
+                   {"action": "write", "object": "vo://esg/data/public/**"}]
+        source.body = {"listing": {ALICE: granted}}
+        vault = ResourceService(ResourceConfig(
+            site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+            anchors=world.anchors, mode="pull", pull_source=source.server.endpoint,
+            pull_namespace=PULLED["namespace"]))
+        fetcher = StatementFetcher(source.server.endpoint, PULLED["namespace"],
+                                   world.cas.keys.public())
+        obj = "vo://esg/data/public/a.nc"
+
+        def decisions(action, now):
+            decision = vault.authorize(world.proxy("alice"), action, obj, now)
+            answer = decide_local(DecisionQuery(ALICE, action, obj), world.site,
+                                  world.cas.keys.public(), CAS, now, fetcher)
+            assert answer.allow == decision.allow
+            return decision.allow, decision.stage, answer.reason.split(":")[0]
+
+        for _ in range(3):
+            assert decisions("read", NOW) == (True, None, "ok")
+        first = fetcher.current(NOW)
+        source.body = {"listing": {ALICE: granted[1:]}}
+        source.now = first.expires_at
+        assert decisions("read", first.expires_at + 1) == (False, "vo_user", "vo_user")
+        assert decisions("write", first.expires_at + 1) == (True, None, "ok")
+        assert fetcher.current(first.expires_at + 1) is not first
+        assert decide(world.site, CAS, listing_rights(first, ALICE), ALICE, "read", obj).allow
+    finally:
+        source.stop()
 
 
 def test_fetcher_distinguishes_stale_from_unavailable(flaky_source, authority_keys):

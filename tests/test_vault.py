@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caslite import wire
 from caslite.assertions import (
@@ -50,6 +51,37 @@ def assertion_chain(world, short, db=None, mode="rights"):
 @pytest.fixture(scope="module")
 def seeded_store():
     return {obj: f"contents of {obj}".encode() for obj in oracles.OBJECTS}
+
+
+# Paths whose names extend one another: "a/b-x" sorts between "a/b" and
+# "a/b/c", and "a/b0" just past every path under "a/b/".
+STORE_PATHS = ["vo://a", "vo://a/b", "vo://a/b-x", "vo://a/b/c", "vo://a/b/c/d", "vo://a/b0",
+               "vo://a/bc", "vo://a/c", "vo://ab", "vo://a-"]
+
+
+@given(initial=st.sets(st.sampled_from(STORE_PATHS)),
+       steps=st.lists(st.tuples(st.booleans(), st.sampled_from(STORE_PATHS)), max_size=20))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_list_under_agrees_with_a_filter(initial, steps):
+    """After any writes and deletes, ``list_under`` equals the naive sorted
+    filter of the stored paths, for every prefix."""
+    store = ObjectStore({path: b"" for path in initial})
+    stored = set(initial)
+
+    def check():
+        for prefix in STORE_PATHS:
+            expected = sorted(p for p in stored if p == prefix or p.startswith(prefix + "/"))
+            assert store.list_under(prefix) == expected, prefix
+
+    check()
+    for write, path in steps:
+        if write:
+            store.write(path, b"x")
+            stored.add(path)
+        else:
+            assert store.delete(path) == (path in stored)
+            stored.discard(path)
+        check()
 
 
 def test_alice_reads_public_data(world):
