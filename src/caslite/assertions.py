@@ -180,7 +180,7 @@ class CheckedAssertion:
     that checked it, without the signature, serial or issuer that were
     checked. A membership assertion's ``rights`` are its groups' rights at
     that service, or None where the service maps no groups (see
-    :func:`caslite.vault.vouch_assertion`)."""
+    :func:`caslite.authz.vouch_assertion`)."""
 
     subject: Identity
     not_before: int

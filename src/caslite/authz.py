@@ -1,11 +1,14 @@
-"""A local yes/no authorization service.
+"""The decision point: the one decision pipeline, and a local yes/no
+authorization service built on it.
 
-Resources that do not want community-policy logic inline can forward the
-requester's identity, attributes, request, and any presented assertion here
-and act on the answer: the decision point is factored out of the enforcement
-point. Queries are stateless apart from an optional pull-path statement
-cache, and infrastructure failures come back as deny answers with reasons
-rather than errors, so callers stay fail-closed by construction.
+:func:`judge` decides every request, wherever it is enforced: the file
+service (:mod:`caslite.vault`) calls it after checking a presented chain,
+and the decision service here calls it for resources that do not want
+community-policy logic inline. Those forward the requester's identity,
+attributes, request, and any presented assertion, and act on the answer.
+Queries are stateless apart from an optional pull-path statement cache, and
+infrastructure failures come back as deny answers with reasons rather than
+errors, so callers stay fail-closed by construction.
 
 Attributes are accepted and logged but take no part in the core decision;
 group semantics already arrive inside assertions. Deploy one of these per
@@ -14,37 +17,141 @@ resource host: the answer is only as trustworthy as the channel to it.
 
 from __future__ import annotations
 
+import argparse
 import logging
 import time
 from dataclasses import dataclass
-from typing import Any
+from pathlib import Path
+from typing import Any, Mapping
 
 from . import wire
-from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map
+from .assertions import (
+    CheckedAssertion,
+    PolicyAssertion,
+    assertion_from_map,
+    check_assertion,
+    check_window,
+)
 from .canonical import expect, fields, set_of
+from .credentials import CheckedChain, chain_to_map, load_chain
 from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
-from .keys import CheckedMemo, KeyMaterial, Received
+from .keys import CheckedMemo, KeyMaterial
 from .policy import (
+    NO_RIGHTS,
+    EnforcementDecision,
     Identity,
     SitePolicy,
+    decide,
+    deny,
+    load_site,
+    shared_rights,
     validate_action,
     validate_concrete,
     validate_identity,
 )
-from .statements import StatementFetcher
-from .vault import (
-    PULL_NAMESPACE,
-    judge,
-    service_parser,
-    service_settings,
-    vouch_assertion,
-)
+from .statements import StatementFetcher, listing_rights
 
 logger = logging.getLogger(__name__)
+
+PULL_NAMESPACE = "vo://**"
 
 # Where a presented assertion sits in a decide request (see
 # :class:`~caslite.wire.FrameServer`).
 ASSERTION = (("payload", "assertion"), ("attributes", "identity"))
+
+
+def vouch_assertion(
+    assertion: PolicyAssertion,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+    group_rights: Mapping[str, frozenset] | None = None,
+) -> CheckedAssertion:
+    """The time-free half of :func:`assertion_rights`: the signature and the
+    issuer, and the rights asserted. A membership assertion asserts the
+    union of its groups' rights in ``group_rights``, and none without
+    ``group_rights``. Raises :class:`DeniedError` when a check fails."""
+    verdict = check_assertion(assertion, cas_public, cas_identity)
+    if not verdict.ok:
+        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    rights = assertion.rights
+    if assertion.mode == "membership" and group_rights is not None:
+        rights = frozenset().union(*(group_rights.get(name, ()) for name in assertion.groups))
+    return CheckedAssertion(assertion.subject, assertion.not_before, assertion.not_after,
+                            shared_rights(rights))
+
+
+def assertion_rights(
+    assertion: PolicyAssertion | CheckedAssertion,
+    user: Identity,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+    group_rights: Mapping[str, frozenset] | None,
+    now: int,
+) -> frozenset:
+    """Verify a presented assertion, bind it to ``user`` and return the rights
+    it asserts. A :class:`CheckedAssertion` has passed
+    :func:`vouch_assertion` already, with the same ``group_rights``, so only
+    its window is checked again. Membership mode maps groups through
+    ``group_rights``. Raises :class:`DeniedError` when the assertion cannot
+    vouch for ``user``."""
+    if isinstance(assertion, PolicyAssertion):
+        assertion = vouch_assertion(assertion, cas_public, cas_identity, group_rights)
+    verdict = check_window(assertion.not_before, assertion.not_after, now)
+    if not verdict.ok:
+        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    if assertion.subject != user:
+        raise DeniedError(deny(
+            "credential",
+            f"assertion subject {assertion.subject} does not match "
+            f"authenticated identity {user}",
+        ))
+    if assertion.rights is None:
+        raise DeniedError(deny(
+            "vo_user", "membership assertion presented but no group rights are configured"
+        ))
+    return assertion.rights
+
+
+def judge(
+    site: SitePolicy,
+    cas_public: KeyMaterial,
+    cas_identity: Identity,
+    user: Identity,
+    action: str,
+    obj: str,
+    now: int,
+    *,
+    assertion: PolicyAssertion | CheckedAssertion | None = None,
+    community_chain: CheckedChain | None = None,
+    fetcher: StatementFetcher | None = None,
+) -> EnforcementDecision:
+    """Decide one request by the authenticated ``user``: allow exactly when it
+    lies in site ∩ community − blacklist.
+
+    The community half comes from the first source given: a presented
+    assertion, a verified chain the community issued itself, or a rights
+    listing pulled through ``fetcher``. Every source is checked against
+    ``cas_identity``, which is therefore the issuer; a membership assertion's
+    groups map to rights only at :func:`vouch_assertion`. Raises
+    :class:`DeniedError` when no source vouches for ``user``; the fetcher's
+    SourceUnavailable and StaleStatement pass through.
+    """
+    if assertion is not None:
+        asserted = assertion_rights(assertion, user, cas_public, cas_identity, None, now)
+    elif community_chain is not None and community_chain.subject == cas_identity:
+        # Restricted-proxy model: the only identity visible is the community
+        # server's, so per-user site policy cannot distinguish the bearer.
+        # With no restriction the chain asserts the community's full rights,
+        # of which this site honours only what it grants the community: its
+        # own rights, kept indexed, keep the decision a plain intersection.
+        asserted = community_chain.effective_restriction
+        if asserted is None:
+            asserted = site.site_rights.get(site.vo_accounts.get(cas_identity), NO_RIGHTS)
+    elif fetcher is not None:
+        asserted = listing_rights(fetcher.current(now), user)
+    else:
+        raise DeniedError(deny("credential", "no community policy available"))
+    return decide(site, cas_identity, asserted, user, action, obj)
 
 
 @dataclass(frozen=True)
@@ -89,11 +196,11 @@ def decide_local(
 ) -> DecisionAnswer:
     """Combine local and community policy into one yes/no answer.
 
-    This is :func:`caslite.vault.judge` without chain verification. A
-    presented assertion is verified and bound to the query identity before
-    use; as this service carries no group rights map, a membership assertion
-    denies. Without an assertion, a configured pull source supplies the
-    community half; with neither, the answer is deny.
+    This is :func:`judge` without chain verification. A presented assertion
+    is verified and bound to the query identity before use; as this service
+    carries no group rights map, a membership assertion denies. Without an
+    assertion, a configured pull source supplies the community half; with
+    neither, the answer is deny.
     """
     if q.attributes:
         logger.debug("attributes for %s ignored by core decision: %s",
@@ -130,12 +237,22 @@ def query_from_payload(payload: Any, read_assertion=assertion_from_map) -> Decis
 
 @dataclass
 class AuthzConfig:
+    """What deciding needs; ``client_chain`` authenticates the queries to an
+    optional pull source (see :meth:`fetcher`)."""
+
     site: SitePolicy
     cas_public: KeyMaterial
     cas_identity: Identity
     pull_source: wire.Endpoint | str | None = None
     pull_namespace: str = PULL_NAMESPACE
     client_chain: dict | None = None
+
+    def fetcher(self) -> StatementFetcher | None:
+        """A fetcher of the pull source's listing, or None without a source."""
+        if self.pull_source is None:
+            return None
+        return StatementFetcher(self.pull_source, self.pull_namespace, self.cas_public,
+                                self.client_chain)
 
 
 class AuthzServer(wire.FrameServer):
@@ -146,11 +263,7 @@ class AuthzServer(wire.FrameServer):
 
     def __init__(self, listen: wire.Endpoint, cfg: AuthzConfig):
         self.cfg = cfg
-        self._fetcher: StatementFetcher | None = None
-        if cfg.pull_source is not None:
-            self._fetcher = StatementFetcher(
-                cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
-            )
+        self._fetcher = cfg.fetcher()
         self._checked = CheckedMemo()
         super().__init__(listen, self.handle, (ASSERTION, self._checked))
 
@@ -159,23 +272,53 @@ class AuthzServer(wire.FrameServer):
             return {"identity": "authz", "pull": self._fetcher is not None}
         if kind != "decide":
             raise MalformedMessage(f"unknown request kind {kind!r}")
-        query = query_from_payload(payload, self._assertion)
+        try:
+            query = query_from_payload(payload, self._assertion)
+        except DeniedError as exc:
+            # refused once the query's own fields pass, as a cold query is
+            query_from_payload({k: v for k, v in payload.items() if k != "assertion"})
+            return {"allow": False, "reason": exc.decision.reason}
         answer = decide_local(
             query, self.cfg.site, self.cfg.cas_public, self.cfg.cas_identity,
             now=int(time.time()), fetcher=self._fetcher,
         )
         return {"allow": answer.allow, "reason": answer.reason}
 
-    def _assertion(self, doc: Any) -> PolicyAssertion | CheckedAssertion:
+    def _assertion(self, doc: Any) -> CheckedAssertion:
         """A presented assertion map as :func:`decide_local` will judge it:
-        its remembered check, or the parsed assertion when the check fails,
-        so that :func:`~caslite.vault.judge` refuses it after the query's own
-        checks, as a cold query is refused."""
-        try:
-            return self._checked.recall(doc, lambda d: vouch_assertion(
-                assertion_from_map(d), self.cfg.cas_public, self.cfg.cas_identity))
-        except DeniedError:
-            return assertion_from_map(doc.doc if isinstance(doc, Received) else doc)
+        its remembered signature and issuer checks. Raises
+        :class:`DeniedError` when they fail."""
+        return self._checked.recall(doc, lambda d: vouch_assertion(
+            assertion_from_map(d), self.cfg.cas_public, self.cfg.cas_identity))
+
+
+def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """Command line with the flags the vault and the decision service share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
+    parser.add_argument("--site", required=True, type=Path, help="site policy file")
+    parser.add_argument("--cas-key", required=True, type=Path,
+                        help="community server credential file (public part is used)")
+    parser.add_argument("--pull-source", default=None, help="HOST:PORT of authority or mirror")
+    parser.add_argument("--pull-namespace", default=PULL_NAMESPACE,
+                        help="namespace queried on the pull path; must match a "
+                             "mirror subscription when pulling through one")
+    parser.add_argument("--chain", type=Path, default=None,
+                        help="client chain used to authenticate pull queries")
+    return parser
+
+
+def service_settings(args: argparse.Namespace) -> dict:
+    """The :class:`AuthzConfig` fields set by :func:`service_parser`'s flags."""
+    cas_chain = load_chain(args.cas_key)
+    return dict(
+        site=load_site(args.site),
+        cas_public=cas_chain.innermost_keys().public(),
+        cas_identity=cas_chain.subject,
+        pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
+        pull_namespace=args.pull_namespace,
+        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -181,8 +181,9 @@ class RightsSet(frozenset):
 
     Equality, hashing and iteration are frozenset's, and set operations on
     it return plain frozensets. :func:`rights_from_list` hands these out, and
-    so does every memo of asserted rights (listing entries, remembered
-    assertions and restrictions), so a set that is kept is indexed once."""
+    every memo of asserted rights (listing entries, remembered assertions and
+    restrictions) keeps them through :func:`shared_rights`, so a set that is
+    kept is indexed once."""
 
     __slots__ = ("_index",)
 
@@ -211,6 +212,29 @@ class RightsSet(frozenset):
 
 
 NO_RIGHTS = RightsSet()
+
+# The process's one table of the rights and rights sets that memo and listing
+# entries share: equal ones are held once, which keeps those entries small,
+# and each shared set keeps its one index. It holds only immutable values
+# equal to the ones it hands out, so sharing it between the services of one
+# process changes no answer. Past this many entries new ones are unshared.
+SHARED_SIZE = 8192
+
+_shared: dict = {}
+
+
+def shared_rights(rights: frozenset | None) -> RightsSet | None:
+    """``rights`` as a :class:`RightsSet` held once per process while the
+    table has room, so a remembered set is indexed once."""
+    if rights is None:
+        return None
+    shared = _shared.get(rights)
+    if shared is None:
+        if len(_shared) + len(rights) + 1 > SHARED_SIZE:  # its rights and itself
+            return RightsSet(rights)
+        shared = RightsSet(_shared.setdefault(right, right) for right in rights)
+        shared = _shared.setdefault(shared, shared)
+    return shared
 
 
 def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:

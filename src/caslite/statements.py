@@ -24,7 +24,14 @@ from .errors import (
     StaleStatement,
 )
 from .keys import KeyMaterial, sign_payload, verify_payload
-from .policy import NO_RIGHTS, RightsSet, rights_from_list, split_pattern, validate_identity
+from .policy import (
+    NO_RIGHTS,
+    RightsSet,
+    rights_from_list,
+    shared_rights,
+    split_pattern,
+    validate_identity,
+)
 from . import wire
 from .assertions import assertion_from_map
 
@@ -38,15 +45,15 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
 class _Memo:
     """What one statement object keeps: its signing ``payload``; its
     ``body``, once decoded; its listing entries' ``spans`` in the payload,
-    once indexed; and the entries parsed so far, by subject, with one
-    ``Right`` object per distinct right among them, which they share."""
+    once indexed; and the entries parsed so far, by subject, each held in
+    the process's one table of shared rights (see
+    :func:`~caslite.policy.shared_rights`)."""
 
     def __init__(self, payload: bytes) -> None:
         self.lock = threading.Lock()
         self.payload, self.body = payload, None
         self.spans: dict[str, tuple[int, int]] | None = None
         self.by_subject: dict[str, frozenset] = {}
-        self.shared: dict = {}
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,13 @@ def listing_rights(statement: SignedStatement, subject: str) -> RightsSet:
     """A subject's entry in a resource_rights listing; absent means none.
 
     An entry is parsed on first use, once per statement object, and kept with
-    that object as a :class:`~caslite.policy.RightsSet`, with the prefix
-    index ``decide`` builds on it, so a refreshed statement never answers
-    from an older listing or its index. Only the entries asked for are
-    parsed: holding every member's rights of a large listing would cost
-    megabytes in each consumer. An entry that does not parse raises
-    :class:`MalformedMessage`."""
+    that object as a :class:`~caslite.policy.RightsSet` from the process's
+    one table of shared rights (:func:`~caslite.policy.shared_rights`), so
+    equal entries share one set and the prefix index ``decide`` builds on
+    it, and a refreshed statement answers from its own entries, or from sets
+    equal to them. Only the entries asked for are parsed: holding every
+    member's rights of a large listing would cost megabytes in each
+    consumer. An entry that does not parse raises :class:`MalformedMessage`."""
     memo = statement._memo
     rights = memo.by_subject.get(subject)
     if rights is not None:
@@ -161,9 +169,7 @@ def listing_rights(statement: SignedStatement, subject: str) -> RightsSet:
     with memo.lock:
         rights = memo.by_subject.get(subject)
         if rights is None:
-            shared = memo.shared
-            rights = RightsSet(shared.setdefault(r, r) for r in rights_from_list(entry))
-            memo.by_subject[subject] = rights
+            rights = memo.by_subject[subject] = shared_rights(rights_from_list(entry))
     return rights
 
 

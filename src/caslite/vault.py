@@ -13,13 +13,13 @@ community server. Pull mode takes a bare user chain and fetches a signed
 rights listing from the authority or a mirror instead; any verification
 failure, staleness, or source failure denies. No code path defaults to allow.
 
-:func:`judge` is the one decision pipeline: push, pull and the decision
-service (:mod:`caslite.authz`, which has no chain to verify) all end in it.
+Every decision is made by :func:`caslite.authz.judge`, the one decision
+pipeline, which the decision service owns and this module enforces through.
 
 Checking a presented chain has a time-free half, :func:`vouch` (the trust
 anchor, every signature and nesting, the effective restriction and, in push
 mode, the carried assertion's form, signature and issuer), and a clock half
-that runs on every request: each element's window, then in :func:`judge` the
+that runs on every request: each element's window, then in ``judge`` the
 assertion's window, its binding to the authenticated subject and the
 decision. :class:`ResourceService` remembers the time-free result of each
 presented chain's bytes in its own :class:`~caslite.keys.CheckedMemo`; the
@@ -29,7 +29,6 @@ for its callers' chains.
 
 from __future__ import annotations
 
-import argparse
 import threading
 import time
 from bisect import bisect_left, insort
@@ -38,41 +37,27 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .assertions import (
-    CheckedAssertion,
-    PolicyAssertion,
-    check_assertion,
-    check_window,
-    extract_from_proxy,
-)
+from .assertions import CheckedAssertion, extract_from_proxy
+from .authz import AuthzConfig, judge, service_parser, service_settings, vouch_assertion
 from .canonical import fields, from_hex, to_hex
 from .credentials import (
     CheckedChain,
     CredentialChain,
     chain_from_map,
-    chain_to_map,
     check_chain,
     check_windows,
     load_anchors,
-    load_chain,
 )
 from .errors import CasliteError, DeniedError, MalformedMessage, NotFound
-from .keys import CheckedMemo, KeyMaterial, Received
+from .keys import CheckedMemo, Received
 from .policy import (
-    NO_RIGHTS,
     EnforcementDecision,
-    Identity,
-    RightsSet,
-    SitePolicy,
-    decide,
     deny,
     load_group_rights,
-    load_site,
+    shared_rights,
     validate_concrete,
 )
-from .statements import StatementFetcher, listing_rights
-
-PULL_NAMESPACE = "vo://**"
+from .statements import StatementFetcher
 
 # A presented chain: parsed, its bytes as a request frame carried them, or its
 # map, given in process or from a request frame parsed whole.
@@ -120,8 +105,8 @@ class ObjectStore:
 
 
 @dataclass
-class ResourceConfig:
-    """One resource's standing configuration.
+class ResourceConfig(AuthzConfig):
+    """What a resource decides with (its :class:`~caslite.authz.AuthzConfig`) and enforces by.
 
     ``anchors`` are the trust roots for verifying presented chains (typically
     the same CA that issued both user and community credentials). Membership
@@ -130,115 +115,15 @@ class ResourceConfig:
     ``client_chain`` to authenticate its own queries to the source.
     """
 
-    site: SitePolicy
-    cas_public: KeyMaterial
-    cas_identity: Identity
     anchors: tuple = ()
     mode: str = "push"
-    pull_source: wire.Endpoint | str | None = None
-    pull_namespace: str = PULL_NAMESPACE
     group_rights: Mapping[str, frozenset] | None = None
-    client_chain: dict | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("push", "pull"):
             raise MalformedMessage(f"unknown enforcement mode {self.mode!r}")
         if self.mode == "pull" and self.pull_source is None:
             raise MalformedMessage("pull mode requires a pull_source")
-
-
-def vouch_assertion(
-    assertion: PolicyAssertion,
-    cas_public: KeyMaterial,
-    cas_identity: Identity,
-    group_rights: Mapping[str, frozenset] | None = None,
-) -> CheckedAssertion:
-    """The time-free half of :func:`assertion_rights`: the signature and the
-    issuer, and the rights asserted. A membership assertion asserts the
-    union of its groups' rights in ``group_rights``, and none without
-    ``group_rights``. Raises :class:`DeniedError` when a check fails."""
-    verdict = check_assertion(assertion, cas_public, cas_identity)
-    if not verdict.ok:
-        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
-    rights = assertion.rights
-    if assertion.mode == "membership" and group_rights is not None:
-        rights = frozenset().union(*(group_rights.get(name, ()) for name in assertion.groups))
-    return CheckedAssertion(assertion.subject, assertion.not_before, assertion.not_after,
-                            _shared(rights))
-
-
-def assertion_rights(
-    assertion: PolicyAssertion | CheckedAssertion,
-    user: Identity,
-    cas_public: KeyMaterial,
-    cas_identity: Identity,
-    group_rights: Mapping[str, frozenset] | None,
-    now: int,
-) -> frozenset:
-    """Verify a presented assertion, bind it to ``user`` and return the rights
-    it asserts. A :class:`CheckedAssertion` has passed
-    :func:`vouch_assertion` already, with the same ``group_rights``, so only
-    its window is checked again. Membership mode maps groups through
-    ``group_rights``. Raises :class:`DeniedError` when the assertion cannot
-    vouch for ``user``."""
-    if isinstance(assertion, PolicyAssertion):
-        assertion = vouch_assertion(assertion, cas_public, cas_identity, group_rights)
-    verdict = check_window(assertion.not_before, assertion.not_after, now)
-    if not verdict.ok:
-        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
-    if assertion.subject != user:
-        raise DeniedError(deny(
-            "credential",
-            f"assertion subject {assertion.subject} does not match "
-            f"authenticated identity {user}",
-        ))
-    if assertion.rights is None:
-        raise DeniedError(deny(
-            "vo_user", "membership assertion presented but no group rights are configured"
-        ))
-    return assertion.rights
-
-
-def judge(
-    site: SitePolicy,
-    cas_public: KeyMaterial,
-    cas_identity: Identity,
-    user: Identity,
-    action: str,
-    obj: str,
-    now: int,
-    *,
-    assertion: PolicyAssertion | CheckedAssertion | None = None,
-    group_rights: Mapping[str, frozenset] | None = None,
-    community_chain: CheckedChain | None = None,
-    fetcher: StatementFetcher | None = None,
-) -> EnforcementDecision:
-    """Decide one request by the authenticated ``user``: allow exactly when it
-    lies in site ∩ community − blacklist.
-
-    The community half comes from the first source given: a presented
-    assertion, a verified chain the community issued itself, or a rights
-    listing pulled through ``fetcher``. Every source is checked against
-    ``cas_identity``, which is therefore the issuer. Raises
-    :class:`DeniedError` when no source vouches for ``user``; the fetcher's
-    SourceUnavailable and StaleStatement pass through.
-    """
-    if assertion is not None:
-        asserted = assertion_rights(assertion, user, cas_public, cas_identity, group_rights, now)
-    elif community_chain is not None and community_chain.subject == cas_identity:
-        # Restricted-proxy model: the only identity visible is the community
-        # server's, so per-user site policy cannot distinguish the bearer.
-        # With no restriction the chain asserts the community's full rights,
-        # of which this site honours only what it grants the community: its
-        # own rights, kept indexed, keep the decision a plain intersection.
-        asserted = community_chain.effective_restriction
-        if asserted is None:
-            asserted = site.site_rights.get(site.vo_accounts.get(cas_identity), NO_RIGHTS)
-    elif fetcher is not None:
-        asserted = listing_rights(fetcher.current(now), user)
-    else:
-        raise DeniedError(deny("credential", "no community policy available"))
-    return decide(site, cas_identity, asserted, user, action, obj)
 
 
 def _credential(label: str, check, *args):
@@ -265,7 +150,7 @@ def vouch(cfg: ResourceConfig, chain: CredentialChain, push: bool) -> Vouched:
     result depends on ``cfg`` and the chain's public fields only. Raises
     :class:`DeniedError` at stage credential."""
     checked = _credential("chain rejected", check_chain, chain, cfg.anchors)
-    checked = replace(checked, effective_restriction=_shared(checked.effective_restriction))
+    checked = replace(checked, effective_restriction=shared_rights(checked.effective_restriction))
     assertion = None
     if push:
         carried = _credential("carried assertion unreadable", extract_from_proxy, chain)
@@ -285,8 +170,7 @@ def enforce(
     try:
         _credential("chain rejected", check_windows, vouched.chain.windows, now)
         return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
-                     obj, now, assertion=vouched.assertion, group_rights=cfg.group_rights,
-                     community_chain=vouched.chain)
+                     obj, now, assertion=vouched.assertion, community_chain=vouched.chain)
     except DeniedError as exc:
         return exc.decision
 
@@ -307,30 +191,6 @@ def pull_authorize(
         return exc.decision
 
 
-# Rights and rights sets that remembered results share: equal ones are held
-# once, which keeps a memo's entries small, and each shared set keeps its one
-# index. The table holds only immutable values equal to the ones it hands out,
-# so sharing it between the services of one process changes no answer. Past
-# this many entries new ones are kept unshared.
-SHARED_SIZE = 8192
-
-_shared_items: dict = {}
-
-
-def _shared(rights: frozenset | None) -> RightsSet | None:
-    """``rights`` as a :class:`RightsSet` held once per process while the
-    table has room, so a remembered set is indexed once."""
-    if rights is None:
-        return None
-    shared = _shared_items.get(rights)
-    if shared is None:
-        if len(_shared_items) + len(rights) > SHARED_SIZE:
-            return RightsSet(rights)
-        shared = RightsSet(_shared_items.setdefault(right, right) for right in rights)
-        shared = _shared_items.setdefault(shared, shared)
-    return shared
-
-
 class ResourceService:
     """Enforcement plus the object store behind it.
 
@@ -344,11 +204,7 @@ class ResourceService:
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):
         self.cfg = cfg
         self.store = store if store is not None else ObjectStore()
-        self._fetcher: StatementFetcher | None = None
-        if cfg.mode == "pull":
-            self._fetcher = StatementFetcher(
-                cfg.pull_source, cfg.pull_namespace, cfg.cas_public, cfg.client_chain
-            )
+        self._fetcher = cfg.fetcher() if cfg.mode == "pull" else None
         self._checked = CheckedMemo()
 
     def authorize(self, chain: Presented, action: str, obj: str, now: int) -> EnforcementDecision:
@@ -422,35 +278,6 @@ class VaultServer(wire.FrameServer):
             return {"path": path, "paths": self.service.list_paths(chain_doc, path)}
         self.service.delete(chain_doc, path)
         return {"path": path, "deleted": True}
-
-
-def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    """Command line with the flags the vault and the decision service share."""
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
-    parser.add_argument("--site", required=True, type=Path, help="site policy file")
-    parser.add_argument("--cas-key", required=True, type=Path,
-                        help="community server credential file (public part is used)")
-    parser.add_argument("--pull-source", default=None, help="HOST:PORT of authority or mirror")
-    parser.add_argument("--pull-namespace", default=PULL_NAMESPACE,
-                        help="namespace queried on the pull path; must match a "
-                             "mirror subscription when pulling through one")
-    parser.add_argument("--chain", type=Path, default=None,
-                        help="client chain used to authenticate pull queries")
-    return parser
-
-
-def service_settings(args: argparse.Namespace) -> dict:
-    """The config fields set by :func:`service_parser`'s flags."""
-    cas_chain = load_chain(args.cas_key)
-    return dict(
-        site=load_site(args.site),
-        cas_public=cas_chain.innermost_keys().public(),
-        cas_identity=cas_chain.subject,
-        pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
-        pull_namespace=args.pull_namespace,
-        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

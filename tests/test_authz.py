@@ -12,6 +12,7 @@ from caslite.authz import (
     AuthzConfig,
     AuthzServer,
     DecisionQuery,
+    assertion_rights,
     decide_local,
     query_from_payload,
 )
@@ -19,7 +20,7 @@ from caslite.credentials import chain_to_map
 from caslite.errors import DeniedError, MalformedMessage
 from caslite.keys import generate_keys
 from caslite.statements import StatementFetcher
-from caslite.vault import ResourceConfig, ResourceService, assertion_rights
+from caslite.vault import ResourceConfig, ResourceService
 
 import oracles
 from worldlib import (

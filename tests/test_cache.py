@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -10,9 +13,17 @@ from caslite import wire
 from caslite.cache import CacheConfig, CacheServer, StatementCache
 from caslite.canonical import canonical_json, parse_canonical
 from caslite.credentials import chain_to_map
-from caslite.errors import CacheMiss, MalformedMessage, ServerError, StaleEntry
+from caslite.errors import (
+    CacheMiss,
+    MalformedMessage,
+    ServerError,
+    SourceUnavailable,
+    StaleEntry,
+    StaleStatement,
+)
 from caslite.keys import generate_keys
 from caslite.statements import (
+    StatementFetcher,
     sign_statement,
     statement_from_map,
     statement_to_map,
@@ -124,6 +135,70 @@ def test_refresh_survives_authority_outage(world, cas_server, cache):
     assert report["updated"] == [] and report["failed"] == [USER_QUERY]
     # the old entry keeps serving inside max_age
     assert cache.serve_cached(USER_QUERY, now + 2) is before
+
+
+def _die_mid_answer(monkeypatch, server):
+    """Make ``server`` die while it answers its next query: it stops, so
+    nothing listens any more, then half of the answer's frame goes out and
+    the connection is reset."""
+    real, died = wire.write_frame, threading.Event()
+
+    def write_frame(sock, doc):
+        if died.is_set() or not isinstance(doc, wire.Encoded):  # requests are maps
+            return real(sock, doc)
+        died.set()
+        server.stop()
+        frame = struct.pack(">I", sum(map(len, doc.chunks))) + b"".join(doc.chunks)
+        sock.sendall(frame[:len(frame) // 2])
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        raise ConnectionResetError("authority killed")
+
+    monkeypatch.setattr(wire, "write_frame", write_frame)
+    return died
+
+
+@pytest.mark.parametrize("consumer", ["mirror", "fetcher_cached", "fetcher_empty"])
+def test_authority_killed_mid_refresh_fails_closed(world, cas_server, monkeypatch, consumer):
+    """An authority that dies while answering a refresh, its connection reset
+    partway through the answer, leaves the mirror serving its old entry
+    inside ``max_age`` and reporting the refresh failed, and a pull fetcher's
+    callers failing closed within the frame deadline: StaleStatement with an
+    expired statement cached, SourceUnavailable with none. No thread is left
+    running."""
+    monkeypatch.setattr(wire, "FRAME_DEADLINE", 0.5)
+    baseline = set(threading.enumerate()) - {cas_server._thread}
+    now = int(time.time())
+    chain = chain_to_map(world.proxy("alice"))
+    if consumer == "mirror":
+        cache = StatementCache(CacheConfig(authority=cas_server.endpoint, refresh_interval=1,
+                                           max_age=60, subscriptions=[RES_QUERY],
+                                           client_chain=chain))
+        before = cache.serve_cached(RES_QUERY, now)
+    else:
+        fetcher = StatementFetcher(cas_server.endpoint, RES_QUERY["namespace"],
+                                   world.cas.keys.public(), chain)
+        if consumer == "fetcher_cached":
+            now = fetcher.current(now).expires_at
+    died = _die_mid_answer(monkeypatch, cas_server)
+    for _ in range(2):  # while dying, then against the dead authority
+        started = time.monotonic()
+        if consumer == "mirror":
+            assert cache.refresh(now + 1) == {"updated": [], "failed": [RES_QUERY]}
+            assert cache.serve_cached(RES_QUERY, now + 59) is before
+        else:
+            with pytest.raises(StaleStatement if consumer == "fetcher_cached"
+                               else SourceUnavailable):
+                fetcher.current(now)
+        assert time.monotonic() - started < wire.FRAME_DEADLINE + 1.0
+        assert died.is_set()
+    if consumer == "mirror":
+        with pytest.raises(StaleEntry):
+            cache.serve_cached(RES_QUERY, cache.entry(RES_QUERY).fetched_at + 61)
+    deadline = time.monotonic() + 5
+    while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) <= baseline
 
 
 def test_refresh_picks_up_policy_changes(world, cas_server, cache):

@@ -455,6 +455,35 @@ def test_failed_checks_are_never_remembered(world, cas_server, ed25519_checks, p
     assert len(cas_server._checked._entries) == 0
 
 
+def test_a_refused_assertion_is_checked_once_at_authz(world, ed25519_checks, parses):
+    """A badly signed assertion costs the decision service one parse of its
+    map and one Ed25519 check per request, in process and over the wire,
+    and is refused only once the query's own fields pass: from an identity
+    that is not one, the same frame is malformed."""
+    server = AuthzServer(("127.0.0.1", 0), authz_config(world))
+    server.start()
+    try:
+        bad = _flip_hex(assertion_to_map(alice_assertion(world)), "signature")
+        asks = (lambda payload: server.handle("decide", payload, None),
+                lambda payload: wire.call(server.endpoint, "decide", payload))
+        for ask in asks:
+            for _ in range(3):
+                ed25519_checks.clear()
+                parses.clear()
+                assert ask(decide_payload(bad)) == {
+                    "allow": False, "reason": "assertion rejected: BadSignature"}
+                assert len(ed25519_checks) == 1
+                assert parses.count("assertion_from_map") == 1
+        with pytest.raises(MalformedMessage):
+            server.handle("decide", {**decide_payload(bad), "identity": "nobody"}, None)
+        with pytest.raises(ServerError) as refused:
+            wire.call(server.endpoint, "decide", {**decide_payload(bad), "identity": "nobody"})
+        assert refused.value.code == "MalformedMessage"
+        assert len(server._checked._entries) == 0
+    finally:
+        server.stop()
+
+
 def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed25519_checks, parses):
     """A repeat request makes no Ed25519 check, parses no chain or assertion
     map, and encodes no signing payload. A repeat issuance at the authority

@@ -1,12 +1,17 @@
 """Source hygiene: each caslite module uses every name it imports, the
-package reads every private module-level name it defines, and every encode
-that skips the type walk is one that ``canonical_json`` documents."""
+package reads every private module-level name it defines, every encode
+that skips the type walk is one that ``canonical_json`` documents, and the
+modules keep their layers: no import cycle, and no service module imports
+another but the file service the decision point."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -168,3 +173,85 @@ def test_the_check_sees_an_undocumented_trusted_encode():
         "wire._gone makes no trusted encode",
         "wire.take (line 5) is not in the list",
     ]
+
+
+# --- layering -------------------------------------------------------------------------------
+
+# The one service module another may import: the file service enforces
+# through the decision point's pipeline.
+ALLOWED_SERVICE_IMPORTS = {("vault", "authz")}
+
+
+def import_graph(trees: dict) -> dict:
+    """The package modules each module in ``trees``, by name, imports."""
+    graph = {}
+    for module, tree in trees.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update([node.module] if node.module
+                                else (alias.name for alias in node.names))
+        graph[module] = imported & set(trees)
+    return graph
+
+
+def service_modules(trees: dict) -> set:
+    """The modules in ``trees`` that define a ``wire.FrameServer`` subclass."""
+    return {module for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base) == "wire.FrameServer" for base in node.bases)}
+
+
+def layering_faults(trees: dict) -> list:
+    """A service module (one that subclasses ``wire.FrameServer``) that
+    imports another outside ``ALLOWED_SERVICE_IMPORTS``, and each import
+    cycle, found from the module that starts it."""
+    graph, services = import_graph(trees), service_modules(trees)
+    faults = [f"service {module} imports service {other}"
+              for module in sorted(services) for other in sorted(graph[module] & services)
+              if (module, other) not in ALLOWED_SERVICE_IMPORTS]
+
+    def cycles(path):
+        for other in sorted(graph[path[-1]]):
+            if other == path[0]:
+                yield " -> ".join(path + [other])
+            elif other not in path and other > path[0]:
+                yield from cycles(path + [other])
+
+    for module in sorted(graph):
+        faults += [f"cycle {cycle}" for cycle in cycles([module])]
+    return faults
+
+
+def test_modules_keep_their_layers():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert service_modules(trees) == {"authz", "cache", "server", "vault"}
+    assert layering_faults(trees) == []
+
+
+def test_the_check_sees_a_service_import_and_a_cycle():
+    trees = {name: ast.parse(source) for name, source in {
+        "vault": "from . import wire\nfrom .authz import judge\nclass V(wire.FrameServer): pass\n",
+        "authz": "from . import wire\nclass A(wire.FrameServer): pass\n"
+                 "def f():\n    from .cache import c\n",
+        "cache": "from . import wire\nclass C(wire.FrameServer): pass\n",
+        "wire": "from .keys import k\n",
+        "keys": "from .policy import p\n",
+        "policy": "from . import wire\n",
+    }.items()}
+    assert layering_faults(trees) == [
+        "service authz imports service cache",
+        "cycle keys -> policy -> wire -> keys",
+    ]
+
+
+def test_the_decision_point_loads_no_other_service():
+    code = ("import sys, caslite.authz\n"
+            "print(sorted(m for m in sys.modules if m.startswith('caslite')))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                            timeout=60).stdout
+    assert "caslite.authz" in loaded
+    for service in ("caslite.vault", "caslite.server", "caslite.cache"):
+        assert f"'{service}'" not in loaded

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import struct
 import sys
@@ -12,12 +13,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caslite import statements, wire
+from caslite import policy, statements, wire
+from caslite.assertions import issue_assertion
 from caslite.canonical import canonical_json
 from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
 from caslite.keys import generate_keys, sign_payload
-from caslite.authz import DecisionQuery, decide_local
-from caslite.policy import decide, rights_from_list
+from caslite.authz import DecisionQuery, decide_local, vouch_assertion
+from caslite.policy import RightsSet, decide, rights_from_list, rights_to_list
 from caslite.statements import (
     StatementFetcher,
     listing_rights,
@@ -90,6 +92,55 @@ def test_listing_rights_equals_each_parsed_entry(authority_keys):
         # one Right object per distinct right, shared between entries
         (bob_read,) = listing_rights(statement, BOB)
         assert any(r is bob_read for r in listing_rights(statement, ALICE))
+
+
+def test_one_bounded_table_shares_listing_and_assertion_rights(world, monkeypatch):
+    """Listing entries and remembered assertions hold their rights in the
+    process's one table: while it has room, equal sets are one object, and it
+    never holds more than ``SHARED_SIZE`` entries. A set handed out past the
+    bound is a RightsSet that decides as a shared one does."""
+    monkeypatch.setattr(policy, "_shared", {})
+    monkeypatch.setattr(policy, "SHARED_SIZE", 40)
+    table, keys = policy._shared, world.cas.keys
+    alice = issue_assertion(world.db, keys, CAS, ALICE, now=NOW)
+    users = [f"/VO=esg/CN=user{i}" for i in range(30)]
+    listing = {"/VO=esg/CN=twin1": rights_to_list(alice.rights),
+               "/VO=esg/CN=twin2": rights_to_list(alice.rights),
+               **{who: [{"action": "read", "object": f"vo://esg/data/u{i}/**"},
+                        {"action": "write", "object": f"vo://esg/data/u{i}/**"}]
+                  for i, who in enumerate(users)}}
+    statement = sign_statement(keys, QUERY, {"listing": listing}, NOW, NOW + 600)
+
+    twin = listing_rights(statement, "/VO=esg/CN=twin1")
+    assert listing_rights(statement, "/VO=esg/CN=twin2") is twin
+    assert vouch_assertion(alice, keys.public(), CAS).rights is twin
+
+    def vouched(i):
+        unsigned = dataclasses.replace(alice, rights=rights(("list", f"vo://esg/data/a{i}/**")))
+        signed = dataclasses.replace(
+            unsigned, signature=sign_payload(keys, unsigned.signing_payload()))
+        return vouch_assertion(signed, keys.public(), CAS).rights
+
+    handed = []
+    for i, who in enumerate(users):
+        handed += [listing_rights(statement, who), vouched(i)]
+        assert len(table) <= policy.SHARED_SIZE
+    unshared = [s for s in handed if table.get(s) is not s]
+    assert unshared and len(unshared) < len(handed)
+    assert all(type(s) is RightsSet for s in handed)
+
+    monkeypatch.setattr(policy, "SHARED_SIZE", 1000)
+    targets = [f"vo://esg/data/{d}{i}/f" for d in "ua" for i in range(0, 30, 7)]
+    allowed = 0
+    for late in unshared:
+        shared = policy.shared_rights(frozenset(late))
+        assert shared is not late and policy._shared[shared] is shared
+        for action in ("read", "write", "list", "delete"):
+            for target in targets:
+                decision = decide(world.site, CAS, late, ALICE, action, target)
+                assert decision == decide(world.site, CAS, shared, ALICE, action, target)
+                allowed += decision.allow
+    assert allowed > 0
 
 
 def test_concurrent_lookups_parse_each_entry_once(authority_keys, monkeypatch):
