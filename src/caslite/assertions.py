@@ -32,13 +32,10 @@ from .canonical import (
     set_of,
     to_hex,
 )
-from .credentials import (
-    CLOCK_SKEW,
-    CredentialChain,
-    issue_proxy,
-)
+from .credentials import CredentialChain, check_windows, issue_proxy
 from .errors import (
     CasliteError,
+    ChainError,
     LifetimeTooLong,
     MalformedExtension,
     MalformedMessage,
@@ -201,16 +198,6 @@ def check_assertion(
     return _VALID
 
 
-def check_window(not_before: int, not_after: int, now: int) -> AssertionVerdict:
-    """The clock half of :func:`verify_assertion`: the validity window, with
-    clock skew."""
-    if now < not_before - CLOCK_SKEW:
-        return AssertionVerdict(ok=False, failure="NotYetValid")
-    if now > not_after + CLOCK_SKEW:
-        return AssertionVerdict(ok=False, failure="Expired")
-    return _VALID
-
-
 def verify_assertion(
     a: PolicyAssertion,
     cas_public: KeyMaterial,
@@ -221,7 +208,11 @@ def verify_assertion(
     verdict = check_assertion(a, cas_public, expected_issuer)
     if not verdict.ok:
         return verdict
-    return check_window(a.not_before, a.not_after, now)
+    try:
+        check_windows(((a.not_before, a.not_after),), now)
+    except ChainError as exc:
+        return AssertionVerdict(ok=False, failure=exc.code)
+    return _VALID
 
 
 def embed_in_proxy(user_chain: CredentialChain, a: PolicyAssertion) -> CredentialChain:

@@ -25,16 +25,10 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .assertions import (
-    CheckedAssertion,
-    PolicyAssertion,
-    assertion_from_map,
-    check_assertion,
-    check_window,
-)
+from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map, check_assertion
 from .canonical import expect, fields, set_of
-from .credentials import CheckedChain, chain_to_map, load_chain
-from .errors import DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
+from .credentials import CheckedChain, chain_to_map, check_windows, load_chain
+from .errors import ChainError, DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
 from .keys import CheckedMemo, KeyMaterial
 from .policy import (
     NO_RIGHTS,
@@ -69,7 +63,8 @@ def vouch_assertion(
     """The time-free half of :func:`assertion_rights`: the signature and the
     issuer, and the rights asserted. A membership assertion asserts the
     union of its groups' rights in ``group_rights``, and none without
-    ``group_rights``. Raises :class:`DeniedError` when a check fails."""
+    ``group_rights``, as a set of its own for the memo entry that keeps it
+    (:func:`~caslite.policy.shared_rights`). Raises :class:`DeniedError`."""
     verdict = check_assertion(assertion, cas_public, cas_identity)
     if not verdict.ok:
         raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
@@ -96,9 +91,10 @@ def assertion_rights(
     vouch for ``user``."""
     if isinstance(assertion, PolicyAssertion):
         assertion = vouch_assertion(assertion, cas_public, cas_identity, group_rights)
-    verdict = check_window(assertion.not_before, assertion.not_after, now)
-    if not verdict.ok:
-        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    try:
+        check_windows(((assertion.not_before, assertion.not_after),), now)
+    except ChainError as exc:
+        raise DeniedError(deny("credential", f"assertion rejected: {exc.code}")) from None
     if assertion.subject != user:
         raise DeniedError(deny(
             "credential",

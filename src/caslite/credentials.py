@@ -423,13 +423,19 @@ def save_chain(chain: CredentialChain, path: Path | str, include_private: bool =
     write_private(path, encode_block(CHAIN_TAG, chain_bytes(chain, include_private)))
 
 
+def _chain_blocks(path: Path | str) -> list[bytes]:
+    """Every chain block in the file; text that is not UTF-8 is malformed."""
+    try:
+        return decode_blocks(Path(path).read_text(encoding="utf-8"), CHAIN_TAG)
+    except UnicodeDecodeError as exc:
+        raise MalformedMessage(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_chain(path: Path | str) -> CredentialChain:
-    blocks = decode_blocks(Path(path).read_text(encoding="utf-8"), CHAIN_TAG)
-    return chain_from_map(parse_canonical(blocks[0]))
+    return chain_from_map(parse_canonical(_chain_blocks(path)[0]))
 
 
 def load_anchors(path: Path | str) -> tuple:
     """Load every chain block in the file and return their end-entity
     credentials as trust anchors."""
-    blocks = decode_blocks(Path(path).read_text(encoding="utf-8"), CHAIN_TAG)
-    return tuple(chain_from_map(parse_canonical(b)).eec for b in blocks)
+    return tuple(chain_from_map(parse_canonical(b)).eec for b in _chain_blocks(path))

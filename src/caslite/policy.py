@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -181,9 +182,9 @@ class RightsSet(frozenset):
 
     Equality, hashing and iteration are frozenset's, and set operations on
     it return plain frozensets. :func:`rights_from_list` hands these out, and
-    every memo of asserted rights (listing entries, remembered assertions and
-    restrictions) keeps them through :func:`shared_rights`, so a set that is
-    kept is indexed once."""
+    every memo entry of asserted rights (a listing entry, a remembered
+    assertion or restriction) owns one from :func:`shared_rights`, so a set
+    that is kept is indexed once and freed with its entry."""
 
     __slots__ = ("_index",)
 
@@ -213,28 +214,24 @@ class RightsSet(frozenset):
 
 NO_RIGHTS = RightsSet()
 
-# The process's one table of the rights and rights sets that memo and listing
-# entries share: equal ones are held once, which keeps those entries small,
-# and each shared set keeps its one index. It holds only immutable values
-# equal to the ones it hands out, so sharing it between the services of one
-# process changes no answer. Past this many entries new ones are unshared.
+# The size of the process's one intern of verified rights, which keeps equal
+# rights held by memo and listing entries one object; past it, the least
+# recently used goes. Its rights are immutable and equal to the ones interned,
+# so sharing it between the services of one process changes no answer.
 SHARED_SIZE = 8192
 
-_shared: dict = {}
+
+@lru_cache(maxsize=SHARED_SIZE)
+def _intern(right: Right) -> Right:
+    return right
 
 
 def shared_rights(rights: frozenset | None) -> RightsSet | None:
-    """``rights`` as a :class:`RightsSet` held once per process while the
-    table has room, so a remembered set is indexed once."""
+    """``rights`` as a new :class:`RightsSet` of interned rights, for the
+    entry that keeps it. Pass only verified rights: the intern outlives it."""
     if rights is None:
         return None
-    shared = _shared.get(rights)
-    if shared is None:
-        if len(_shared) + len(rights) + 1 > SHARED_SIZE:  # its rights and itself
-            return RightsSet(rights)
-        shared = RightsSet(_shared.setdefault(right, right) for right in rights)
-        shared = _shared.setdefault(shared, shared)
-    return shared
+    return RightsSet(map(_intern, rights))
 
 
 def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:

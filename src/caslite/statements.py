@@ -45,9 +45,8 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
 class _Memo:
     """What one statement object keeps: its signing ``payload``; its
     ``body``, once decoded; its listing entries' ``spans`` in the payload,
-    once indexed; and the entries parsed so far, by subject, each held in
-    the process's one table of shared rights (see
-    :func:`~caslite.policy.shared_rights`)."""
+    once indexed; and the entries parsed so far, by subject, each a set of
+    its own (see :func:`~caslite.policy.shared_rights`)."""
 
     def __init__(self, payload: bytes) -> None:
         self.lock = threading.Lock()
@@ -149,13 +148,13 @@ def listing_rights(statement: SignedStatement, subject: str) -> RightsSet:
     """A subject's entry in a resource_rights listing; absent means none.
 
     An entry is parsed on first use, once per statement object, and kept with
-    that object as a :class:`~caslite.policy.RightsSet` from the process's
-    one table of shared rights (:func:`~caslite.policy.shared_rights`), so
-    equal entries share one set and the prefix index ``decide`` builds on
-    it, and a refreshed statement answers from its own entries, or from sets
-    equal to them. Only the entries asked for are parsed: holding every
-    member's rights of a large listing would cost megabytes in each
-    consumer. An entry that does not parse raises :class:`MalformedMessage`."""
+    that object as its own :class:`~caslite.policy.RightsSet` of interned
+    rights (:func:`~caslite.policy.shared_rights`), so the prefix index
+    ``decide`` builds on it is built once, and both go when the statement
+    does: a refreshed statement answers from its own entries. Only the
+    entries asked for are parsed: holding every member's rights of a large
+    listing would cost megabytes in each consumer. An entry that does not
+    parse raises :class:`MalformedMessage`."""
     memo = statement._memo
     rights = memo.by_subject.get(subject)
     if rights is not None:
@@ -207,8 +206,9 @@ def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None
                     authority_public: KeyMaterial | None = None) -> SignedStatement:
     """Ask ``source`` for ``query`` and take in the answer's bytes: with
     ``authority_public`` the signature is checked over them before anything
-    is read (a mirror has no key and forwards them unchecked)."""
-    answer = wire.call(source, "query", query, chain=chain, raw=True)
+    is read (a mirror has no key and forwards them unchecked). A source
+    that sends no answer fails the fetch within ``wire.FRAME_DEADLINE``."""
+    answer = wire.call(source, "query", query, chain=chain, timeout=wire.FRAME_DEADLINE, raw=True)
     signed = _SIGNED.fullmatch(answer)
     if signed is None:
         raise MalformedMessage("query response is not a signed statement")

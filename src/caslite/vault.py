@@ -147,7 +147,8 @@ def vouch(cfg: ResourceConfig, chain: CredentialChain, push: bool) -> Vouched:
     """The time-free half of :func:`enforce` (``push``) and
     :func:`pull_authorize`: the chain's anchor, signatures and nesting and,
     in push mode, the carried assertion's form, signature and issuer. The
-    result depends on ``cfg`` and the chain's public fields only. Raises
+    result depends on ``cfg`` and the chain's public fields only; its rights
+    sets are its own (:func:`~caslite.policy.shared_rights`). Raises
     :class:`DeniedError` at stage credential."""
     checked = _credential("chain rejected", check_chain, chain, cfg.anchors)
     checked = replace(checked, effective_restriction=shared_rights(checked.effective_restriction))

@@ -4,10 +4,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from worldlib import make_world  # noqa: E402
+
+# Every property test runs the same examples on every run; each test's own
+# settings keep their max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from caslite.credentials import load_chain, save_chain, verify_chain
+from caslite.credentials import load_anchors, load_chain, save_chain, verify_chain
+from caslite.errors import MalformedMessage
 from caslite.policy import user_rights
 
 from worldlib import ALICE, BOB, CAS, NOW, fixture_db, rights
@@ -219,3 +220,22 @@ def test_admin_membership_round_trip(world, served_world):
     inspected = json.loads(run_cli("inspect", out).stdout)
     assert inspected["assertion"]["subject"] == dave
     assert inspected["assertion"]["rights"] == []  # member, no grants yet
+
+
+def test_a_chain_file_that_is_not_utf8_gives_one_error_line(world, tmp_path, capsys):
+    """One byte that is not UTF-8 in a chain or anchor file is malformed
+    input, as it is in a database or site file: both loaders raise
+    MalformedMessage, and caslite-inspect prints one error line and exits 1."""
+    from caslite.cli import inspect_main
+
+    path = tmp_path / "alice.chain"
+    save_chain(world.proxy("alice"), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    for load in (load_chain, load_anchors):
+        with pytest.raises(MalformedMessage):
+            load(path)
+    assert inspect_main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "UTF-8" in line

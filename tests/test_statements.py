@@ -3,23 +3,28 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import socket
 import struct
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from caslite import policy, statements, wire
-from caslite.assertions import issue_assertion
+from caslite.assertions import embed_in_proxy, issue_assertion
+from caslite.cache import CacheConfig, StatementCache
 from caslite.canonical import canonical_json
+from caslite.credentials import chain_to_map
 from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
 from caslite.keys import generate_keys, sign_payload
 from caslite.authz import DecisionQuery, decide_local, vouch_assertion
-from caslite.policy import RightsSet, decide, rights_from_list, rights_to_list
+from caslite.policy import RightsSet, apply_admin, decide, rights_from_list, rights_to_list
 from caslite.statements import (
     StatementFetcher,
     listing_rights,
@@ -35,8 +40,8 @@ from caslite.vault import ResourceConfig, ResourceService
 import oracles
 from test_policy import AWKWARD
 from worldlib import (
-    ALICE, BOB, CAROL, CAS, NOW, PULLED, RawSource, answer_frame, misbound_answers, raw_answer,
-    rights, statement_bytes,
+    ALICE, BOB, CAROL, CAS, NOW, OWNER, PULLED, USER_NAMES, RawSource, answer_frame,
+    listing_to_map, misbound_answers, raw_answer, rights, statement_bytes,
 )
 
 
@@ -94,51 +99,60 @@ def test_listing_rights_equals_each_parsed_entry(authority_keys):
         assert any(r is bob_read for r in listing_rights(statement, ALICE))
 
 
-def test_one_bounded_table_shares_listing_and_assertion_rights(world, monkeypatch):
-    """Listing entries and remembered assertions hold their rights in the
-    process's one table: while it has room, equal sets are one object, and it
-    never holds more than ``SHARED_SIZE`` entries. A set handed out past the
-    bound is a RightsSet that decides as a shared one does."""
-    monkeypatch.setattr(policy, "_shared", {})
-    monkeypatch.setattr(policy, "SHARED_SIZE", 40)
-    table, keys = policy._shared, world.cas.keys
-    alice = issue_assertion(world.db, keys, CAS, ALICE, now=NOW)
+def _fresh_intern(monkeypatch, size):
+    """Give :func:`~caslite.policy.shared_rights` an empty intern of ``size``
+    rights, for this test only."""
+    intern = functools.lru_cache(maxsize=size)(policy._intern.__wrapped__)
+    monkeypatch.setattr(policy, "_intern", intern)
+    return intern
+
+
+def test_the_intern_shares_rights_and_every_set_decides_as_a_fresh_one(world, monkeypatch):
+    """Listing entries and vouched assertions take their rights from the one
+    intern: while it has room, equal rights are one object, though each
+    entry's set is its own. Past the intern's bound it holds no more, and
+    every set handed out is a RightsSet that decides as a fresh equal set
+    does."""
+    _fresh_intern(monkeypatch, policy.SHARED_SIZE)
+    cas_keys = world.cas.keys
+    alice = issue_assertion(world.db, cas_keys, CAS, ALICE, now=NOW)
     users = [f"/VO=esg/CN=user{i}" for i in range(30)]
     listing = {"/VO=esg/CN=twin1": rights_to_list(alice.rights),
                "/VO=esg/CN=twin2": rights_to_list(alice.rights),
                **{who: [{"action": "read", "object": f"vo://esg/data/u{i}/**"},
                         {"action": "write", "object": f"vo://esg/data/u{i}/**"}]
                   for i, who in enumerate(users)}}
-    statement = sign_statement(keys, QUERY, {"listing": listing}, NOW, NOW + 600)
+    statement = sign_statement(cas_keys, QUERY, {"listing": listing}, NOW, NOW + 600)
 
     twin = listing_rights(statement, "/VO=esg/CN=twin1")
-    assert listing_rights(statement, "/VO=esg/CN=twin2") is twin
-    assert vouch_assertion(alice, keys.public(), CAS).rights is twin
+    interned = {right: right for right in twin}
+    for other in (listing_rights(statement, "/VO=esg/CN=twin2"),
+                  vouch_assertion(alice, cas_keys.public(), CAS).rights):
+        assert other == twin and other is not twin
+        assert all(interned[right] is right for right in other)
 
     def vouched(i):
         unsigned = dataclasses.replace(alice, rights=rights(("list", f"vo://esg/data/a{i}/**")))
         signed = dataclasses.replace(
-            unsigned, signature=sign_payload(keys, unsigned.signing_payload()))
-        return vouch_assertion(signed, keys.public(), CAS).rights
+            unsigned, signature=sign_payload(cas_keys, unsigned.signing_payload()))
+        return vouch_assertion(signed, cas_keys.public(), CAS).rights
 
+    intern = _fresh_intern(monkeypatch, 40)
     handed = []
     for i, who in enumerate(users):
         handed += [listing_rights(statement, who), vouched(i)]
-        assert len(table) <= policy.SHARED_SIZE
-    unshared = [s for s in handed if table.get(s) is not s]
-    assert unshared and len(unshared) < len(handed)
-    assert all(type(s) is RightsSet for s in handed)
+        assert intern.cache_info().currsize <= 40
+    assert intern.cache_info().currsize == 40  # full, and still interning
 
-    monkeypatch.setattr(policy, "SHARED_SIZE", 1000)
     targets = [f"vo://esg/data/{d}{i}/f" for d in "ua" for i in range(0, 30, 7)]
     allowed = 0
-    for late in unshared:
-        shared = policy.shared_rights(frozenset(late))
-        assert shared is not late and policy._shared[shared] is shared
+    for kept in handed:
+        assert type(kept) is RightsSet
+        fresh = rights_from_list(rights_to_list(kept))
         for action in ("read", "write", "list", "delete"):
             for target in targets:
-                decision = decide(world.site, CAS, late, ALICE, action, target)
-                assert decision == decide(world.site, CAS, shared, ALICE, action, target)
+                decision = decide(world.site, CAS, kept, ALICE, action, target)
+                assert decision == decide(world.site, CAS, fresh, ALICE, action, target)
                 allowed += decision.allow
     assert allowed > 0
 
@@ -318,6 +332,96 @@ def test_decisions_follow_a_refresh_that_revokes(world):
         source.stop()
 
 
+def test_policy_churn_frees_old_revisions_and_keeps_the_intern_bounded(world, monkeypatch):
+    """Six listing revisions, each revoking and re-granting every member's
+    direct grants. At each, the pull vault, the decision service and the
+    push vault answer as the oracle does for that revision. Once the
+    fetchers have moved on, every set handed out from the old listing is
+    collected, as is every vouched set the push vault's memo has evicted,
+    and the intern never holds more than its bound."""
+    bound = 8
+    intern = _fresh_intern(monkeypatch, bound)
+    monkeypatch.setattr("caslite.keys.CHECKED_MEMO_SIZE", 2)
+    members = sorted(oracles.MEMBERS)
+    group_pairs = {who: [pair for group, names in oracles.GROUPS.items() if who in names
+                         for pair in oracles.GRANTS[group]] for who in oracles.USERS}
+    direct = {who: list(oracles.GRANTS.get(who, ())) for who in members}
+    pool = ["vo://esg/data/public/**", "vo://esg/data/private/**", "vo://esg/data/raw/**",
+            "vo://esg/data/top.txt", "vo://esg/code/**", "vo://esg/www/**", "vo://esg/data/**"]
+    short = {identity: name for name, identity in USER_NAMES.items()}
+    proxies = {who: chain_to_map(world.proxy(short[who])) for who in oracles.USERS}
+
+    def churn(db, revision):
+        for i, who in enumerate(members):
+            for action, obj in direct[who]:
+                db = apply_admin(db, OWNER, {"op": "revoke", "subject": who,
+                                             "action": action, "object": obj})
+            direct[who] = [(oracles.ACTIONS[(revision + i) % 5], pool[(revision + i) % 7]),
+                           (oracles.ACTIONS[(revision + 2 * i + 1) % 5],
+                            pool[(3 * revision + i + 2) % 7]),
+                           ("read", f"vo://esg/rev{revision}/{i}/**")]
+            for action, obj in direct[who]:
+                db = apply_admin(db, OWNER, {"op": "grant", "subject": who,
+                                             "action": action, "object": obj})
+        return db
+
+    def held(fetchers, now):
+        """Weak references to the listing sets the fetchers' statements keep."""
+        return [weakref.ref(listing_rights(fetcher.current(now), who))
+                for fetcher in fetchers for who in members]
+
+    source = _FlakySource(world.cas.keys)
+    try:
+        common = dict(site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+                      anchors=world.anchors)
+        pull = ResourceService(ResourceConfig(**common, mode="pull",
+                                              pull_source=source.server.endpoint,
+                                              pull_namespace=PULLED["namespace"]))
+        push = ResourceService(ResourceConfig(**common, mode="push"))
+        fetcher = StatementFetcher(source.server.endpoint, PULLED["namespace"],
+                                   world.cas.keys.public())
+        db, listed, vouched, peak = world.db, [], [], 0
+        for revision in range(6):
+            now = NOW + 1000 * revision
+            db = churn(db, revision)
+            source.body = {"listing": listing_to_map(db, PULLED["namespace"])}
+            source.now = now
+            carried = {who: chain_to_map(embed_in_proxy(
+                world.proxy(short[who]), issue_assertion(db, world.cas.keys, CAS, who, now=now)))
+                for who in members}
+            vouched_now = []
+            for user in oracles.USERS:
+                pairs = direct.get(user, []) + group_pairs[user]
+                for action in oracles.ACTIONS:
+                    for obj in oracles.OBJECTS:
+                        allow, stage = oracles.naive_decide(CAS, pairs, user, action, obj)
+                        decision = pull.authorize(proxies[user], action, obj, now)
+                        assert (decision.allow, decision.stage) == (allow, stage)
+                        answer = decide_local(DecisionQuery(user, action, obj), world.site,
+                                              world.cas.keys.public(), CAS, now, fetcher)
+                        assert (answer.allow, answer.reason.split(":")[0]) == (allow,
+                                                                               stage or "ok")
+                        if user in carried:
+                            decision = push.authorize(carried[user], action, obj, now)
+                            assert (decision.allow, decision.stage) == (allow, stage)
+                if user in carried:
+                    kept = push._checked.recall(carried[user], lambda doc: pytest.fail(
+                        "the vouched chain left the memo while in use"))
+                    vouched_now.append(weakref.ref(kept.assertion.rights))
+            peak = max(peak, intern.cache_info().currsize)
+            assert peak <= bound
+            listed_now = held((fetcher, pull._fetcher), now)
+            gc.collect()
+            assert all(ref() is not None for ref in listed_now)
+            assert vouched_now[-1]() is not None  # still in the memo
+            # the previous revision's statements and memo entries are gone
+            assert all(ref() is None for ref in listed + vouched)
+            listed, vouched = listed_now, vouched_now
+        assert peak == bound
+    finally:
+        source.stop()
+
+
 def test_fetcher_distinguishes_stale_from_unavailable(flaky_source, authority_keys):
     fetcher = StatementFetcher(
         flaky_source.server.endpoint, "vo://esg/data/**", authority_keys.public()
@@ -486,6 +590,55 @@ def test_truncated_listing_frame_fails_closed(authority_keys, monkeypatch, cache
                     assert elapsed < wire.FRAME_DEADLINE + 1.0
                 rounds += 1
                 assert source.requests == rounds + int(cached)
+    finally:
+        source.close()
+
+
+@pytest.mark.parametrize("consumer", ["fetcher_empty", "fetcher_cached", "mirror"])
+def test_a_silent_source_fails_a_fetch_within_the_frame_deadline(authority_keys, monkeypatch,
+                                                                  consumer):
+    """A source that accepts the connection and never answers fails a fetch
+    within the frame deadline: the fetcher raises SourceUnavailable with
+    nothing cached and StaleStatement with an expired statement cached,
+    eight callers sharing the fetch are all released, and the mirror reports
+    its refresh failed."""
+    monkeypatch.setattr(wire, "FRAME_DEADLINE", 0.5)
+    source = _TruncatingSource(authority_keys, whole=int(consumer != "fetcher_empty"),
+                               stall=True)
+    source.cut = 0  # past its whole answers, the source sends nothing at all
+    try:
+        if consumer == "mirror":
+            cache = StatementCache(CacheConfig(authority=source.endpoint, refresh_interval=1,
+                                               max_age=60, subscriptions=[QUERY]))
+            started = time.monotonic()
+            assert cache.refresh(NOW) == {"updated": [], "failed": [QUERY]}
+            assert time.monotonic() - started < wire.FRAME_DEADLINE + 1.0
+            return
+        fetcher = StatementFetcher(source.endpoint, QUERY["namespace"], authority_keys.public())
+        now = fetcher.current(NOW).expires_at + 1 if consumer == "fetcher_cached" else NOW
+        expected = StaleStatement if consumer == "fetcher_cached" else SourceUnavailable
+        for callers in (1, 8):
+            start, results = threading.Barrier(callers), []
+
+            def call():
+                start.wait(timeout=10)
+                started = time.monotonic()
+                try:
+                    fetcher.current(now)
+                except CasliteError as exc:
+                    results.append((exc, time.monotonic() - started))
+
+            threads = [threading.Thread(target=call) for _ in range(callers - 1)]
+            for t in threads:
+                t.start()
+            call()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == callers
+            for exc, elapsed in results:
+                assert type(exc) is expected
+                assert elapsed < wire.FRAME_DEADLINE + 1.0
     finally:
         source.close()
 
