@@ -80,17 +80,15 @@ def assertion_rights(
     user: Identity,
     cas_public: KeyMaterial,
     cas_identity: Identity,
-    group_rights: Mapping[str, frozenset] | None,
     now: int,
 ) -> frozenset:
     """Verify a presented assertion, bind it to ``user`` and return the rights
     it asserts. A :class:`CheckedAssertion` has passed
-    :func:`vouch_assertion` already, with the same ``group_rights``, so only
-    its window is checked again. Membership mode maps groups through
-    ``group_rights``. Raises :class:`DeniedError` when the assertion cannot
-    vouch for ``user``."""
+    :func:`vouch_assertion` already, so only its window is checked again.
+    Raises :class:`DeniedError` when the assertion cannot vouch for
+    ``user``."""
     if isinstance(assertion, PolicyAssertion):
-        assertion = vouch_assertion(assertion, cas_public, cas_identity, group_rights)
+        assertion = vouch_assertion(assertion, cas_public, cas_identity)
     try:
         check_windows(((assertion.not_before, assertion.not_after),), now)
     except ChainError as exc:
@@ -133,7 +131,7 @@ def judge(
     SourceUnavailable and StaleStatement pass through.
     """
     if assertion is not None:
-        asserted = assertion_rights(assertion, user, cas_public, cas_identity, None, now)
+        asserted = assertion_rights(assertion, user, cas_public, cas_identity, now)
     elif community_chain is not None and community_chain.subject == cas_identity:
         # Restricted-proxy model: the only identity visible is the community
         # server's, so per-user site policy cannot distinguish the bearer.
@@ -291,7 +289,6 @@ class AuthzServer(wire.FrameServer):
 def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
     """Command line with the flags the vault and the decision service share."""
     parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
     parser.add_argument("--site", required=True, type=Path, help="site policy file")
     parser.add_argument("--cas-key", required=True, type=Path,
                         help="community server credential file (public part is used)")
@@ -319,9 +316,9 @@ def service_settings(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = service_parser("caslite-authz", "Run a local authorization decision service.")
-    args = parser.parse_args(argv)
-    cfg = AuthzConfig(**service_settings(args))
-    return wire.run_service(lambda: AuthzServer(wire.parse_endpoint(args.listen), cfg))
+    return wire.run_service(
+        parser, lambda args, listen: AuthzServer(listen, AuthzConfig(**service_settings(args))),
+        argv)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from . import wire
-from .canonical import canonical_json
+from .canonical import Encoded, canonical_json, expect
 from .credentials import chain_to_map, load_chain
 from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
 from .keys import KeyMaterial
@@ -148,7 +148,7 @@ class CacheServer(wire.FrameServer):
         self._refresher: threading.Thread | None = None
         super().__init__(listen, self.handle)
 
-    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | wire.Encoded:
+    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | Encoded:
         if kind == "ping":
             return {"identity": "cache", "subscriptions": len(self.cache.subscriptions())}
         if kind == "query":
@@ -175,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="caslite-cache", description="Run a caching mirror of a community authority."
     )
-    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
     parser.add_argument("--authority", required=True, help="HOST:PORT of the authority")
     parser.add_argument("--refresh", required=True, type=int, help="refresh interval, seconds")
     parser.add_argument("--max-age", required=True, type=int, help="maximum entry age, seconds")
@@ -186,23 +185,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cas-key", type=Path, default=None,
                         help="community server credential file (public part is used); "
                              "with it, an answer whose signature does not verify is refused")
-    args = parser.parse_args(argv)
 
-    subscriptions = json.loads(args.subscriptions.read_text(encoding="utf-8"))
-    if not isinstance(subscriptions, list):
-        raise SystemExit("subscriptions file must contain a JSON list")
-    config = CacheConfig(
-        authority=wire.parse_endpoint(args.authority),
-        refresh_interval=args.refresh,
-        max_age=args.max_age,
-        subscriptions=subscriptions,
-        client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
-        authority_public=load_chain(args.cas_key).innermost_keys().public()
-        if args.cas_key else None,
-    )
-    # Built inside the runner: StatementCache fetches (and may log) on construction.
-    return wire.run_service(
-        lambda: CacheServer(wire.parse_endpoint(args.listen), StatementCache(config)))
+    def build(args: argparse.Namespace, listen: wire.Endpoint) -> CacheServer:
+        try:
+            subscriptions = json.loads(args.subscriptions.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise MalformedMessage(f"{args.subscriptions} is not a JSON document: {exc}") from None
+        config = CacheConfig(
+            authority=wire.parse_endpoint(args.authority),
+            refresh_interval=args.refresh,
+            max_age=args.max_age,
+            subscriptions=expect(subscriptions, list, "subscriptions"),
+            client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
+            authority_public=load_chain(args.cas_key).innermost_keys().public()
+            if args.cas_key else None,
+        )
+        return CacheServer(listen, StatementCache(config))
+
+    return wire.run_service(parser, build, argv)
 
 
 if __name__ == "__main__":

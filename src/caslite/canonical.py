@@ -95,6 +95,31 @@ def parse_canonical(data: bytes) -> Any:
     return value
 
 
+class Encoded:
+    """A canonical document kept only as its bytes: ``chunks``, buffers
+    whose concatenation is the document's canonical form.
+    :func:`~caslite.wire.write_frame` sends the chunks as they are, so a
+    large document, such as a signed statement, is neither encoded again
+    nor copied into one frame.
+
+    Chunks are spliced by one rule: a canonical map is ``{``, its
+    ``"key":value`` fragments joined by ``,`` in sorted key order, then
+    ``}``. So a map whose keys are known is joined from encoded fragments,
+    an encoded value is wrapped as ``{"key":`` value ``}``, and a key sorting
+    after every key of an encoded map is added by dropping its closing brace
+    and writing ``,"key":value}``."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks: tuple):
+        self.chunks = chunks
+
+    @property
+    def size(self) -> int:
+        """Length of the canonical form in bytes."""
+        return sum(map(len, self.chunks))
+
+
 def fields(doc: Any, what: str, required: AbstractSet[str],
            optional: AbstractSet[str] = frozenset()) -> dict:
     """The strict shape of every parsed document: ``doc`` itself when it is a

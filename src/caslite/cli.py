@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import wire
 from .assertions import (
@@ -45,13 +45,20 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _emit(doc: dict) -> None:
+def _run(tool: Callable[[], dict]) -> int:
+    """Run one tool and report it: its JSON document on stdout, or one line
+    on stderr and exit 1; a server error also prints its code on stdout."""
+    try:
+        doc = tool()
+    except ServerError as exc:
+        print(f"server error: {exc.code}: {exc.message}", file=sys.stderr)
+        print(exc.code)
+        return EXIT_ERROR
+    except (CasliteError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_ERROR
+    return EXIT_OK
 
 
 # --- caslite-proxy-init ---------------------------------------------------------
@@ -68,20 +75,19 @@ def proxy_init_main(argv: list[str] | None = None) -> int:
     if args.hours <= 0:
         parser.error("--hours must be positive")
 
-    try:
+    def proxy_init() -> dict:
         parent = load_chain(args.credential)
         now = int(time.time())
         chain = issue_proxy(parent, (now, now + int(args.hours * 3600)))
         save_chain(chain, args.out)
-    except (CasliteError, OSError) as exc:
-        return _fail(str(exc))
-    _emit({
-        "written": str(args.out),
-        "subject": chain.subject,
-        "not_after": chain.effective_interval()[1],
-        "links": len(chain.links),
-    })
-    return EXIT_OK
+        return {
+            "written": str(args.out),
+            "subject": chain.subject,
+            "not_after": chain.effective_interval()[1],
+            "links": len(chain.links),
+        }
+
+    return _run(proxy_init)
 
 
 # --- caslite-get-cred -------------------------------------------------------------
@@ -119,7 +125,7 @@ def get_cred_main(argv: list[str] | None = None) -> int:
     except CasliteError as exc:
         parser.error(str(exc))
 
-    try:
+    def get_cred() -> dict:
         chain = load_chain(args.chain)
         anchors = load_anchors(args.anchors)
         chain_doc = chain_to_map(chain)
@@ -137,19 +143,14 @@ def get_cred_main(argv: list[str] | None = None) -> int:
             body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             new_chain = chain_from_map(body["chain"])
         save_chain(new_chain, args.out)
-    except ServerError as exc:
-        print(f"server error: {exc.code}: {exc.message}", file=sys.stderr)
-        print(exc.code)
-        return EXIT_ERROR
-    except (CasliteError, OSError) as exc:
-        return _fail(str(exc))
-    _emit({
-        "written": str(args.out),
-        "mode": args.mode,
-        "subject": new_chain.subject,
-        "links": len(new_chain.links),
-    })
-    return EXIT_OK
+        return {
+            "written": str(args.out),
+            "mode": args.mode,
+            "subject": new_chain.subject,
+            "links": len(new_chain.links),
+        }
+
+    return _run(get_cred)
 
 
 # --- caslite-admin ------------------------------------------------------------------
@@ -189,19 +190,15 @@ def admin_main(argv: list[str] | None = None) -> int:
         sp.add_argument("--groups", default=None, help="comma-separated group names")
 
     args = parser.parse_args(argv)
-    try:
+
+    def admin() -> dict:
         chain_doc = chain_to_map(load_chain(args.chain))
         body = wire.call(
             args.server, "admin", {"command": _admin_command(args)}, chain=chain_doc
         )
-    except ServerError as exc:
-        print(f"server error: {exc.code}: {exc.message}", file=sys.stderr)
-        print(exc.code)
-        return EXIT_ERROR
-    except (CasliteError, OSError) as exc:
-        return _fail(str(exc))
-    _emit({"revision": body["revision"]})
-    return EXIT_OK
+        return {"revision": body["revision"]}
+
+    return _run(admin)
 
 
 # --- caslite-inspect -----------------------------------------------------------------
@@ -213,35 +210,32 @@ def inspect_main(argv: list[str] | None = None) -> int:
     parser.add_argument("chain", type=Path)
     args = parser.parse_args(argv)
 
-    try:
+    def inspect() -> dict:
         chain = load_chain(args.chain)
         assertion = extract_from_proxy(chain)
-    except (CasliteError, OSError) as exc:
-        return _fail(str(exc))
+        not_before, not_after = chain.effective_interval()
+        restriction = chain.effective_restriction()
+        return {
+            "subject": chain.subject,
+            "issuer": chain.eec.issuer,
+            "validity": {"not_before": not_before, "not_after": not_after},
+            "links": [
+                {
+                    "not_before": link.not_before,
+                    "not_after": link.not_after,
+                    "restriction": rights_to_list(link.restriction)
+                    if link.restriction is not None else None,
+                    "extension_bytes": len(link.extension) if link.extension else 0,
+                }
+                for link in chain.links
+            ],
+            "effective_restriction": rights_to_list(restriction)
+            if restriction is not None else None,
+            "assertion": assertion_to_map(assertion) if assertion is not None else None,
+            "has_private_key": chain.innermost_keys().private_part is not None,
+        }
 
-    not_before, not_after = chain.effective_interval()
-    restriction = chain.effective_restriction()
-    doc: dict[str, Any] = {
-        "subject": chain.subject,
-        "issuer": chain.eec.issuer,
-        "validity": {"not_before": not_before, "not_after": not_after},
-        "links": [
-            {
-                "not_before": link.not_before,
-                "not_after": link.not_after,
-                "restriction": rights_to_list(link.restriction)
-                if link.restriction is not None else None,
-                "extension_bytes": len(link.extension) if link.extension else 0,
-            }
-            for link in chain.links
-        ],
-        "effective_restriction": rights_to_list(restriction)
-        if restriction is not None else None,
-        "assertion": assertion_to_map(assertion) if assertion is not None else None,
-        "has_private_key": chain.innermost_keys().private_part is not None,
-    }
-    _emit(doc)
-    return EXIT_OK
+    return _run(inspect)
 
 
 _TOOLS = {

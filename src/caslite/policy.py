@@ -31,7 +31,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .canonical import canonical_json, expect, fields, parse_canonical, set_of, write_atomic
+from .canonical import Encoded, canonical_json, expect, fields, parse_canonical, set_of, write_atomic
 from .errors import (
     DuplicateGroup,
     MalformedMessage,
@@ -39,7 +39,6 @@ from .errors import (
     NotAuthorized,
     UnknownSubject,
 )
-from .wire import Encoded
 
 Identity = str
 
@@ -407,7 +406,7 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
 def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
     """The map of each member's rights within ``namespace`` as
     :func:`rights_to_list` entries, members with none left out, as an
-    :class:`~caslite.wire.Encoded` map joined from each entry's encoded
+    :class:`~caslite.canonical.Encoded` map joined from each entry's encoded
     ``"member":[...]`` fragment in member order.
 
     The fragments are kept on ``db`` for the last :data:`LISTING_NAMESPACES`

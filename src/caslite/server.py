@@ -29,7 +29,7 @@ from .assertions import (
     issue_assertion,
     issue_restricted_proxy,
 )
-from .canonical import expect, fields
+from .canonical import Encoded, expect, fields
 from .credentials import (
     chain_from_map,
     chain_to_map,
@@ -131,7 +131,7 @@ class CasServer(wire.FrameServer):
 
     # --- request plumbing ----------------------------------------------------
 
-    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | wire.Encoded:
+    def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | Encoded:
         caller = "unauthenticated"
         try:
             if kind == "ping":
@@ -212,7 +212,7 @@ class CasServer(wire.FrameServer):
             self._db = new_db
             return {"revision": new_db.revision}
 
-    def handle_query(self, payload: dict, caller: Identity) -> wire.Encoded:
+    def handle_query(self, payload: dict, caller: Identity) -> Encoded:
         query = validate_query(payload)
         db = self._db
         now = int(time.time())
@@ -228,8 +228,8 @@ class CasServer(wire.FrameServer):
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
-            body = wire.Encoded((b'{"listing":', *scoped_listing(db, query["namespace"]).chunks,
-                                 b"}"))
+            body = Encoded((b'{"listing":', *scoped_listing(db, query["namespace"]).chunks,
+                            b"}"))
         statement = sign_statement(
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,
@@ -251,7 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="caslite-server", description="Run a community authority server."
     )
-    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
     parser.add_argument("--db", required=True, type=Path, help="policy database file")
     parser.add_argument("--key", required=True, type=Path,
                         help="server credential chain file (with private key)")
@@ -261,18 +260,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--default-lifetime", type=int, default=DEFAULT_LIFETIME,
                         help="lifetime used when a request names none")
     parser.add_argument("--audit", type=Path, default=None, help="audit log path")
-    args = parser.parse_args(argv)
-
-    config = ServerConfig(
-        listen=wire.parse_endpoint(args.listen),
+    return wire.run_service(parser, lambda args, listen: CasServer(ServerConfig(
+        listen=listen,
         db_path=args.db,
         credential_path=args.key,
         anchors_path=args.anchors,
         max_lifetime=args.max_lifetime,
         default_lifetime=args.default_lifetime,
         audit_path=args.audit,
-    )
-    return wire.run_service(lambda: CasServer(config))
+    )), argv)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from .canonical import canonical_json, expect, fields, from_hex, parse_canonical, to_hex
+from .canonical import Encoded, canonical_json, expect, fields, from_hex, parse_canonical, to_hex
 from .errors import (
     CasliteError,
     MalformedMessage,
@@ -101,15 +101,15 @@ def validate_query(payload: Any) -> dict:
 
 
 def sign_statement(
-    keys: KeyMaterial, query: dict, body: dict | wire.Encoded, issued_at: int, expires_at: int
+    keys: KeyMaterial, query: dict, body: dict | Encoded, issued_at: int, expires_at: int
 ) -> SignedStatement:
     """Sign ``body`` as the answer to ``query``. The payload's first key is
     ``body``, so its bytes are spliced after ``{"body":`` (the chunks of a
-    ``wire.Encoded`` body, encoded no further), then the other fields. Only
+    ``Encoded`` body, encoded no further), then the other fields. Only
     the payload is kept: the statement's ``body`` is decoded from it."""
     rest = canonical_json({"caslite": STATEMENT_FORMAT, "expires_at": expires_at,
                            "issued_at": issued_at, "query": query}, trusted=True)
-    chunks = (body.chunks if isinstance(body, wire.Encoded)
+    chunks = (body.chunks if isinstance(body, Encoded)
               else (canonical_json(body, trusted=True),))
     payload = b"".join((b'{"body":', *chunks, b",", memoryview(rest)[1:]))
     return SignedStatement(query, issued_at, expires_at, sign_payload(keys, payload),
@@ -124,14 +124,14 @@ def statement_to_map(s: SignedStatement) -> dict[str, Any]:
     return {**parse_canonical(s.signing_payload()), "signature": to_hex(s.signature)}
 
 
-def statement_answer(s: SignedStatement) -> wire.Encoded:
+def statement_answer(s: SignedStatement) -> Encoded:
     """The query answer ``{"statement":...}`` carrying ``s``: the signing
     payload as signed or received, with ``signature``, the key sorting last,
-    spliced in before its closing brace (see ``wire.Encoded``). Nothing is
+    spliced in before its closing brace (see ``Encoded``). Nothing is
     decoded or encoded again, so the authority and a mirror send the same
     bytes."""
-    return wire.Encoded((b'{"statement":', memoryview(s.signing_payload())[:-1],
-                         b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
+    return Encoded((b'{"statement":', memoryview(s.signing_payload())[:-1],
+                    b',"signature":"' + to_hex(s.signature).encode("ascii") + b'"}}'))
 
 
 def statement_from_map(doc: Any) -> SignedStatement:

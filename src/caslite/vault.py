@@ -288,15 +288,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="group name to rights map for membership-mode assertions")
     parser.add_argument("--anchors", required=True, type=Path,
                         help="trust anchor file for verifying presented chains")
-    args = parser.parse_args(argv)
-    cfg = ResourceConfig(
-        **service_settings(args),
-        anchors=load_anchors(args.anchors),
-        mode=args.mode,
-        group_rights=load_group_rights(args.groups) if args.groups else None,
-    )
-    return wire.run_service(
-        lambda: VaultServer(wire.parse_endpoint(args.listen), ResourceService(cfg)))
+    return wire.run_service(parser, lambda args, listen: VaultServer(listen, ResourceService(
+        ResourceConfig(
+            **service_settings(args),
+            anchors=load_anchors(args.anchors),
+            mode=args.mode,
+            group_rights=load_group_rights(args.groups) if args.groups else None,
+        ))), argv)
 
 
 if __name__ == "__main__":

@@ -28,16 +28,18 @@ document encodes to exactly its span, so both intakes key a document alike.
 
 from __future__ import annotations
 
+import argparse
 import logging
 import signal
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 from typing import Any, Callable
 
-from .canonical import canonical_json, parse_canonical
+from .canonical import Encoded, canonical_json, parse_canonical
 from .errors import CasliteError, FrameError, MalformedMessage, ResponseTooLarge, ServerError
 from .keys import CheckedMemo, Received
 
@@ -72,30 +74,6 @@ def parse_endpoint(text: str) -> Endpoint:
 
 def format_endpoint(endpoint: Endpoint) -> str:
     return f"{endpoint[0]}:{endpoint[1]}"
-
-
-class Encoded:
-    """A canonical document kept only as its bytes: ``chunks``, buffers
-    whose concatenation is the document's canonical form. :func:`write_frame`
-    sends the chunks as they are, so a large document, such as a signed
-    statement, is neither encoded again nor copied into one frame.
-
-    Chunks are spliced by one rule: a canonical map is ``{``, its
-    ``"key":value`` fragments joined by ``,`` in sorted key order, then
-    ``}``. So a map whose keys are known is joined from encoded fragments,
-    an encoded value is wrapped as ``{"key":`` value ``}``, and a key sorting
-    after every key of an encoded map is added by dropping its closing brace
-    and writing ``,"key":value}``."""
-
-    __slots__ = ("chunks",)
-
-    def __init__(self, chunks: tuple):
-        self.chunks = chunks
-
-    @property
-    def size(self) -> int:
-        """Length of the canonical form in bytes."""
-        return sum(map(len, self.chunks))
 
 
 def write_frame(sock: socket.socket, doc: Any) -> None:
@@ -503,15 +481,26 @@ class FrameServer:
             self._thread.join(timeout=5)
 
 
-def run_service(make_server: Callable[[], Any]) -> int:
-    """Body of every service's ``main()``: log to stderr, build the server,
-    start it, serve until SIGTERM or Ctrl-C, then stop it. Returns the exit
-    code, 0. Logging and the SIGTERM handler are set up before the server is
-    built, so neither its start-up messages nor an early SIGTERM are lost."""
+def run_service(parser: argparse.ArgumentParser,
+                build: Callable[[argparse.Namespace, Endpoint], Any],
+                argv: list[str] | None) -> int:
+    """Body of every service's ``main()``: add ``--listen`` to ``parser``,
+    parse ``argv``, log to stderr and ``build(args, listen)`` the server,
+    which loads every file the service reads. A domain error or ``OSError``
+    there, such as a bad file or a listen address in use, ends the service
+    with one ``error:`` line and exit code 1. Otherwise serve until SIGTERM
+    or Ctrl-C, stop, and return 0. Logging and the SIGTERM handler come
+    before the build, so neither its messages nor an early SIGTERM are lost."""
+    parser.add_argument("--listen", required=True, help="HOST:PORT to listen on")
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     stopping = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stopping.set())
-    server = make_server()
+    try:
+        server = build(args, parse_endpoint(args.listen))
+    except (CasliteError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     server.start()
     try:
         stopping.wait()

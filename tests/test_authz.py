@@ -67,7 +67,7 @@ def test_membership_assertion_denies_at_vo_user(world):
                       object="vo://esg/data/public/a.nc", assertion=membership)
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
     with pytest.raises(DeniedError) as shared:
-        assertion_rights(membership, ALICE, world.cas.keys.public(), CAS, None, NOW)
+        assertion_rights(membership, ALICE, world.cas.keys.public(), CAS, NOW)
     assert shared.value.decision.stage == "vo_user"
     assert not answer.allow and answer.reason == shared.value.decision.reason
 

@@ -314,13 +314,20 @@ def test_remembered_chain_keeps_every_clock_edge(world, parses, edge):
         parses.clear()
 
 
-def test_chain_remembered_while_valid_expires(world):
-    chain = embed_in_proxy(world.proxy("alice", lifetime=600),
-                           alice_assertion(world, lifetime=DAY))
+@pytest.mark.parametrize("mode", ["push", "pull"])
+def test_chain_remembered_while_valid_expires(world, cas_server, parses, mode):
+    proxy = world.proxy("alice", lifetime=600)
+    if mode == "push":
+        chain = embed_in_proxy(proxy, alice_assertion(world, lifetime=DAY))
+        cfg = push_config(world)
+    else:
+        chain, cfg = proxy, pull_config(world, cas_server.endpoint)
     doc = chain_to_map(chain)
-    service = ResourceService(push_config(world))
+    service = ResourceService(cfg)
     assert service.authorize(doc, "read", OBJ, NOW).allow
+    parses.clear()
     decision = service.authorize(doc, "read", OBJ, NOW + 600 + CLOCK_SKEW + 1)
+    assert parses == []  # answered from the remembered check
     assert not decision.allow and decision.stage == "credential"
     assert decision.reason.startswith("chain rejected: Expired: element 1 expired")
     assert service.authorize(doc, "read", OBJ, NOW).allow

@@ -1,8 +1,9 @@
 """Source hygiene: each caslite module uses every name it imports, the
 package reads every private module-level name it defines, every encode
 that skips the type walk is one that ``canonical_json`` documents, and the
-modules keep their layers: no import cycle, and no service module imports
-another but the file service the decision point."""
+modules keep their layers: no import cycle, no model module imports the
+transport or a service, and no service module imports another but the file
+service the decision point."""
 
 from __future__ import annotations
 
@@ -228,6 +229,19 @@ def test_modules_keep_their_layers():
              for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     assert service_modules(trees) == {"authz", "cache", "server", "vault"}
     assert layering_faults(trees) == []
+
+
+# The documents and their checks: they stand without the transport.
+MODEL_MODULES = {"errors", "canonical", "keys", "policy", "credentials", "assertions"}
+
+
+def test_model_modules_import_neither_the_transport_nor_a_service():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    graph, outside = import_graph(trees), {"wire"} | service_modules(trees)
+    assert MODEL_MODULES <= set(trees)
+    assert {module: sorted(graph[module] & outside) for module in sorted(MODEL_MODULES)
+            if graph[module] & outside} == {}
 
 
 def test_the_check_sees_a_service_import_and_a_cycle():

@@ -13,7 +13,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caslite.assertions import assertion_from_map, assertion_to_map, issue_assertion
+from caslite.assertions import MAX_LIFETIME, assertion_from_map, assertion_to_map, issue_assertion
 from caslite.authz import query_from_payload
 from caslite.credentials import (
     CredentialChain,
@@ -182,6 +182,44 @@ def test_mutated_documents_raise_only_domain_errors(server, name, data):
                 reader(mutant)
             except CasliteError:
                 pass
+
+
+def _window_closed(doc: dict) -> dict:
+    """``doc`` with its validity window shut: ``not_after`` at ``not_before``."""
+    return {**doc, "not_after": doc["not_before"]}
+
+
+# (reader name, document, error code, message) of refusals each reader must make
+REFUSALS = [
+    *(("handle_get_credential", {"mode": "assertion", "lifetime": lifetime,
+                                 "assertion_mode": "rights"},
+       "MalformedMessage", "lifetime must be positive") for lifetime in (0, -1)),
+    *(("handle_get_credential", {"mode": "restricted_proxy", "lifetime": lifetime},
+       "MalformedMessage", "empty validity interval") for lifetime in (0, -1)),
+    ("handle_get_credential", {"mode": "restricted_proxy", "lifetime": MAX_LIFETIME + 1},
+     "LifetimeTooLong", "exceeds"),
+    ("eec_from_map", _window_closed(eec_to_map(CHAIN.eec)),
+     "MalformedMessage", "empty validity interval"),
+    ("link_from_map", _window_closed(link_to_map(CHAIN.links[0])),
+     "MalformedMessage", "empty validity interval"),
+    ("assertion_from_map", _window_closed(ASSERTIONS["rights"]),
+     "MalformedMessage", "empty assertion validity interval"),
+    ("key_from_map", {**key_to_map(generate_keys()), "public_part": "00" * 31},
+     "MalformedMessage", "32 bytes"),
+    ("capability_from_map", {**_capability_to_map(CAPABILITY), "powers": ["fly"]},
+     "MalformedMessage", "bad capability powers"),
+    ("query_from_payload", {**PURE_READERS["query_from_payload"][1][0], "attributes": ["role"]},
+     "MalformedMessage", "attribute must be name=value"),
+]
+
+
+@pytest.mark.parametrize("name, doc, code, message", REFUSALS,
+                         ids=[f"{name}-{message}" for name, _, _, message in REFUSALS])
+def test_each_refusal_gives_its_domain_error(server, name, doc, code, message):
+    reader, _ = {**PURE_READERS, **_server_readers(server)}[name]
+    with pytest.raises(CasliteError, match=message) as info:
+        reader(doc)
+    assert info.value.code == code
 
 
 # reader name -> the integer fields of its documents

@@ -1,0 +1,137 @@
+"""Start-up failures of the four services: a bad file or a listen address in
+use ends a service's ``main()`` with one ``error:`` line and exit code 1,
+never a traceback."""
+
+from __future__ import annotations
+
+import argparse
+import errno
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from caslite import authz, cache, server, vault, wire
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture()
+def files(world, tmp_path):
+    """The services' good files, and bad ones beside them."""
+    paths = world.write_server_files(tmp_path)
+    paths["bad_chain"] = tmp_path / "bad.chain"
+    paths["bad_chain"].write_bytes(b"\xff")
+    for name, text in {"subs": "[]", "subs_not_json": '{"x":', "subs_not_list": '{"x": 1}'}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    paths["missing"] = tmp_path / "nope.json"
+    return paths
+
+
+@pytest.fixture()
+def bound():
+    """A listening socket, whose address no service can bind."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        yield "%s:%d" % sock.getsockname()
+
+
+@pytest.fixture()
+def sigterm():
+    """Restore the SIGTERM handler that ``run_service`` installs."""
+    saved = signal.getsignal(signal.SIGTERM)
+    yield
+    signal.signal(signal.SIGTERM, saved)
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _argv(service: str, p: dict, listen: str, **bad) -> list:
+    """A full command line for ``service``, with ``bad`` files in place of
+    good ones."""
+    p = {**p, **{flag: p[name] for flag, name in bad.items()}}
+    if service == "server":
+        return ["--listen", listen, "--db", p["db"], "--key", p["key"], "--anchors", p["anchors"]]
+    if service == "cache":
+        return ["--listen", listen, "--authority", f"127.0.0.1:{_closed_port()}",
+                "--refresh", 1, "--max-age", 30, "--subscriptions", p["subs"]]
+    argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"]]
+    return argv + (["--mode", "push", "--anchors", p["anchors"]] if service == "vault" else [])
+
+
+MAINS = {"server": server.main, "cache": cache.main, "vault": vault.main, "authz": authz.main}
+
+CASES = [
+    ("vault", {"cas_public": "bad_chain"}, "bad.chain is not UTF-8 text"),
+    ("authz", {"cas_public": "bad_chain"}, "bad.chain is not UTF-8 text"),
+    ("cache", {"subs": "subs_not_json"}, "subs_not_json.json is not a JSON document"),
+    ("cache", {"subs": "subs_not_list"}, "subscriptions must be a list"),
+    ("server", {"db": "missing"}, "No such file or directory"),
+]
+
+
+@pytest.mark.parametrize("service, bad, message", CASES,
+                         ids=[f"{s}-{'-'.join(b.values())}" for s, b, _ in CASES])
+def test_a_bad_file_ends_a_service_in_one_error_line(files, sigterm, capsys,
+                                                     service, bad, message):
+    code = MAINS[service](list(map(str, _argv(service, files, "127.0.0.1:0", **bad))))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("service", MAINS)
+def test_a_listen_address_in_use_ends_a_service_in_one_error_line(files, bound, sigterm,
+                                                                  capsys, service):
+    assert MAINS[service](list(map(str, _argv(service, files, bound)))) == 1
+    err = capsys.readouterr().err
+    in_use = errno.EADDRINUSE
+    assert err.splitlines()[-1] == f"error: [Errno {in_use}] {os.strerror(in_use)}"
+    assert "Traceback" not in err
+
+
+def test_a_mirror_run_as_a_process_logs_its_failed_fetch_then_one_error_line(files, bound):
+    """As a process, the mirror's failed first fetch is logged to stderr
+    before the bind fails, so the error is the last line, not the only one."""
+    files["subs"].write_text(json.dumps([{"query": "user_rights", "subject": "/CN=a"}]))
+    result = subprocess.run(
+        [sys.executable, "-m", "caslite.cache", *map(str, _argv("cache", files, bound))],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    lines = result.stderr.splitlines()
+    assert result.returncode == 1, result.stderr
+    assert "initial fetch failed" in lines[0]
+    assert lines[-1].startswith("error: ") and "Address already in use" in lines[-1]
+    assert "Traceback" not in result.stderr
+
+
+def test_a_sigterm_during_the_build_stops_the_service_with_exit_0(sigterm):
+    """The SIGTERM handler is in place before the build, so a SIGTERM that
+    arrives while the service loads its files is not lost: the service
+    starts, stops at once, and exits 0."""
+    calls = []
+
+    class Server:
+        def start(self):
+            calls.append("start")
+
+        def stop(self):
+            calls.append("stop")
+
+    def build(args, listen):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return Server()
+
+    code = wire.run_service(argparse.ArgumentParser(), build, ["--listen", "127.0.0.1:0"])
+    assert code == 0 and calls == ["start", "stop"]

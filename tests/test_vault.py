@@ -408,5 +408,10 @@ def test_vault_over_the_wire(world, seeded_store):
         with pytest.raises(ServerError) as info:
             wire.call(server.endpoint, "read", {"path": "vo://esg/data/gone"}, chain=alice)
         assert info.value.code == "NotFound"
+        for kind, chain in (("rename", alice), ("read", None)):
+            with pytest.raises(ServerError) as info:
+                wire.call(server.endpoint, kind, {"path": "vo://esg/data/public/a.nc"},
+                          chain=chain)
+            assert info.value.code == "MalformedMessage"
     finally:
         server.stop()

@@ -64,10 +64,11 @@ def test_unexpected_error_is_internal(echo_server):
 
 def test_envelope_must_have_kind_and_payload(echo_server):
     with socket.create_connection(echo_server.endpoint, timeout=5) as sock:
-        wire.write_frame(sock, {"nope": 1})
-        response = wire.read_frame(sock)
-    assert response["ok"] is False
-    assert response["error"]["code"] == "MalformedRequest"
+        for request in ({"nope": 1}, {"kind": 1, "payload": {}}, {"kind": "x", "payload": []}):
+            wire.write_frame(sock, request)
+            response = wire.read_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "MalformedRequest"
 
 
 def test_malformed_frame_then_valid_request_same_connection(echo_server):
