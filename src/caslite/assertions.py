@@ -116,6 +116,24 @@ class AssertionVerdict:
             raise MalformedMessage("verdict carries a failure exactly when not ok")
 
 
+def entitled_rights(db: VOPolicyDatabase, subject: Identity, lifetime: int,
+                    requested: frozenset | None) -> frozenset:
+    """The issuance rule of both credential models: ``subject`` must be a
+    member and ``lifetime`` within ``(0, MAX_LIFETIME]``. Returns the
+    subject's rights, intersected with ``requested`` when present:
+    over-requesting silently narrows rather than erroring, which keeps the
+    least-privilege path easy."""
+    if not db.is_member(subject):
+        raise NotAMember(f"{subject} is not a member of {db.vo_name}")
+    if lifetime <= 0:
+        raise MalformedMessage(
+            f"lifetime must be positive: {lifetime}s gives an empty validity interval")
+    if lifetime > MAX_LIFETIME:
+        raise LifetimeTooLong(f"lifetime {lifetime}s exceeds the {MAX_LIFETIME}s maximum")
+    rights = user_rights(db, subject)
+    return rights if requested is None else intersect_rights(rights, requested)
+
+
 def issue_assertion(
     db: VOPolicyDatabase,
     cas_keys: KeyMaterial,
@@ -126,39 +144,20 @@ def issue_assertion(
     lifetime: int = DEFAULT_LIFETIME,
     *,
     now: int,
-    max_lifetime: int = MAX_LIFETIME,
-    serial: int | None = None,
 ) -> PolicyAssertion:
-    """Issue an assertion for ``subject`` from the current database.
-
-    Rights mode asserts the subject's entitlements, intersected with
-    ``requested`` when present: over-requesting silently narrows rather than
-    erroring, which keeps the least-privilege path easy. Membership mode
-    asserts the groups containing the subject.
-    """
-    if mode not in MODES:
-        raise MalformedMessage(f"unknown assertion mode {mode!r}")
-    if not db.is_member(subject):
-        raise NotAMember(f"{subject} is not a member of {db.vo_name}")
-    if lifetime <= 0:
-        raise MalformedMessage("lifetime must be positive")
-    if lifetime > max_lifetime:
-        raise LifetimeTooLong(f"lifetime {lifetime}s exceeds the {max_lifetime}s maximum")
-    rights = groups = None
-    if mode == "rights":
-        rights = user_rights(db, subject)
-        if requested is not None:
-            rights = intersect_rights(rights, requested)
-    else:
-        groups = db.groups_of(subject)
+    """Issue an assertion for ``subject`` from the current database under
+    :func:`entitled_rights`. Rights mode asserts the subject's entitlements
+    narrowed to ``requested``; membership mode asserts the groups containing
+    the subject."""
+    rights = entitled_rights(db, subject, lifetime, requested)
     unsigned = PolicyAssertion(
-        serial=_next_serial() if serial is None else serial,
+        serial=_next_serial(),
         vo_name=db.vo_name,
         issuer=cas_id,
         subject=subject,
         mode=mode,
-        rights=rights,
-        groups=groups,
+        rights=rights if mode == "rights" else None,
+        groups=db.groups_of(subject) if mode == "membership" else None,
         not_before=now,
         not_after=now + lifetime,
         db_revision=db.revision,
@@ -258,14 +257,10 @@ def issue_restricted_proxy(
     requested: frozenset | None = None,
 ) -> CredentialChain:
     """The restricted-proxy credential model: a chain rooted in the community
-    server's own credential whose restriction enumerates the subject's
-    rights, narrowed to ``requested`` when present as in rights-mode
-    assertions. Verifiers see the community identity, not the subject's."""
-    if not db.is_member(subject):
-        raise NotAMember(f"{subject} is not a member of {db.vo_name}")
-    rights = user_rights(db, subject)
-    if requested is not None:
-        rights = intersect_rights(rights, requested)
+    server's own credential whose restriction enumerates the rights
+    :func:`entitled_rights` allows, as a rights-mode assertion would assert
+    them. Verifiers see the community identity, not the subject's."""
+    rights = entitled_rights(db, subject, lifetime, requested)
     return issue_proxy(cas_chain, (now, now + lifetime), restriction=rights)
 
 

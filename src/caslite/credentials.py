@@ -14,7 +14,6 @@ private part so the holder can keep delegating.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -171,23 +170,19 @@ class CheckedChain:
 
 # --- issuance -------------------------------------------------------------------
 
-def make_ca(name: str, *, now: int | None = None,
-            validity_seconds: int = CA_VALIDITY) -> EndEntityCredential:
+def make_ca(name: str, *, now: int) -> EndEntityCredential:
     """A self-signed credential usable as a trust anchor."""
     if not name:
         raise MalformedMessage("CA name must be non-empty")
-    now = int(time.time()) if now is None else now
     subject = validate_identity(f"/CN={name}") if not name.startswith("/") else validate_identity(name)
     keys = generate_keys()
-    return _sign_eec(subject, subject, keys, now, now + validity_seconds, keys)
+    return _sign_eec(subject, subject, keys, now, now + CA_VALIDITY, keys)
 
 
 def issue_eec(
     ca: EndEntityCredential,
     subject: Identity,
     validity: tuple[int, int],
-    *,
-    keys: KeyMaterial | None = None,
 ) -> EndEntityCredential:
     """Issue a long-term credential for ``subject`` under ``ca``."""
     validate_identity(subject)
@@ -199,8 +194,7 @@ def issue_eec(
         )
     if ca.keys.private_part is None:
         raise CasliteError("issuer credential lacks a private key")
-    keys = keys or generate_keys()
-    return _sign_eec(subject, ca.subject, keys, not_before, not_after, ca.keys)
+    return _sign_eec(subject, ca.subject, generate_keys(), not_before, not_after, ca.keys)
 
 
 def _sign_eec(subject: str, issuer: str, keys: KeyMaterial,

@@ -761,8 +761,17 @@ def save_database(db: VOPolicyDatabase, path: Path | str) -> None:
     write_atomic(path, db_canonical_bytes(db))
 
 
+def _read_document(path: Path | str) -> Any:
+    """The canonical document in the file at ``path``; a file that does not
+    parse, bytes that are not UTF-8 included, is refused by its name."""
+    try:
+        return parse_canonical(Path(path).read_bytes())
+    except MalformedMessage as exc:
+        raise MalformedMessage(f"{path}: {exc.message}") from None
+
+
 def load_database(path: Path | str) -> VOPolicyDatabase:
-    return db_from_map(parse_canonical(Path(path).read_bytes()))
+    return db_from_map(_read_document(path))
 
 
 def site_to_map(site: SitePolicy) -> dict[str, Any]:
@@ -792,7 +801,7 @@ def save_site(site: SitePolicy, path: Path | str) -> None:
 
 
 def load_site(path: Path | str) -> SitePolicy:
-    return site_from_map(parse_canonical(Path(path).read_bytes()))
+    return site_from_map(_read_document(path))
 
 
 def group_rights_from_map(doc: Any) -> dict[str, frozenset]:
@@ -800,4 +809,4 @@ def group_rights_from_map(doc: Any) -> dict[str, frozenset]:
 
 
 def load_group_rights(path: Path | str) -> dict[str, frozenset]:
-    return group_rights_from_map(parse_canonical(Path(path).read_bytes()))
+    return group_rights_from_map(_read_document(path))

@@ -24,7 +24,6 @@ from typing import Any
 from . import wire
 from .assertions import (
     DEFAULT_LIFETIME,
-    MAX_LIFETIME,
     assertion_to_map,
     issue_assertion,
     issue_restricted_proxy,
@@ -41,7 +40,6 @@ from .credentials import (
 from .errors import (
     AuthFailed,
     CasliteError,
-    LifetimeTooLong,
     MalformedMessage,
     ResponseTooLarge,
     UnknownSubject,
@@ -64,7 +62,6 @@ class ServerConfig:
     db_path: Path
     credential_path: Path
     anchors_path: Path
-    max_lifetime: int = MAX_LIFETIME
     default_lifetime: int = DEFAULT_LIFETIME
     audit_path: Path | None = None
 
@@ -189,14 +186,9 @@ class CasServer(wire.FrameServer):
                 requested=requested,
                 lifetime=lifetime,
                 now=now,
-                max_lifetime=self.config.max_lifetime,
             )
             return {"assertion": assertion_to_map(assertion)}
         if payload["mode"] == "restricted_proxy":
-            if lifetime > self.config.max_lifetime:
-                raise LifetimeTooLong(
-                    f"lifetime {lifetime}s exceeds the {self.config.max_lifetime}s maximum"
-                )
             chain = issue_restricted_proxy(self._chain, db, caller, lifetime, now=now,
                                            requested=requested)
             # The fresh innermost private part ships to the holder; transport
@@ -224,7 +216,6 @@ class CasServer(wire.FrameServer):
             assertion = issue_assertion(
                 db, self._chain.innermost_keys(), self.identity,
                 subject=subject, lifetime=lifetime, now=now,
-                max_lifetime=self.config.max_lifetime,
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
@@ -255,8 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--key", required=True, type=Path,
                         help="server credential chain file (with private key)")
     parser.add_argument("--anchors", required=True, type=Path, help="trust anchor file")
-    parser.add_argument("--max-lifetime", type=int, default=MAX_LIFETIME,
-                        help="maximum credential lifetime in seconds")
     parser.add_argument("--default-lifetime", type=int, default=DEFAULT_LIFETIME,
                         help="lifetime used when a request names none")
     parser.add_argument("--audit", type=Path, default=None, help="audit log path")
@@ -265,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         db_path=args.db,
         credential_path=args.key,
         anchors_path=args.anchors,
-        max_lifetime=args.max_lifetime,
         default_lifetime=args.default_lifetime,
         audit_path=args.audit,
     )), argv)

@@ -1,6 +1,7 @@
 """Source hygiene: each caslite module uses every name it imports, the
-package reads every private module-level name it defines, every encode
-that skips the type walk is one that ``canonical_json`` documents, and the
+package reads every private module-level name it defines, some call sets
+each defaulted parameter of its module-level functions, every encode that
+skips the type walk is one that ``canonical_json`` documents, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
 service the decision point."""
@@ -19,9 +20,13 @@ from pathlib import Path
 import pytest
 
 import caslite
+from caslite import cli
 from caslite.canonical import canonical_json
 
 PACKAGE = Path(caslite.__file__).parent
+# Every directory whose code calls the package; the checks only read them.
+CALLERS = [Path(__file__).resolve().parent.parent / name
+           for name in ("src", "tests", "bench", "scripts")]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -119,6 +124,62 @@ def test_the_check_sees_a_stranded_private_helper():
     }.items()}
     assert stranded_private_names(trees) == \
         ["a.py: _LEFT (line 4)", "a.py: _Unused (line 7)", "a.py: _recursive (line 5)"]
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` may set the parameter ``name``, at position
+    ``index`` when it is positional: by keyword, by position, or through a
+    spread ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(defined: dict, callers: list) -> list:
+    """``module.function(parameter=)`` for each defaulted parameter of a
+    module-level function in ``defined``, trees by module name, that no call
+    in the trees ``callers`` passes. A call is matched to a function by the
+    called name alone, so a same-named call anywhere counts."""
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in defined.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = list(enumerate(p.arg for p in positional))
+            defaulted = defaulted[len(positional) - len(args.defaults):]
+            defaulted += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unset += [f"{module}.{node.name}({name}=)" for index, name in defaulted
+                      if not any(_passes(c, index, name) for c in calls.get(node.name, ()))]
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A default that no call overrides is a setting nobody sets: drop the
+    parameter. The tools ``cli.main`` calls through ``_TOOLS`` are exempt."""
+    defined = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    callers = [ast.parse(p.read_text(encoding="utf-8"))
+               for root in CALLERS for p in sorted(root.rglob("*.py"))]
+    tools = {f"cli.{tool.__name__}(argv=)" for tool in cli._TOOLS.values()}
+    assert [name for name in unset_parameters(defined, callers) if name not in tools] == []
+
+
+def test_the_check_sees_a_parameter_no_call_sets():
+    defined = {"a": ast.parse(
+        "def f(x, y=1, z=2, *, k=3, m=4):\n    pass\n"
+        "def g(x=1, *, k=2):\n    pass\n"
+        "class C:\n    def f(self, unused=1):\n        pass\n")}
+    callers = [ast.parse("f(0, 1, m=5)\nmod.f(0)\ng(*xs, **kw)\n")]
+    assert unset_parameters(defined, callers) == ["a.f(k=)", "a.f(z=)"]
 
 
 def _trusted_encodes(node: ast.AST, function: str):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from caslite import keys
+from caslite.errors import CasliteError
 from caslite.keys import KeyMaterial, generate_keys, sign_payload, verify_payload
 
 PAYLOAD = b'{"caslite":"test","subject":"/O=Grid/CN=Alice","not_after":1700000000}'
@@ -36,6 +39,12 @@ def test_algorithm_check_precedes_the_signature_check():
     assert verify_payload(signer.public(), signature, PAYLOAD)
     foreign = KeyMaterial("rsa-sha256", signer.public_part)
     assert not verify_payload(foreign, signature, PAYLOAD)
+
+
+def test_signing_needs_the_private_part():
+    with pytest.raises(CasliteError, match="private key material required") as info:
+        sign_payload(generate_keys().public(), PAYLOAD)
+    assert info.value.code == "Internal"
 
 
 def test_signing_keeps_one_key_object(monkeypatch):

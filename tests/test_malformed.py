@@ -198,6 +198,8 @@ REFUSALS = [
        "MalformedMessage", "empty validity interval") for lifetime in (0, -1)),
     ("handle_get_credential", {"mode": "restricted_proxy", "lifetime": MAX_LIFETIME + 1},
      "LifetimeTooLong", "exceeds"),
+    ("handle_get_credential", {"mode": "assertion", "assertion_mode": "fly"},
+     "MalformedMessage", "unknown assertion mode 'fly'"),
     ("eec_from_map", _window_closed(eec_to_map(CHAIN.eec)),
      "MalformedMessage", "empty validity interval"),
     ("link_from_map", _window_closed(link_to_map(CHAIN.links[0])),
@@ -220,6 +222,18 @@ def test_each_refusal_gives_its_domain_error(server, name, doc, code, message):
     with pytest.raises(CasliteError, match=message) as info:
         reader(doc)
     assert info.value.code == code
+
+
+@pytest.mark.parametrize("lifetime", [0, -1])
+def test_both_models_refuse_a_nonpositive_lifetime_alike(server, lifetime):
+    """Assertion and restricted-proxy issuance share one lifetime rule, so
+    they refuse a non-positive lifetime with the same message."""
+    messages = set()
+    for mode in ("assertion", "restricted_proxy"):
+        with pytest.raises(CasliteError) as info:
+            server.handle_get_credential({"mode": mode, "lifetime": lifetime}, ALICE)
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 # reader name -> the integer fields of its documents

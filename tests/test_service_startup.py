@@ -27,6 +27,10 @@ def files(world, tmp_path):
     paths = world.write_server_files(tmp_path)
     paths["bad_chain"] = tmp_path / "bad.chain"
     paths["bad_chain"].write_bytes(b"\xff")
+    paths["bad_base64"] = tmp_path / "bad_base64.chain"
+    paths["bad_base64"].write_text("-----BEGIN CASLITE CHAIN-----\n!!\n-----END CASLITE CHAIN-----\n")
+    paths["not_json"] = tmp_path / "not.json"
+    paths["not_json"].write_text('{"x":')
     for name, text in {"subs": "[]", "subs_not_json": '{"x":', "subs_not_list": '{"x": 1}'}.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
@@ -78,6 +82,10 @@ CASES = [
     ("cache", {"subs": "subs_not_json"}, "subs_not_json.json is not a JSON document"),
     ("cache", {"subs": "subs_not_list"}, "subscriptions must be a list"),
     ("server", {"db": "missing"}, "No such file or directory"),
+    ("server", {"db": "not_json"}, "not.json: not a JSON document"),
+    ("vault", {"site": "not_json"}, "not.json: not a JSON document"),
+    ("server", {"key": "cas_public"}, "server credential file lacks a private key"),
+    ("vault", {"anchors": "bad_base64"}, "bad base64 in CHAIN block"),
 ]
 
 

@@ -17,6 +17,7 @@ from caslite.assertions import (
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import (
     DeniedError,
+    MalformedMessage,
     NotFound,
     ServerError,
     SourceUnavailable,
@@ -342,6 +343,15 @@ def test_pull_fails_closed_without_source(world, seeded_store):
     service = ResourceService(cfg, ObjectStore(seeded_store))
     with pytest.raises(SourceUnavailable):
         service.read(world.proxy("alice"), "vo://esg/data/public/a.nc")
+
+
+@pytest.mark.parametrize("mode, message", [("fly", "unknown enforcement mode 'fly'"),
+                                           ("pull", "pull mode requires a pull_source")])
+def test_config_refuses_a_mode_it_cannot_enforce(world, mode, message):
+    with pytest.raises(MalformedMessage, match=message) as info:
+        ResourceConfig(site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+                       anchors=world.anchors, mode=mode)
+    assert info.value.code == "MalformedMessage"
 
 
 def test_pull_statement_expiry_fails_closed(world, cas_server, seeded_store):
