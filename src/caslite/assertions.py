@@ -34,13 +34,14 @@ from .canonical import (
 )
 from .credentials import CredentialChain, check_windows, issue_proxy
 from .errors import (
+    BadSignature,
     CasliteError,
-    ChainError,
     LifetimeTooLong,
     MalformedExtension,
     MalformedMessage,
     NotAMember,
     SubjectMismatch,
+    WrongIssuer,
 )
 from .keys import KeyMaterial, sign_payload, verify_payload
 from .policy import (
@@ -95,10 +96,6 @@ class PolicyAssertion:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise MalformedMessage(f"unknown assertion mode {self.mode!r}")
-        if (self.mode == "rights") != (self.rights is not None):
-            raise MalformedMessage("rights mode carries rights, membership mode does not")
-        if (self.mode == "membership") != (self.groups is not None):
-            raise MalformedMessage("membership mode carries groups, rights mode does not")
         if not self.not_before < self.not_after:
             raise MalformedMessage("empty assertion validity interval")
 
@@ -106,30 +103,25 @@ class PolicyAssertion:
         return canonical_json(_assertion_payload(self))
 
 
-@dataclass(frozen=True)
-class AssertionVerdict:
-    ok: bool
-    failure: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.ok == (self.failure is not None):
-            raise MalformedMessage("verdict carries a failure exactly when not ok")
-
-
-def entitled_rights(db: VOPolicyDatabase, subject: Identity, lifetime: int,
-                    requested: frozenset | None) -> frozenset:
-    """The issuance rule of both credential models: ``subject`` must be a
-    member and ``lifetime`` within ``(0, MAX_LIFETIME]``. Returns the
-    subject's rights, intersected with ``requested`` when present:
-    over-requesting silently narrows rather than erroring, which keeps the
-    least-privilege path easy."""
-    if not db.is_member(subject):
-        raise NotAMember(f"{subject} is not a member of {db.vo_name}")
+def check_lifetime(lifetime: int) -> None:
+    """The lifetime bound of the issuance rule: ``(0, MAX_LIFETIME]``."""
     if lifetime <= 0:
         raise MalformedMessage(
             f"lifetime must be positive: {lifetime}s gives an empty validity interval")
     if lifetime > MAX_LIFETIME:
         raise LifetimeTooLong(f"lifetime {lifetime}s exceeds the {MAX_LIFETIME}s maximum")
+
+
+def entitled_rights(db: VOPolicyDatabase, subject: Identity, lifetime: int,
+                    requested: frozenset | None) -> frozenset:
+    """The issuance rule of both credential models: ``subject`` must be a
+    member and ``lifetime`` pass :func:`check_lifetime`. Returns the
+    subject's rights, intersected with ``requested`` when present:
+    over-requesting silently narrows rather than erroring, which keeps the
+    least-privilege path easy."""
+    if not db.is_member(subject):
+        raise NotAMember(f"{subject} is not a member of {db.vo_name}")
+    check_lifetime(lifetime)
     rights = user_rights(db, subject)
     return rights if requested is None else intersect_rights(rights, requested)
 
@@ -166,9 +158,6 @@ def issue_assertion(
     return replace(unsigned, signature=sign_payload(cas_keys, unsigned.signing_payload()))
 
 
-_VALID = AssertionVerdict(ok=True)
-
-
 @dataclass(frozen=True, slots=True)
 class CheckedAssertion:
     """What an assertion's time-free checks (:func:`check_assertion`)
@@ -188,13 +177,13 @@ def check_assertion(
     a: PolicyAssertion,
     cas_public: KeyMaterial,
     expected_issuer: Identity,
-) -> AssertionVerdict:
-    """The time-free half of :func:`verify_assertion`: signature and issuer."""
+) -> None:
+    """The time-free half of :func:`verify_assertion`: the signature, then
+    the issuer. Raises :class:`BadSignature` or :class:`WrongIssuer`."""
     if not verify_payload(cas_public, a.signature, a.signing_payload()):
-        return AssertionVerdict(ok=False, failure="BadSignature")
+        raise BadSignature("assertion signature does not verify", index=0)
     if a.issuer != expected_issuer:
-        return AssertionVerdict(ok=False, failure="WrongIssuer")
-    return _VALID
+        raise WrongIssuer(f"assertion issuer {a.issuer} is not {expected_issuer}", index=0)
 
 
 def verify_assertion(
@@ -202,16 +191,11 @@ def verify_assertion(
     cas_public: KeyMaterial,
     expected_issuer: Identity,
     now: int,
-) -> AssertionVerdict:
-    """Check signature, issuer, and validity window (with clock skew)."""
-    verdict = check_assertion(a, cas_public, expected_issuer)
-    if not verdict.ok:
-        return verdict
-    try:
-        check_windows(((a.not_before, a.not_after),), now)
-    except ChainError as exc:
-        return AssertionVerdict(ok=False, failure=exc.code)
-    return _VALID
+) -> None:
+    """Check signature, issuer, and validity window (with clock skew), in
+    that order. Raises the first failure's :class:`ChainError`."""
+    check_assertion(a, cas_public, expected_issuer)
+    check_windows(((a.not_before, a.not_after),), now)
 
 
 def embed_in_proxy(user_chain: CredentialChain, a: PolicyAssertion) -> CredentialChain:

@@ -65,9 +65,10 @@ def vouch_assertion(
     union of its groups' rights in ``group_rights``, and none without
     ``group_rights``, as a set of its own for the memo entry that keeps it
     (:func:`~caslite.policy.shared_rights`). Raises :class:`DeniedError`."""
-    verdict = check_assertion(assertion, cas_public, cas_identity)
-    if not verdict.ok:
-        raise DeniedError(deny("credential", f"assertion rejected: {verdict.failure}"))
+    try:
+        check_assertion(assertion, cas_public, cas_identity)
+    except ChainError as exc:
+        raise DeniedError(deny("credential", f"assertion rejected: {exc.code}")) from None
     rights = assertion.rights
     if assertion.mode == "membership" and group_rights is not None:
         rights = frozenset().union(*(group_rights.get(name, ()) for name in assertion.groups))
@@ -174,10 +175,6 @@ class DecisionQuery:
 class DecisionAnswer:
     allow: bool
     reason: str
-
-    def __post_init__(self) -> None:
-        if not self.allow and not self.reason:
-            raise MalformedMessage("a deny answer needs a reason")
 
 
 def decide_local(

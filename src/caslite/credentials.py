@@ -147,16 +147,6 @@ class CredentialChain:
         return [l.extension for l in self.links if l.extension is not None]
 
 
-@dataclass(frozen=True)
-class VerifiedChain:
-    """The result of a successful verification: who authenticated, what the
-    delegation restricts them to, and any opaque payloads carried along."""
-
-    subject: Identity
-    effective_restriction: frozenset | None
-    extensions: list
-
-
 @dataclass(frozen=True, slots=True)
 class CheckedChain:
     """What a chain's time-free checks establish: who it authenticates, each
@@ -300,22 +290,18 @@ def verify_chain(
     chain: CredentialChain,
     anchors: Any,
     now: int,
-) -> VerifiedChain:
+) -> CheckedChain:
     """Verify ``chain`` against a set of trust anchors at time ``now``.
 
-    Returns the authenticated subject (always the end-entity identity), the
-    intersection of link restrictions, and all extension payloads outermost
-    last. Unknown extension payloads never cause failure. Every signature and
-    nesting is checked (:func:`check_chain`) before any element's validity
-    window (:func:`check_windows`).
+    Returns its :class:`CheckedChain`: the authenticated subject (always the
+    end-entity identity), the windows and the restriction. Extension
+    payloads, read by :meth:`CredentialChain.extensions`, never cause
+    failure. Every signature and nesting is checked (:func:`check_chain`)
+    before any element's validity window (:func:`check_windows`).
     """
     checked = check_chain(chain, anchors)
     check_windows(checked.windows, now)
-    return VerifiedChain(
-        subject=checked.subject,
-        effective_restriction=checked.effective_restriction,
-        extensions=chain.extensions(),
-    )
+    return checked
 
 
 # --- serialization -------------------------------------------------------------------

@@ -40,8 +40,8 @@ class MalformedPattern(CasliteError):
 # --- credential chains ------------------------------------------------------
 
 class ChainError(CasliteError):
-    """Chain verification failure; ``index`` is 0 for the end-entity
-    credential and 1..n for delegation links."""
+    """Chain or assertion verification failure; ``index`` is 0 for the
+    end-entity credential or the assertion and 1..n for delegation links."""
 
     def __init__(self, message: str = "", index: int | None = None):
         super().__init__(message)
@@ -54,6 +54,10 @@ class UntrustedRoot(ChainError):
 
 class BadSignature(ChainError):
     code = "BadSignature"
+
+
+class WrongIssuer(ChainError):
+    code = "WrongIssuer"
 
 
 class Expired(ChainError):

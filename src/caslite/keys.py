@@ -1,9 +1,9 @@
 """Key pairs and the signature scheme contract.
 
 The stack only needs a deterministic asymmetric scheme of at least 128-bit
-security; Ed25519 is the single registered algorithm. ``algorithm_id`` is
-recorded per credential so the scheme could be swapped without touching the
-serialization.
+security, and Ed25519 is the only one it signs or verifies with. Key
+documents keep ``algorithm_id`` as a format field: :func:`key_to_map` writes
+``"ed25519"`` and :func:`key_from_map` refuses any other value.
 
 Each service remembers the checks it made of presented documents in its own
 :class:`CheckedMemo`, keyed on the SHA-256 :func:`digest` of a document's
@@ -47,7 +47,6 @@ class KeyMaterial:
     ``private_part`` on first use and keeps; it takes no part in equality,
     hashing or repr."""
 
-    algorithm_id: str
     public_part: bytes
     private_part: bytes | None = None
     _signer: Ed25519PrivateKey | None = field(default=None, init=False, compare=False,
@@ -56,21 +55,18 @@ class KeyMaterial:
     def public(self) -> "KeyMaterial":
         if self.private_part is None:
             return self
-        return KeyMaterial(self.algorithm_id, self.public_part)
+        return KeyMaterial(self.public_part)
 
 
 def generate_keys() -> KeyMaterial:
     private = Ed25519PrivateKey.generate()
     return KeyMaterial(
-        algorithm_id=ED25519,
         public_part=private.public_key().public_bytes_raw(),
         private_part=private.private_bytes_raw(),
     )
 
 
 def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
-    if keys.algorithm_id != ED25519:
-        raise CasliteError(f"unsupported signature algorithm {keys.algorithm_id!r}")
     if keys.private_part is None:
         raise CasliteError("private key material required for signing")
     signer = keys._signer
@@ -145,8 +141,6 @@ class CheckedMemo:
 
 
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
-    if keys.algorithm_id != ED25519:
-        return False
     try:
         Ed25519PublicKey.from_public_bytes(keys.public_part).verify(signature, payload)
     except (InvalidSignature, ValueError):
@@ -155,7 +149,7 @@ def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
 
 
 def key_to_map(keys: KeyMaterial, include_private: bool = False) -> dict[str, Any]:
-    out = {"algorithm_id": keys.algorithm_id, "public_part": to_hex(keys.public_part)}
+    out = {"algorithm_id": ED25519, "public_part": to_hex(keys.public_part)}
     if include_private and keys.private_part is not None:
         out["private_part"] = to_hex(keys.private_part)
     return out
@@ -169,4 +163,4 @@ def key_from_map(doc: Any) -> KeyMaterial:
     private = from_hex(doc["private_part"]) if "private_part" in doc else None
     if len(public) != 32 or private is not None and len(private) != 32:
         raise MalformedMessage("ed25519 keys must be 32 bytes")
-    return KeyMaterial(ED25519, public, private)
+    return KeyMaterial(public, private)

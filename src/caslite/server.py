@@ -25,6 +25,7 @@ from . import wire
 from .assertions import (
     DEFAULT_LIFETIME,
     assertion_to_map,
+    check_lifetime,
     issue_assertion,
     issue_restricted_proxy,
 )
@@ -106,6 +107,7 @@ class CasServer(wire.FrameServer):
     ``config.listen``."""
 
     def __init__(self, config: ServerConfig):
+        check_lifetime(config.default_lifetime)
         self.config = config
         self._db = load_database(config.db_path)
         self._chain = load_chain(config.credential_path)

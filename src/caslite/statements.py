@@ -176,6 +176,7 @@ def listing_rights(statement: SignedStatement, subject: str) -> RightsSet:
 _SIGNED = re.compile(rb'\{"statement":(\{"body":.+),"signature":"([0-9a-f]{128})"\}\}', re.DOTALL)
 _FIELDS_HEAD = b',"caslite":"%s","expires_at":' % STATEMENT_FORMAT.encode()
 _BODY, _LISTING = len(b'{"body":'), b'{"listing":{'
+# The possessive quantifiers ++ and *+ need Python 3.11's re.
 _STRING = re.compile(rb'"(?:[^"\\]++|\\.)*+"', re.DOTALL)
 
 

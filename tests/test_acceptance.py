@@ -26,6 +26,7 @@ from caslite.assertions import (
     embed_in_proxy,
     issue_assertion,
     issue_restricted_proxy,
+    verify_assertion,
 )
 from caslite.canonical import parse_canonical
 from caslite.cache import CacheConfig, CacheServer, StatementCache
@@ -285,12 +286,8 @@ def test_single_byte_tamper_rejection(world, cas_server):
 
     def assertion_accepts(data: bytes) -> bool:
         parsed = assertion_from_map(parse_canonical(data))
-        return verify_assertion_ok(parsed)
-
-    def verify_assertion_ok(parsed) -> bool:
-        from caslite.assertions import verify_assertion
-
-        return verify_assertion(parsed, world.cas.keys.public(), CAS, NOW).ok
+        verify_assertion(parsed, world.cas.keys.public(), CAS, NOW)
+        return True
 
     def statement_accepts(data: bytes) -> bool:
         parsed = statement_from_map(parse_canonical(data))

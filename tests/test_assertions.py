@@ -26,11 +26,15 @@ from caslite.canonical import (
 )
 from caslite.credentials import CLOCK_SKEW, chain_to_map, issue_proxy, verify_chain
 from caslite.errors import (
+    BadSignature,
+    Expired,
     LifetimeTooLong,
     MalformedExtension,
     MalformedMessage,
     NotAMember,
+    NotYetValid,
     SubjectMismatch,
+    WrongIssuer,
 )
 from caslite.keys import generate_keys
 from caslite.policy import user_rights
@@ -114,26 +118,30 @@ def test_non_member_and_lifetime_gates(db, cas_keys):
 
 def test_verify_round_trip_and_expiry(db, cas_keys, cas_public):
     a = issue_assertion(db, cas_keys, CAS, ALICE, now=NOW)
-    assert verify_assertion(a, cas_public, CAS, NOW + 10).ok
-    late = verify_assertion(a, cas_public, CAS, a.not_after + CLOCK_SKEW + 1)
-    assert (late.ok, late.failure) == (False, "Expired")
-    early = verify_assertion(a, cas_public, CAS, a.not_before - CLOCK_SKEW - 1)
-    assert (early.ok, early.failure) == (False, "NotYetValid")
+    verify_assertion(a, cas_public, CAS, NOW + 10)
+    with pytest.raises(Expired) as late:
+        verify_assertion(a, cas_public, CAS, a.not_after + CLOCK_SKEW + 1)
+    assert (late.value.code, late.value.index) == ("Expired", 0)
+    with pytest.raises(NotYetValid) as early:
+        verify_assertion(a, cas_public, CAS, a.not_before - CLOCK_SKEW - 1)
+    assert (early.value.code, early.value.index) == ("NotYetValid", 0)
     # still good inside the skew window
-    assert verify_assertion(a, cas_public, CAS, a.not_after + CLOCK_SKEW - 1).ok
+    verify_assertion(a, cas_public, CAS, a.not_after + CLOCK_SKEW - 1)
 
 
 def test_foreign_key_fails_signature(db, cas_keys):
     a = issue_assertion(db, cas_keys, CAS, ALICE, now=NOW)
     stranger = generate_keys()
-    verdict = verify_assertion(a, stranger.public(), CAS, NOW)
-    assert verdict.failure == "BadSignature"
+    with pytest.raises(BadSignature) as info:
+        verify_assertion(a, stranger.public(), CAS, NOW)
+    assert (info.value.code, info.value.index) == ("BadSignature", 0)
 
 
 def test_wrong_issuer_is_named(db, cas_keys, cas_public):
     a = issue_assertion(db, cas_keys, CAS, ALICE, now=NOW)
-    verdict = verify_assertion(a, cas_public, "/VO=other/CN=cas", NOW)
-    assert verdict.failure == "WrongIssuer"
+    with pytest.raises(WrongIssuer) as info:
+        verify_assertion(a, cas_public, "/VO=other/CN=cas", NOW)
+    assert (info.value.code, info.value.index) == ("WrongIssuer", 0)
 
 
 # --- embedding -----------------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_embed_then_extract_round_trip(world_module, db, cas_keys):
     embedded = embed_in_proxy(chain, a)
     verified = verify_chain(embedded, world_module.anchors, NOW + 60)
     assert verified.subject == ALICE
-    assert len(verified.extensions) == 1
+    assert len(embedded.extensions()) == 1
     assert extract_from_proxy(embedded) == a
 
 
@@ -278,8 +286,11 @@ def test_issue_verify_round_trip_property(world_module, subject, mode, lifetime,
     db = fixture_db()
     a = issue_assertion(db, world_module.cas.keys, CAS, subject, mode=mode,
                         lifetime=lifetime, now=NOW)
-    verdict = verify_assertion(a, world_module.cas.keys.public(), CAS, NOW + probe)
-    assert verdict.ok == (probe <= lifetime + CLOCK_SKEW)
+    if probe <= lifetime + CLOCK_SKEW:
+        verify_assertion(a, world_module.cas.keys.public(), CAS, NOW + probe)
+    else:
+        with pytest.raises(Expired):
+            verify_assertion(a, world_module.cas.keys.public(), CAS, NOW + probe)
 
 
 @given(requested=st.one_of(st.none(), st.sets(st.sampled_from([

@@ -165,6 +165,24 @@ def test_write_atomic_survives_replace_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]  # temp file cleaned up
 
 
+def test_write_atomic_raises_the_write_error_when_its_temp_file_is_gone(tmp_path, monkeypatch):
+    """A failed write whose temporary file has already vanished raises the
+    write's own error, not the clean-up's, and leaves the old contents."""
+    target = tmp_path / "state.json"
+    write_atomic(target, b"original")
+
+    def vanish(src, dst):
+        os.unlink(src)
+        raise OSError("rename lost its source")
+
+    monkeypatch.setattr("caslite.canonical.os.replace", vanish)
+    with pytest.raises(OSError, match="rename lost its source"):
+        write_atomic(target, b"replacement")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"original"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_write_atomic_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     calls = []
 

@@ -275,8 +275,11 @@ def _cold_reason(world, chain, assertion, now):
         verify_chain(chain, world.anchors, now)
     except CasliteError as exc:
         return f"chain rejected: {exc.code}: {exc.message}"
-    verdict = verify_assertion(assertion, world.cas.keys.public(), CAS, now)
-    return None if verdict.ok else f"assertion rejected: {verdict.failure}"
+    try:
+        verify_assertion(assertion, world.cas.keys.public(), CAS, now)
+    except CasliteError as exc:
+        return f"assertion rejected: {exc.code}"
+    return None
 
 
 @pytest.mark.parametrize("edge", ["end-entity", "link 1", "link 2", "assertion"])

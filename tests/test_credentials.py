@@ -24,6 +24,7 @@ from caslite.credentials import (
 from caslite.errors import (
     BadSignature,
     BrokenNesting,
+    CasliteError,
     Expired,
     MalformedMessage,
     NotYetValid,
@@ -63,11 +64,20 @@ def test_empty_anchor_set_is_untrusted(ca):
         verify_chain(CredentialChain(eec=ca), [], NOW)
 
 
+def test_a_ca_needs_a_name_and_an_issuer_its_private_key(ca):
+    with pytest.raises(MalformedMessage, match="CA name must be non-empty"):
+        make_ca("", now=NOW)
+    with pytest.raises(CasliteError, match="issuer credential lacks a private key") as info:
+        issue_eec(ca.public(), ALICE, (NOW, NOW + DAY))
+    assert info.value.code == "Internal"
+
+
 def test_issue_eec_round_trip(ca, alice_eec):
-    verified = verify_chain(CredentialChain(eec=alice_eec), [ca], NOW)
+    chain = CredentialChain(eec=alice_eec)
+    verified = verify_chain(chain, [ca], NOW)
     assert verified.subject == ALICE
     assert verified.effective_restriction is None
-    assert verified.extensions == []
+    assert chain.extensions() == []
 
 
 def test_issue_eec_validity_must_nest(ca):
@@ -163,15 +173,15 @@ def test_link_signed_by_wrong_key_is_rejected(ca, alice_eec, alice_proxy):
 
 def test_unknown_extension_payloads_are_opaque(ca, alice_proxy):
     chain = issue_proxy(alice_proxy, (NOW, NOW + 3600), extension=b"\x00junk payload")
-    verified = verify_chain(chain, [ca], NOW + 60)
-    assert verified.extensions == [b"\x00junk payload"]
+    verify_chain(chain, [ca], NOW + 60)
+    assert chain.extensions() == [b"\x00junk payload"]
 
 
 def test_extensions_come_back_outermost_last(ca, alice_proxy):
     chain = issue_proxy(alice_proxy, (NOW, NOW + 3600), extension=b"inner")
     chain = issue_proxy(chain, (NOW, NOW + 1800), extension=b"outer")
-    verified = verify_chain(chain, [ca], NOW + 60)
-    assert verified.extensions == [b"inner", b"outer"]
+    verify_chain(chain, [ca], NOW + 60)
+    assert chain.extensions() == [b"inner", b"outer"]
 
 
 def test_issue_proxy_needs_private_key(ca, alice_proxy):

@@ -1,5 +1,6 @@
 """Source hygiene: each caslite module uses every name it imports, the
-package reads every private module-level name it defines, some call sets
+package reads every private module-level name it defines, some caller
+names each public module-level function and class, some call sets
 each defaulted parameter of its module-level functions, every encode that
 skips the type walk is one that ``canonical_json`` documents, and the
 modules keep their layers: no import cycle, no model module imports the
@@ -124,6 +125,37 @@ def test_the_check_sees_a_stranded_private_helper():
     }.items()}
     assert stranded_private_names(trees) == \
         ["a.py: _LEFT (line 4)", "a.py: _Unused (line 7)", "a.py: _recursive (line 5)"]
+
+
+def unnamed_public_definitions(defined: dict, callers: list) -> list:
+    """Module-level public functions and classes in ``defined``, trees by
+    module name, that no tree in ``callers`` reads outside the definition
+    itself, by name, attribute or ``from ... import``."""
+    read = sum(map(_reads, callers), Counter())
+    return sorted(f"{module}: {node.name} (line {node.lineno})"
+                  for module, tree in defined.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and read[node.name] == _reads(node)[node.name])
+
+
+def test_every_public_helper_is_named_by_some_caller():
+    """A public function or class that no code in ``src/``, ``tests/``,
+    ``bench/`` or ``scripts/`` names is dead: drop it."""
+    defined = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    callers = [ast.parse(p.read_text(encoding="utf-8"))
+               for root in CALLERS for p in sorted(root.rglob("*.py"))]
+    assert unnamed_public_definitions(defined, callers) == []
+
+
+def test_the_check_sees_a_public_helper_no_caller_names():
+    defined = {"a": ast.parse("def used():\n    pass\n"
+                              "def recursive(n):\n    return recursive(n - 1)\n"
+                              "class Planted:\n    pass\n"
+                              "def _private():\n    pass\n"
+                              "class Imported:\n    def used(self):\n        pass\n")}
+    callers = [defined["a"], ast.parse("from caslite.a import Imported\nmod.used()\n")]
+    assert unnamed_public_definitions(defined, callers) == \
+        ["a: Planted (line 5)", "a: recursive (line 3)"]
 
 
 def _passes(call: ast.Call, index: int | None, name: str) -> bool:

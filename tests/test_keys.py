@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from caslite import keys
-from caslite.errors import CasliteError
-from caslite.keys import KeyMaterial, generate_keys, sign_payload, verify_payload
+from caslite.errors import CasliteError, MalformedMessage
+from caslite.keys import (
+    KeyMaterial, generate_keys, key_from_map, key_to_map, sign_payload, verify_payload,
+)
 
 PAYLOAD = b'{"caslite":"test","subject":"/O=Grid/CN=Alice","not_after":1700000000}'
 
@@ -33,12 +35,13 @@ def test_every_single_byte_change_fails_verification():
     assert verify_payload(public, signature, PAYLOAD)
 
 
-def test_algorithm_check_precedes_the_signature_check():
-    signer = generate_keys()
-    signature = sign_payload(signer, PAYLOAD)
-    assert verify_payload(signer.public(), signature, PAYLOAD)
-    foreign = KeyMaterial("rsa-sha256", signer.public_part)
-    assert not verify_payload(foreign, signature, PAYLOAD)
+def test_a_key_document_of_another_scheme_is_refused():
+    doc = key_to_map(generate_keys())
+    assert key_from_map(doc).public_part == bytes.fromhex(doc["public_part"])
+    doc["algorithm_id"] = "rsa-sha256"
+    with pytest.raises(MalformedMessage, match="unknown algorithm_id 'rsa-sha256'") as info:
+        key_from_map(doc)
+    assert info.value.code == "MalformedMessage"
 
 
 def test_signing_needs_the_private_part():
@@ -52,7 +55,7 @@ def test_signing_keeps_one_key_object(monkeypatch):
     KeyMaterial and signs byte-identically to a freshly built one; the kept
     object changes neither equality nor hashing."""
     signer = generate_keys()
-    twin = KeyMaterial(signer.algorithm_id, signer.public_part, signer.private_part)
+    twin = KeyMaterial(signer.public_part, signer.private_part)
     fresh = keys.Ed25519PrivateKey.from_private_bytes(signer.private_part)
     builds = []
     real = keys.Ed25519PrivateKey

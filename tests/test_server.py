@@ -11,9 +11,9 @@ import time
 import pytest
 
 from caslite import wire
-from caslite.assertions import assertion_from_map
+from caslite.assertions import MAX_LIFETIME, assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
-from caslite.errors import ResponseTooLarge, ServerError
+from caslite.errors import LifetimeTooLong, ResponseTooLarge, ServerError
 from caslite.canonical import canonical_json
 from caslite.policy import (
     db_canonical_bytes, intersect_rights, load_database, rights_to_list, user_rights,
@@ -342,6 +342,20 @@ def test_unstarted_authority_stops_and_frees_its_port(world, tmp_path):
     assert stops_within(server, 2)
     with socket.socket() as sock:
         sock.bind(endpoint)
+
+
+def test_a_default_lifetime_past_the_maximum_stops_the_authority_before_it_binds(
+        world, tmp_path, monkeypatch):
+    """The default lifetime is held to the issuance rule's bound at
+    construction, before the listener is bound."""
+    paths = world.write_server_files(tmp_path)
+    binds = []
+    monkeypatch.setattr(wire.FrameServer, "__init__", lambda *args: binds.append(args))
+    with pytest.raises(LifetimeTooLong, match="lifetime 86401s exceeds the 86400s maximum"):
+        CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                               credential_path=paths["key"], anchors_path=paths["anchors"],
+                               default_lifetime=MAX_LIFETIME + 1))
+    assert binds == []
 
 
 def test_audit_log_survives_stop_and_restart(world, tmp_path):

@@ -35,6 +35,7 @@ def files(world, tmp_path):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
     paths["missing"] = tmp_path / "nope.json"
+    paths.update(lifetime=3600, lifetime_0=0, lifetime_86401=86401)
     return paths
 
 
@@ -62,11 +63,12 @@ def _closed_port() -> int:
 
 
 def _argv(service: str, p: dict, listen: str, **bad) -> list:
-    """A full command line for ``service``, with ``bad`` files in place of
-    good ones."""
+    """A full command line for ``service``, with ``bad`` files or values in
+    place of good ones."""
     p = {**p, **{flag: p[name] for flag, name in bad.items()}}
     if service == "server":
-        return ["--listen", listen, "--db", p["db"], "--key", p["key"], "--anchors", p["anchors"]]
+        return ["--listen", listen, "--db", p["db"], "--key", p["key"], "--anchors", p["anchors"],
+                "--default-lifetime", p["lifetime"]]
     if service == "cache":
         return ["--listen", listen, "--authority", f"127.0.0.1:{_closed_port()}",
                 "--refresh", 1, "--max-age", 30, "--subscriptions", p["subs"]]
@@ -86,6 +88,8 @@ CASES = [
     ("vault", {"site": "not_json"}, "not.json: not a JSON document"),
     ("server", {"key": "cas_public"}, "server credential file lacks a private key"),
     ("vault", {"anchors": "bad_base64"}, "bad base64 in CHAIN block"),
+    ("server", {"lifetime": "lifetime_0"}, "lifetime must be positive"),
+    ("server", {"lifetime": "lifetime_86401"}, "lifetime 86401s exceeds the 86400s maximum"),
 ]
 
 

@@ -23,6 +23,7 @@ from caslite.errors import (
     SourceUnavailable,
     StaleStatement,
 )
+from caslite.policy import SitePolicy
 from caslite.vault import ObjectStore, ResourceConfig, ResourceService, VaultServer
 
 import oracles
@@ -423,5 +424,31 @@ def test_vault_over_the_wire(world, seeded_store):
                 wire.call(server.endpoint, kind, {"path": "vo://esg/data/public/a.nc"},
                           chain=chain)
             assert info.value.code == "MalformedMessage"
+    finally:
+        server.stop()
+
+
+def test_vault_pings_lists_and_deletes_over_the_wire(world, seeded_store):
+    """The community's own chain, at a site that grants it list and delete:
+    a second delete of one path finds nothing."""
+    site = SitePolicy(vo_accounts={CAS: "esg"}, site_rights={"esg": rights(
+        ("list", "vo://esg/data/**"), ("delete", "vo://esg/data/**"))})
+    service = ResourceService(push_config(world, site=site), ObjectStore(seeded_store))
+    server = VaultServer(("127.0.0.1", 0), service)
+    server.start()
+    try:
+        cas = chain_to_map(world.cas_chain)
+        prefix, path = "vo://esg/data/public", "vo://esg/data/public/a.nc"
+        assert wire.call(server.endpoint, "ping") == {"identity": "vault", "mode": "push"}
+        under = sorted(p for p in seeded_store if p.startswith(prefix + "/"))
+        assert wire.call(server.endpoint, "list", {"path": prefix}, chain=cas) == \
+            {"path": prefix, "paths": under}
+        assert wire.call(server.endpoint, "delete", {"path": path}, chain=cas) == \
+            {"path": path, "deleted": True}
+        with pytest.raises(ServerError) as info:
+            wire.call(server.endpoint, "delete", {"path": path}, chain=cas)
+        assert (info.value.code, info.value.message) == ("NotFound", f"no object at {path}")
+        assert wire.call(server.endpoint, "list", {"path": prefix}, chain=cas)["paths"] == \
+            [p for p in under if p != path]
     finally:
         server.stop()

@@ -529,6 +529,18 @@ def test_socket_that_saw_a_frame_error_is_not_reused(scripted, monkeypatch, repl
     assert server.connections == 2
 
 
+@pytest.mark.parametrize("reply, message", [
+    (b"[1]", "bad response document: [1]"),
+    (b'{"error":{}}', "bad response document: {'error': {}}"),
+    (b'{"body":[1],"ok":true}', "response body missing"),
+], ids=["not-a-map", "no-ok", "ok-body-not-a-map"])
+def test_an_answer_that_is_not_an_ok_map_is_a_malformed_response(scripted, reply, message):
+    server = scripted(lambda n: raw_frame(reply))
+    with pytest.raises(ServerError) as info:
+        wire.call(server.endpoint, "ping")
+    assert (info.value.code, info.value.message) == ("MalformedResponse", message)
+
+
 def test_threads_never_share_a_socket(echo_server):
     threads_n, calls = 4, 30
     ports = [set() for _ in range(threads_n)]
