@@ -60,8 +60,8 @@ class CacheConfig:
 class StatementCache:
     """Subscription set plus the latest statement per subscription.
 
-    Entry replacement is a whole-dict snapshot swap, so readers racing a
-    refresh see either the old entry or the new one, never a mix.
+    The entry table is read and changed only under ``_lock``, so readers
+    racing a refresh see either the old entry or the new one, never a mix.
     """
 
     def __init__(self, config: CacheConfig):
@@ -101,9 +101,7 @@ class StatementCache:
             raise StaleEntry(f"fetched statement already expired at {statement.expires_at}")
         entry = CacheEntry(statement=statement, fetched_at=now)
         with self._lock:
-            entries = dict(self._entries)
-            entries[key] = entry
-            self._entries = entries
+            self._entries[key] = entry
 
     def refresh(self, now: int | None = None) -> dict:
         """Re-fetch every subscription; failures keep the old entry."""

@@ -24,7 +24,6 @@ its cost follows the request path's depth, not the number of rights.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -318,28 +317,21 @@ class AdminCapability:
             raise MalformedMessage("manage_group capability requires a group set")
 
 
-# How many namespaces a database keeps listing entries for, least recently
-# listed dropped first, so cycling through namespaces cannot grow the memo.
-LISTING_NAMESPACES = 4
-
-
 @dataclass(eq=False)
 class _Derived:
-    """What a database works out from its own fields: ``member_groups``; each
-    grant ref's encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`;
-    per namespace listed (``listings``, oldest first, changed under ``lock``),
-    each member's encoded ``"member":[...]`` entry of :func:`scoped_listing`,
-    empty for a member with no rights there; the encoded
-    ``"groups":{...},"members":[...]`` of the database file (``sections``);
-    and the members in sorted order. Readers fill the dicts without a lock,
-    so a copy is one ``dict(...)``."""
+    """What a database works out from its own fields: each grant ref's
+    encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`; the
+    namespace listed last with each member's encoded ``"member":[...]``
+    entry of :func:`scoped_listing` there, empty for a member with no rights
+    (``listing``, replaced whole when another namespace is listed); the
+    encoded ``"groups":{...},"members":[...]`` of the database file
+    (``sections``); and the members in sorted order. Readers fill the dicts
+    without a lock, so a copy is one ``dict(...)``."""
 
-    member_groups: dict
     grant_fragments: dict = field(default_factory=dict)
-    listings: dict = field(default_factory=dict)
+    listing: tuple[str, dict] | None = None
     sections: bytes | None = None
     sorted_members: tuple | None = None
-    lock: Any = field(default_factory=threading.Lock)
 
 
 @dataclass(frozen=True)
@@ -350,11 +342,10 @@ class VOPolicyDatabase:
     revision bumped. The ``owner`` identity set at creation implicitly holds
     every capability, including the right to add capabilities.
 
-    Derived state takes no part in equality or repr: ``member_groups`` maps
-    each identity in some group to the names of its groups, built here from
-    ``groups`` unless ``apply_admin`` carries it over (``_carried``); the
-    grant fragments of :func:`db_canonical_bytes` and the listing entries of
-    :func:`scoped_listing` are filled on first use and carried the same way.
+    Derived state takes no part in equality or repr: the grant fragments of
+    :func:`db_canonical_bytes` and the listing entries of
+    :func:`scoped_listing` are filled on first use, and ``apply_admin``
+    carries them over to the next revision (``_carried``).
     """
 
     vo_name: str
@@ -369,24 +360,16 @@ class VOPolicyDatabase:
 
     def __post_init__(self, carried: _Derived | None) -> None:
         if carried is None:
-            carried = _Derived({})
-            index = carried.member_groups
-            for name, group in self.groups.items():
-                for who in group.members:
-                    index[who] = index.get(who, frozenset()) | {name}
+            carried = _Derived()
         if carried.sorted_members is None:
             carried.sorted_members = tuple(sorted(self.members))
         _setattr(self, "_derived", carried)
-
-    @property
-    def member_groups(self) -> Mapping[Identity, frozenset]:
-        return self._derived.member_groups
 
     def is_member(self, who: Identity) -> bool:
         return who in self.members
 
     def groups_of(self, who: Identity) -> frozenset:
-        return self._derived.member_groups.get(who, frozenset())
+        return frozenset(name for name, group in self.groups.items() if who in group.members)
 
 
 def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
@@ -409,14 +392,13 @@ def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
     :class:`~caslite.canonical.Encoded` map joined from each entry's encoded
     ``"member":[...]`` fragment in member order.
 
-    The fragments are kept on ``db`` for the last :data:`LISTING_NAMESPACES`
-    namespaces listed and carried to later revisions for every member a
-    command does not touch."""
-    kept = db._derived.listings
-    with db._derived.lock:
-        entries = kept[namespace] = kept.pop(namespace, None) or {}
-        if len(kept) > LISTING_NAMESPACES:
-            del kept[next(iter(kept))]
+    The fragments are kept on ``db`` for the namespace listed last and
+    carried to later revisions for every member a command does not touch;
+    listing another namespace starts its own."""
+    kept = db._derived.listing
+    if kept is None or kept[0] != namespace:
+        kept = db._derived.listing = (namespace, {})
+    entries = kept[1]
     scope = frozenset(Right(action, namespace) for action in ACTIONS)
     fragments = []
     for member in db._derived.sorted_members:
@@ -510,9 +492,9 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
     ``grant``/``revoke`` on an identity, every member of the group for one on
     a group, and the identity of ``add_member``, ``remove_member``,
     ``add_to_group`` and ``remove_from_group``; ``create_group`` and
-    ``add_capability`` touch none. Their listing entries are dropped; the
-    ``member_groups`` entry changes only for a membership change, and a grant
-    ref's fragment only when its grants change or its member is removed.
+    ``add_capability`` touch none. Their listing entries are dropped, and a
+    grant ref's fragment only when its grants change or its member is
+    removed.
     """
     cmd = _parse_admin_cmd(cmd)
     authorized = admin == db.owner or any(
@@ -525,7 +507,6 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
 
     op, who = cmd["op"], cmd.get("identity")
     members, groups, grants, caps = db.members, db.groups, db.grants, db.admin_caps
-    member_groups = db.member_groups
 
     if op in ("grant", "revoke"):
         ref = cmd["subject"]
@@ -554,7 +535,7 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
         grants = dict(grants)
         grants.pop(who, None)
         groups = dict(groups)
-        for name in member_groups.get(who, ()):
+        for name in db.groups_of(who):
             groups[name] = Group(name, groups[name].members - {who})
     elif op == "create_group":
         name = cmd["group"]
@@ -576,12 +557,6 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
     else:  # add_capability
         caps = (*caps, _capability_from_map(cmd["capability"]))
 
-    if op in ("remove_member", "add_to_group", "remove_from_group"):
-        member_groups = dict(member_groups)
-        member_groups.pop(who, None)
-        names = frozenset(name for name, group in groups.items() if who in group.members)
-        if names:
-            member_groups[who] = names
     subject = cmd.get("subject", who)
     touched = groups[subject].members if subject in groups else (subject,) if subject else ()
     dropped_ref = cmd.get("subject", who if op == "remove_member" else None)
@@ -593,26 +568,26 @@ def apply_admin(db: VOPolicyDatabase, admin: Identity, cmd: dict) -> VOPolicyDat
         grants=grants,
         admin_caps=tuple(caps),
         revision=db.revision + 1,
-        _carried=_carry(db._derived, member_groups, touched, dropped_ref,
+        _carried=_carry(db._derived, touched, dropped_ref,
                         members is db.members, groups is db.groups),
     )
 
 
-def _carry(old: _Derived, member_groups: dict, touched: Iterable[Identity],
-           dropped_ref: str | None, same_members: bool, same_groups: bool) -> _Derived:
+def _carry(old: _Derived, touched: Iterable[Identity], dropped_ref: str | None,
+           same_members: bool, same_groups: bool) -> _Derived:
     """``old`` less the listing entries of ``touched``, the grant fragment of
     ``dropped_ref``, the sorted members unless ``same_members``, and the
     sections unless members and groups are the same. Readers may be filling
     ``old``, so each memo is copied whole by one ``dict`` call and trimmed."""
     grant_fragments = dict(old.grant_fragments)
     grant_fragments.pop(dropped_ref, None)
-    with old.lock:
-        listings = dict(old.listings)
-    for namespace, entries in listings.items():
-        listings[namespace] = entries = dict(entries)
+    listing = old.listing
+    if listing is not None:
+        entries = dict(listing[1])
         for who in touched:
             entries.pop(who, None)
-    return _Derived(member_groups, grant_fragments, listings,
+        listing = listing[0], entries
+    return _Derived(grant_fragments, listing,
                     old.sections if same_members and same_groups else None,
                     old.sorted_members if same_members else None)
 

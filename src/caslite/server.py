@@ -146,8 +146,10 @@ class CasServer(wire.FrameServer):
                 body = handler(payload, caller)
             else:
                 raise MalformedMessage(f"unknown request kind {kind!r}")
-        except CasliteError as exc:
-            self._audit.append(caller, kind, f"error:{exc.code}", exc.message)
+        except Exception as exc:
+            code, detail = ((exc.code, exc.message) if isinstance(exc, CasliteError)
+                            else ("Internal", "internal server error"))
+            self._audit.append(caller, kind, f"error:{code}", detail)
             raise
         self._audit.append(caller, kind, "ok", "")
         return body

@@ -1,7 +1,8 @@
 """Source hygiene: each caslite module uses every name it imports, the
 package reads every private module-level name it defines, some caller
 names each public module-level function and class, some call sets
-each defaulted parameter of its module-level functions, every encode that
+each defaulted parameter of its module-level functions and each defaulted
+``__init__`` field of its dataclasses, every encode that
 skips the type walk is one that ``canonical_json`` documents, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
@@ -168,17 +169,24 @@ def _passes(call: ast.Call, index: int | None, name: str) -> bool:
                                   or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def _calls_by_name(trees: list) -> dict:
+    """Every call in ``trees``, by the called name alone: ``f(...)`` and
+    ``mod.f(...)`` are both calls of ``f``."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
 def unset_parameters(defined: dict, callers: list) -> list:
     """``module.function(parameter=)`` for each defaulted parameter of a
     module-level function in ``defined``, trees by module name, that no call
     in the trees ``callers`` passes. A call is matched to a function by the
     called name alone, so a same-named call anywhere counts."""
-    calls = {}
-    for tree in callers:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+    calls = _calls_by_name(callers)
     unset = []
     for module, tree in defined.items():
         for node in tree.body:
@@ -212,6 +220,86 @@ def test_the_check_sees_a_parameter_no_call_sets():
         "class C:\n    def f(self, unused=1):\n        pass\n")}
     callers = [ast.parse("f(0, 1, m=5)\nmod.f(0)\ng(*xs, **kw)\n")]
     assert unset_parameters(defined, callers) == ["a.f(k=)", "a.f(z=)"]
+
+
+def _own_fields(node: ast.ClassDef) -> dict:
+    """The fields a dataclass declares in its body, in order, each with
+    (whether ``__init__`` takes it, whether it has a default)."""
+    fields = {}
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value, init, defaulted = stmt.value, True, stmt.value is not None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = not (isinstance(keywords.get("init"), ast.Constant)
+                        and keywords["init"].value is False)
+            defaulted = bool(keywords.keys() & {"default", "default_factory"})
+        fields[stmt.target.id] = (init, defaulted)
+    return fields
+
+
+def unset_fields(defined: dict, callers: list) -> list:
+    """``module.Class.field`` for each defaulted ``__init__`` field of a
+    module-level dataclass in ``defined``, trees by module name, that no
+    call in the trees ``callers`` sets: a call of the class or of a subclass
+    that passes it by keyword, by position (inherited fields first) or
+    through a spread, or a ``replace`` call that names it. Calls are matched
+    by the called name alone, as in :func:`unset_parameters`."""
+    classes = {node.name: (module, [ast.unparse(b).split(".")[-1] for b in node.bases],
+                           _own_fields(node))
+               for module, tree in defined.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and any("dataclass" in ast.unparse(d) for d in node.decorator_list)}
+
+    def fields(name: str) -> dict:
+        _, bases, own = classes[name]
+        merged = {}
+        for base in bases:
+            if base in classes:
+                merged.update(fields(base))
+        merged.update(own)
+        return merged
+
+    def lineage(name: str) -> set:
+        return {name}.union(*(lineage(b) for b in classes[name][1] if b in classes))
+
+    calls = _calls_by_name(callers)
+    unset = []
+    for name, (module, _, own) in classes.items():
+        subclasses = [sub for sub in classes if name in lineage(sub)]
+        for field_name, (init, defaulted) in own.items():
+            if not (init and defaulted):
+                continue
+            sets = any(k.arg == field_name for c in calls.get("replace", ()) for k in c.keywords)
+            for sub in subclasses:
+                parameters = [f for f, (takes, _) in fields(sub).items() if takes]
+                index = parameters.index(field_name) if field_name in parameters else None
+                sets = sets or any(_passes(c, index, field_name) for c in calls.get(sub, ()))
+            if not sets:
+                unset.append(f"{module}.{name}.{field_name}")
+    return sorted(unset)
+
+
+def test_every_defaulted_dataclass_field_is_set_by_some_call():
+    """A dataclass field whose default no call overrides is a setting
+    nobody sets: make it a constant, or derive it with ``init=False``."""
+    defined = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    callers = [ast.parse(p.read_text(encoding="utf-8"))
+               for root in CALLERS for p in sorted(root.rglob("*.py"))]
+    assert unset_fields(defined, callers) == []
+
+
+def test_the_check_sees_a_dataclass_field_no_call_sets():
+    defined = {"a": ast.parse(
+        "@dataclass\nclass Base:\n    x: int\n    y: int = 1\n    z: int = 2\n"
+        "    w: int = field(init=False, default=0)\n    c: ClassVar[int] = 0\n"
+        "@dataclass(frozen=True)\nclass Sub(Base):\n    k: int = 3\n"
+        "    m: list = field(default_factory=list)\n    n: int = field(default=4)\n"
+        "@dataclasses.dataclass\nclass Spread:\n    q: int = 1\n"
+        "class Plain:\n    p: int = 5\n")}
+    callers = [ast.parse("a.Sub(0, 1, 2)\nreplace(s, m=[])\nSpread(**kw)\n")]
+    assert unset_fields(defined, callers) == ["a.Sub.k", "a.Sub.n"]
 
 
 def _trusted_encodes(node: ast.AST, function: str):

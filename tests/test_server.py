@@ -191,17 +191,30 @@ def test_disjoint_namespace_is_empty_but_signed(world, cas_server):
     assert verify_statement(statement, world.cas.keys.public())
 
 
-def test_every_request_is_audited_once(world, cas_server):
+def test_every_request_is_audited_once(world, cas_server, monkeypatch):
+    """An unexpected error in a handler is audited too, as ``Internal``,
+    the code the caller gets."""
     wire.call(cas_server.endpoint, "ping")
     with pytest.raises(ServerError):
         wire.call(cas_server.endpoint, "get_credential", {"mode": "assertion"},
                   chain=chain_doc(world, "carol"))
     wire.call(cas_server.endpoint, "get_credential", {"mode": "assertion"},
               chain=chain_doc(world, "alice"))
+
+    def broken(payload, caller):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cas_server, "handle_query", broken)
+    with pytest.raises(ServerError) as info:
+        wire.call(cas_server.endpoint, "query",
+                  {"query": "resource_rights", "namespace": "vo://esg/**"},
+                  chain=chain_doc(world, "alice"))
+    assert info.value.code == "Internal"
     records = audit_lines(cas_server)
-    assert len(records) == 3
-    assert [r["outcome"] for r in records] == ["ok", "error:NotAMember", "ok"]
+    assert len(records) == 4
+    assert [r["outcome"] for r in records] == ["ok", "error:NotAMember", "ok", "error:Internal"]
     assert records[1]["caller"] == CAROL
+    assert records[3]["caller"] == ALICE
     timestamps = [r["timestamp"] for r in records]
     assert timestamps == sorted(timestamps)
 

@@ -303,11 +303,15 @@ def recording_server(seen, listen=("127.0.0.1", 0)):
     return server
 
 
+# A scripted reply that resets the connection instead of answering.
+RESET = "reset"
+
+
 class ScriptedServer:
     """A bare listener serving one connection at a time. ``answer(n)`` gives
     the reply to the n-th request (counting from 1 across connections): a
-    body, raw bytes to send as they are, or None to close the connection
-    without answering."""
+    body, raw bytes to send as they are, None to close the connection
+    without answering, or :data:`RESET` to reset it without answering."""
 
     def __init__(self, answer):
         self.answer = answer
@@ -335,7 +339,11 @@ class ScriptedServer:
                     while (doc := wire.read_frame(conn)) is not None:
                         self.seen.append(doc["kind"])
                         reply = self.answer(len(self.seen))
-                        if reply is None:
+                        if reply is RESET:
+                            # Linger on with no timeout: the close sends a reset.
+                            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                            struct.pack("ii", 1, 0))
+                        if reply is None or reply is RESET:
                             break
                         if isinstance(reply, bytes):
                             conn.sendall(reply)
@@ -422,9 +430,15 @@ def test_pooled_socket_with_stray_bytes_is_replaced(scripted):
     assert server.connections == 2
 
 
-@pytest.mark.parametrize("kind", sorted(wire.RETRYABLE_KINDS))
-def test_read_whose_reply_is_lost_is_sent_again_once(scripted, kind):
-    server = scripted(lambda n: None if n == 2 else {"n": n})
+def lost_replies(kinds):
+    """Each kind with its reply lost to a clean close, and to a reset."""
+    return [pytest.param(kind, lost, id=kind if lost is None else f"{kind}-reset")
+            for kind in kinds for lost in (None, RESET)]
+
+
+@pytest.mark.parametrize("kind, lost", lost_replies(sorted(wire.RETRYABLE_KINDS)))
+def test_read_whose_reply_is_lost_is_sent_again_once(scripted, kind, lost):
+    server = scripted(lambda n: lost if n == 2 else {"n": n})
     assert wire.call(server.endpoint, "ping") == {"n": 1}
     assert wire.call(server.endpoint, kind) == {"n": 3}
     assert server.seen == ["ping", kind, kind]
@@ -440,9 +454,10 @@ def test_read_lost_twice_raises(scripted):
     assert server.seen == ["ping", "query", "query"]
 
 
-@pytest.mark.parametrize("kind", ["admin", "write", "delete", "get_credential", "subscribe"])
-def test_change_whose_reply_is_lost_is_not_retried(scripted, kind):
-    server = scripted(lambda n: None if n == 2 else {"n": n})
+@pytest.mark.parametrize("kind, lost", lost_replies(
+    ["admin", "write", "delete", "get_credential", "subscribe"]))
+def test_change_whose_reply_is_lost_is_not_retried(scripted, kind, lost):
+    server = scripted(lambda n: lost if n == 2 else {"n": n})
     wire.call(server.endpoint, "ping")
     with pytest.raises(ServerError) as info:
         wire.call(server.endpoint, kind)
