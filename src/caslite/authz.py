@@ -5,20 +5,18 @@ authorization service built on it.
 service (:mod:`caslite.vault`) calls it after checking a presented chain,
 and the decision service here calls it for resources that do not want
 community-policy logic inline. Those forward the requester's identity,
-attributes, request, and any presented assertion, and act on the answer.
-Queries are stateless apart from an optional pull-path statement cache, and
+request, and any presented assertion, and act on the answer. Queries are
+stateless apart from an optional pull-path statement cache, and
 infrastructure failures come back as deny answers with reasons rather than
 errors, so callers stay fail-closed by construction.
 
-Attributes are accepted and logged but take no part in the core decision;
-group semantics already arrive inside assertions. Deploy one of these per
-resource host: the answer is only as trustworthy as the channel to it.
+Deploy one of these per resource host: the answer is only as trustworthy as
+the channel to it.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +24,7 @@ from typing import Any, Mapping
 
 from . import wire
 from .assertions import CheckedAssertion, PolicyAssertion, assertion_from_map, check_assertion
-from .canonical import expect, fields, set_of
+from .canonical import fields
 from .credentials import CheckedChain, chain_to_map, check_windows, load_chain
 from .errors import ChainError, DeniedError, MalformedMessage, SourceUnavailable, StaleStatement
 from .keys import CheckedMemo, KeyMaterial
@@ -45,13 +43,11 @@ from .policy import (
 )
 from .statements import StatementFetcher, listing_rights
 
-logger = logging.getLogger(__name__)
-
 PULL_NAMESPACE = "vo://**"
 
 # Where a presented assertion sits in a decide request (see
 # :class:`~caslite.wire.FrameServer`).
-ASSERTION = (("payload", "assertion"), ("attributes", "identity"))
+ASSERTION = (("payload", "assertion"), "identity")
 
 
 def vouch_assertion(
@@ -154,21 +150,12 @@ class DecisionQuery:
     identity: Identity
     action: str
     object: str
-    attributes: frozenset = frozenset()
     assertion: PolicyAssertion | CheckedAssertion | None = None
 
     def __post_init__(self) -> None:
         validate_identity(self.identity)
         validate_action(self.action)
         validate_concrete(self.object)
-        seen = set()
-        for attr in self.attributes:
-            name, sep, _ = attr.partition("=")
-            if not sep or not name:
-                raise MalformedMessage(f"attribute must be name=value: {attr!r}")
-            if name in seen:
-                raise MalformedMessage(f"duplicate attribute name {name!r}")
-            seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -193,9 +180,6 @@ def decide_local(
     assertion, a configured pull source supplies the community half; with
     neither, the answer is deny.
     """
-    if q.attributes:
-        logger.debug("attributes for %s ignored by core decision: %s",
-                     q.identity, sorted(q.attributes))
     try:
         decision = judge(site, cas_public, cas_identity, q.identity, q.action, q.object, now,
                          assertion=q.assertion, fetcher=fetcher)
@@ -212,14 +196,12 @@ def query_from_payload(payload: Any, read_assertion=assertion_from_map) -> Decis
     """The query ``payload`` asks; ``read_assertion`` turns a presented
     assertion map into what :func:`decide_local` judges."""
     fields(payload, "decision payload", {"identity", "action", "object"},
-           {"attributes", "assertion"})
+           {"assertion"})
     assertion = None
     if "assertion" in payload:
         assertion = read_assertion(payload["assertion"])
     return DecisionQuery(
         identity=payload["identity"],
-        attributes=set_of(lambda attr: expect(attr, str, "attribute"),
-                          payload.get("attributes", []), "attributes"),
         action=payload["action"],
         object=payload["object"],
         assertion=assertion,

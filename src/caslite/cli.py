@@ -31,6 +31,7 @@ from .assertions import (
 from .credentials import (
     chain_from_map,
     chain_to_map,
+    check_chain_internal,
     issue_proxy,
     load_anchors,
     load_chain,
@@ -77,6 +78,7 @@ def proxy_init_main(argv: list[str] | None = None) -> int:
 
     def proxy_init() -> dict:
         parent = load_chain(args.credential)
+        check_chain_internal(parent)
         now = int(time.time())
         chain = issue_proxy(parent, (now, now + int(args.hours * 3600)))
         save_chain(chain, args.out)

@@ -205,16 +205,13 @@ def issue_proxy(
     keeps expiry checks local to each link. Without a restriction the bearer
     asserts the full rights of the chain's subject. The returned chain holds
     the private part only for the new link; ancestors are publicized.
+    Whoever loads ``parent`` checks it once, by :func:`check_chain_internal`.
     """
     not_before, not_after = validity
     _check_interval(not_before, not_after)
     signer = parent.innermost_keys()
     if signer.private_part is None:
         raise ParentUnverifiable("parent chain does not include its innermost private key")
-    try:
-        check_chain_internal(parent)
-    except CasliteError as exc:
-        raise ParentUnverifiable(f"parent chain is not internally consistent: {exc}") from None
     eff_nb, eff_na = parent.effective_interval()
     if not_before < eff_nb or not_after > eff_na:
         raise ValidityOutOfRange(

@@ -34,6 +34,7 @@ from .credentials import (
     chain_from_map,
     chain_to_map,
     check_chain,
+    check_chain_internal,
     check_windows,
     load_anchors,
     load_chain,
@@ -70,14 +71,14 @@ class ServerConfig:
 class AuditLog:
     """Append-only JSON-lines log with monotone timestamps per file.
 
-    The file is opened in append mode on the first record and kept open;
+    The file is opened in append mode when the log is made and kept open;
     ``close`` releases it, and a record appended after that reopens it."""
 
     def __init__(self, path: Path):
         self._path = path
         self._lock = threading.Lock()
         self._last_ts = 0.0
-        self._handle = None
+        self._handle = open(path, "a", encoding="utf-8")
 
     def append(self, caller: str, kind: str, outcome: str, detail: str) -> None:
         with self._lock:
@@ -113,12 +114,17 @@ class CasServer(wire.FrameServer):
         self._chain = load_chain(config.credential_path)
         if self._chain.innermost_keys().private_part is None:
             raise CasliteError("server credential file lacks a private key")
+        check_chain_internal(self._chain)
         self._anchors = load_anchors(config.anchors_path)
         self._checked = CheckedMemo()
         self._write_lock = threading.Lock()
         audit_path = config.audit_path or Path(str(config.db_path) + ".audit")
         self._audit = AuditLog(audit_path)
-        super().__init__(config.listen, self.handle, (wire.CHAIN, self._checked))
+        try:
+            super().__init__(config.listen, self.handle, (wire.CHAIN, self._checked))
+        except BaseException:
+            self._audit.close()
+            raise
 
     @property
     def identity(self) -> Identity:
@@ -176,6 +182,8 @@ class CasServer(wire.FrameServer):
         third parties."""
         fields(payload, "get_credential payload", {"mode"},
                {"lifetime", "assertion_mode", "requested"})
+        if "assertion_mode" in payload and payload["mode"] != "assertion":
+            raise MalformedMessage("assertion_mode is only for mode 'assertion'")
         lifetime = expect(payload.get("lifetime", self.config.default_lifetime), int, "lifetime")
         db = self._db
         now = int(time.time())

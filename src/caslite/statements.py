@@ -259,7 +259,7 @@ class StatementFetcher:
     :class:`SourceUnavailable`. Refreshes are single-flight: one caller
     fetches while the others wait for its outcome, a failure included.
     Replacement is a single reference swap so concurrent readers never see a
-    partial update.
+    partial update. A bad namespace is refused when the fetcher is made.
     """
 
     def __init__(
@@ -270,7 +270,7 @@ class StatementFetcher:
         client_chain: dict | None = None,
     ):
         self._source = source
-        self._namespace = namespace
+        self._query = validate_query({"query": "resource_rights", "namespace": namespace})
         self._authority_public = authority_public
         self._client_chain = client_chain
         self._lock = threading.Lock()
@@ -278,8 +278,8 @@ class StatementFetcher:
         self._flight: _Flight | None = None
 
     def fetch(self) -> SignedStatement:
-        query = {"query": "resource_rights", "namespace": self._namespace}
-        return fetch_statement(self._source, query, self._client_chain, self._authority_public)
+        return fetch_statement(self._source, self._query, self._client_chain,
+                               self._authority_public)
 
     def current(self, now: int) -> SignedStatement:
         with self._lock:

@@ -15,7 +15,7 @@ cut rests on how canonical maps compose: a map's canonical bytes are its
 keys' ``"key":value`` fragments in sorted order, so a frame is canonical
 exactly when the frame with a placeholder in the span's place is canonical
 and the span is. The span is guessed, from the first ``"key":`` of its
-place's last key to the first key that can follow it there, and taken only
+place's last key to the required key that follows it, and taken only
 when that ``"key":`` occurs nowhere else, the rest parses as canonical with
 a value at the place (which can then only be the placeholder), and the span
 is bytes the service's memo knows or parses as canonical itself. A
@@ -59,10 +59,10 @@ Endpoint = tuple[str, int]
 _OK_HEAD, _OK_TAIL = b'{"body":', b',"ok":true}'
 
 # Where a presented document sits in a request frame: the keys that lead to
-# it, and the keys that can follow it in its map, in sorted order. A
+# it, and the key that follows it in its map, one its readers require. A
 # caller's chain is the first key of the request, before ``kind``.
-Place = tuple[tuple[str, ...], tuple[str, ...]]
-CHAIN = (("chain",), ("kind",))
+Place = tuple[tuple[str, ...], str]
+CHAIN = (("chain",), "kind")
 
 
 def parse_endpoint(text: str) -> Endpoint:
@@ -329,9 +329,9 @@ class FrameServer:
         self._handler = handler
         self._presented = None
         if presented is not None:
-            (path, followers), memo = presented
+            (path, follower), memo = presented
             self._presented = (path, b'"%s":' % path[-1].encode(),
-                               tuple(b',"%s":' % key.encode() for key in followers), memo)
+                               b',"%s":' % follower.encode(), memo)
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._stopping = False
@@ -406,16 +406,13 @@ class FrameServer:
     def _cut(self, data: bytearray) -> Any | None:
         """The request document with its presented document's span taken in
         unparsed when remembered; None when the frame cannot be cut."""
-        path, lead, ends, memo = self._presented
+        path, lead, end, memo = self._presented
         start = data.find(lead)
         if start < 0:
             return None
         start += len(lead)
-        for end in ends:
-            stop = data.find(end, start)
-            if stop >= 0:
-                break
-        else:
+        stop = data.find(end, start)
+        if stop < 0:
             return None
         # With the lead nowhere else, the rest holds at most one key of that
         # name, so a value at ``path`` is the placeholder after the lead.

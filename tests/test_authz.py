@@ -16,8 +16,8 @@ from caslite.authz import (
     decide_local,
     query_from_payload,
 )
-from caslite.credentials import chain_to_map
-from caslite.errors import DeniedError, MalformedMessage
+from caslite.credentials import chain_from_map, chain_to_map
+from caslite.errors import DeniedError, MalformedMessage, ServerError
 from caslite.keys import generate_keys
 from caslite.statements import StatementFetcher
 from caslite.vault import ResourceConfig, ResourceService
@@ -104,14 +104,21 @@ def test_pull_refuses_a_statement_for_another_query(world, case):
         source.close()
 
 
-def test_attributes_are_accepted_but_unused(world, assertions):
-    q = DecisionQuery(identity=ALICE, attributes=frozenset({"role=pilot", "org=lab"}),
-                      action="read", object="vo://esg/data/public/a.nc",
-                      assertion=assertions[ALICE])
-    assert decide_local(q, world.site, world.cas.keys.public(), CAS, NOW).allow
-    with pytest.raises(MalformedMessage):
-        DecisionQuery(identity=ALICE, attributes=frozenset({"role=a", "role=b"}),
-                      action="read", object="vo://esg/data/x")
+def test_attributes_are_refused(world, assertions, authz_server):
+    """No field of a query is ignored: ``attributes``, which no decision
+    reads, is refused as malformed, in process and over the wire, with or
+    without an assertion, and the server then still answers a good query."""
+    good = {"identity": ALICE, "action": "read", "object": "vo://esg/data/public/a.nc",
+            "assertion": assertion_to_map(assertions[ALICE])}
+    for payload in (good, {k: v for k, v in good.items() if k != "assertion"}):
+        with_attributes = {**payload, "attributes": ["role=pilot"]}
+        with pytest.raises(MalformedMessage, match="decision payload has wrong fields"):
+            query_from_payload(with_attributes)
+        with pytest.raises(ServerError) as refused:
+            wire.call(authz_server.endpoint, "decide", with_attributes)
+        assert refused.value.code == "MalformedMessage"
+        assert "decision payload has wrong fields" in refused.value.message
+    assert wire.call(authz_server.endpoint, "decide", good) == {"allow": True, "reason": "ok"}
 
 
 def test_decision_matches_inline_enforcement(world, assertions):
@@ -154,14 +161,34 @@ def test_pulled_decision_matches_pull_enforcement(world, cas_server):
             assert answer.reason == f"{decision.stage}: {decision.reason}"
 
 
+def test_pull_vault_decides_a_community_chain_from_the_listing(world, cas_server):
+    """A pull vault decides a chain the community issued from the pulled
+    listing, never from its restriction: alice's restricted chain, which a
+    push vault honours, names only the community server, to whom the
+    listing grants nothing."""
+    restricted = chain_from_map(wire.call(
+        cas_server.endpoint, "get_credential", {"mode": "restricted_proxy"},
+        chain=chain_to_map(world.proxy("alice")))["chain"])
+    common = dict(site=world.site, cas_public=world.cas.keys.public(), cas_identity=CAS,
+                  anchors=world.anchors)
+    push = ResourceService(ResourceConfig(**common))
+    pull = ResourceService(ResourceConfig(
+        **common, mode="pull", pull_source=cas_server.endpoint, pull_namespace="vo://esg/**",
+        client_chain=chain_to_map(world.proxy("alice"))))
+    now = int(time.time())
+    assert push.authorize(restricted, "read", "vo://esg/data/public/a.nc", now).allow
+    decision = pull.authorize(restricted, "read", "vo://esg/data/public/a.nc", now)
+    assert not decision.allow and decision.stage == "vo_user"
+
+
 def test_query_payload_strictness():
     with pytest.raises(MalformedMessage):
         query_from_payload({"identity": ALICE})
     with pytest.raises(MalformedMessage):
         query_from_payload({"identity": ALICE, "action": "fly", "object": "vo://x/y"})
-    q = query_from_payload({"identity": ALICE, "action": "read",
+    with pytest.raises(MalformedMessage, match="wrong fields"):
+        query_from_payload({"identity": ALICE, "action": "read",
                             "object": "vo://esg/data/a", "attributes": ["k=v"]})
-    assert q.attributes == frozenset({"k=v"})
 
 
 @pytest.fixture()

@@ -15,7 +15,7 @@ from caslite.credentials import load_anchors, load_chain, save_chain, verify_cha
 from caslite.errors import MalformedMessage
 from caslite.policy import user_rights
 
-from worldlib import ALICE, BOB, CAS, NOW, fixture_db, rights
+from worldlib import ALICE, BOB, CAS, NOW, fixture_db, forged_link_chain, rights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +50,16 @@ def test_proxy_init_writes_a_verifiable_chain(world, user_files):
     chain = load_chain(out)
     verified = verify_chain(chain, world.anchors, NOW + 3600)
     assert verified.subject == ALICE
+
+
+def test_proxy_init_refuses_a_chain_whose_link_is_forged(world, user_files):
+    """The chain a proxy is made from is checked once, when it is loaded:
+    extending a broken chain would give one every verifier refuses."""
+    tmp, _ = user_files
+    save_chain(forged_link_chain(world.eec("alice")), tmp / "forged.chain")
+    result = run_cli("proxy-init", tmp / "forged.chain", "--out", tmp / "x.proxy", expect=1)
+    assert "link 1 signature does not verify" in result.stderr
+    assert not (tmp / "x.proxy").exists()
 
 
 def test_proxy_init_missing_key_file(world, user_files):

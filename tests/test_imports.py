@@ -1,7 +1,9 @@
 """Source hygiene: each caslite module uses every name it imports, the
 package reads every private module-level name it defines, some caller
 names each public module-level function and class, some call sets
-each defaulted parameter of its module-level functions and each defaulted
+each defaulted parameter of its module-level functions and of the methods
+of its module-level classes (a method's by a call of its name, ``__init__``'s
+also by a call of its class or a subclass) and each defaulted
 ``__init__`` field of its dataclasses, every encode that
 skips the type walk is one that ``canonical_json`` documents, and the
 modules keep their layers: no import cycle, no model module imports the
@@ -181,25 +183,57 @@ def _calls_by_name(trees: list) -> dict:
     return calls
 
 
+def _subclasses(bases: dict, name: str) -> list:
+    """The classes in ``bases``, base names by class name, that derive from
+    ``name``, ``name`` itself included."""
+
+    def lineage(sub: str) -> set:
+        return {sub}.union(*(lineage(b) for b in bases[sub] if b in bases))
+
+    return [sub for sub in bases if name in lineage(sub)]
+
+
+def _functions(tree: ast.Module, bases: dict):
+    """(qualified name, definition, names its calls go by, whether a call's
+    first argument fills its second parameter) for each module-level
+    function and each method of a module-level class in ``tree``. A
+    method's calls go by its name, and ``__init__``'s by its class's, a
+    subclass's or ``__init__``, as in ``super().__init__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, [node.name], False
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                names = [method.name]
+                if method.name == "__init__":
+                    names += _subclasses(bases, node.name)
+                bound = not any(ast.unparse(d) == "staticmethod" for d in method.decorator_list)
+                yield f"{node.name}.{method.name}", method, names, bound
+
+
 def unset_parameters(defined: dict, callers: list) -> list:
     """``module.function(parameter=)`` for each defaulted parameter of a
-    module-level function in ``defined``, trees by module name, that no call
-    in the trees ``callers`` passes. A call is matched to a function by the
-    called name alone, so a same-named call anywhere counts."""
+    module-level function or of a method of a module-level class in
+    ``defined``, trees by module name, that no call in the trees
+    ``callers`` passes. A call is matched to a function by the called name
+    alone, so a same-named call anywhere counts; see :func:`_functions`
+    for a method's."""
     calls = _calls_by_name(callers)
+    bases = {node.name: [ast.unparse(b).split(".")[-1] for b in node.bases]
+             for tree in defined.values() for node in tree.body if isinstance(node, ast.ClassDef)}
     unset = []
     for module, tree in defined.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for qualified, node, names, bound in _functions(tree, bases):
             args = node.args
             positional = args.posonlyargs + args.args
-            defaulted = list(enumerate(p.arg for p in positional))
+            defaulted = list(enumerate((p.arg for p in positional), start=-1 if bound else 0))
             defaulted = defaulted[len(positional) - len(args.defaults):]
             defaulted += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
                           if default is not None]
-            unset += [f"{module}.{node.name}({name}=)" for index, name in defaulted
-                      if not any(_passes(c, index, name) for c in calls.get(node.name, ()))]
+            unset += [f"{module}.{qualified}({name}=)" for index, name in defaulted
+                      if not any(_passes(c, index, name) for n in names for c in calls.get(n, ()))]
     return sorted(unset)
 
 
@@ -220,6 +254,21 @@ def test_the_check_sees_a_parameter_no_call_sets():
         "class C:\n    def f(self, unused=1):\n        pass\n")}
     callers = [ast.parse("f(0, 1, m=5)\nmod.f(0)\ng(*xs, **kw)\n")]
     assert unset_parameters(defined, callers) == ["a.f(k=)", "a.f(z=)"]
+
+
+def test_the_check_sees_a_method_parameter_no_call_sets():
+    """A method's defaults count as set by calls of its name, past ``self``;
+    ``__init__``'s also by calls of its class or a subclass, or of
+    ``__init__``."""
+    defined = {"a": ast.parse(
+        "class Base:\n    def __init__(self, x, y=1, z=2, w=3):\n        pass\n"
+        "    def read(self, path, now=None):\n        pass\n"
+        "    @staticmethod\n    def make(x=1, y=2):\n        pass\n"
+        "class Sub(Base):\n    def __init__(self, v=0):\n        super().__init__(v, 2)\n"
+        "class Other:\n    def read(self, path, flag=False):\n        pass\n")}
+    callers = [defined["a"], ast.parse("Sub(0)\nobj.read('p', flag=True)\nmake(1)\n")]
+    assert unset_parameters(defined, callers) == \
+        ["a.Base.__init__(w=)", "a.Base.__init__(z=)", "a.Base.make(y=)", "a.Base.read(now=)"]
 
 
 def _own_fields(node: ast.ClassDef) -> dict:
@@ -261,13 +310,11 @@ def unset_fields(defined: dict, callers: list) -> list:
         merged.update(own)
         return merged
 
-    def lineage(name: str) -> set:
-        return {name}.union(*(lineage(b) for b in classes[name][1] if b in classes))
-
     calls = _calls_by_name(callers)
+    bases = {sub: c[1] for sub, c in classes.items()}
     unset = []
     for name, (module, _, own) in classes.items():
-        subclasses = [sub for sub in classes if name in lineage(sub)]
+        subclasses = _subclasses(bases, name)
         for field_name, (init, defaulted) in own.items():
             if not (init and defaulted):
                 continue

@@ -95,7 +95,7 @@ PURE_READERS = {
     ]),
     "query_from_payload": (query_from_payload, [{
         "identity": ALICE, "action": "read", "object": "vo://esg/data/x",
-        "attributes": ["role=analyst"], "assertion": ASSERTIONS["rights"],
+        "assertion": ASSERTIONS["rights"],
     }]),
 }
 
@@ -210,8 +210,11 @@ REFUSALS = [
      "MalformedMessage", "32 bytes"),
     ("capability_from_map", {**_capability_to_map(CAPABILITY), "powers": ["fly"]},
      "MalformedMessage", "bad capability powers"),
-    ("query_from_payload", {**PURE_READERS["query_from_payload"][1][0], "attributes": ["role"]},
-     "MalformedMessage", "attribute must be name=value"),
+    ("query_from_payload",
+     {**PURE_READERS["query_from_payload"][1][0], "attributes": ["role=analyst"]},
+     "MalformedMessage", "decision payload has wrong fields"),
+    ("handle_get_credential", {"mode": "restricted_proxy", "assertion_mode": "rights"},
+     "MalformedMessage", "assertion_mode is only for mode 'assertion'"),
 ]
 
 

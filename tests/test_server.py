@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import sys
 import threading
@@ -369,6 +370,39 @@ def test_a_default_lifetime_past_the_maximum_stops_the_authority_before_it_binds
                                credential_path=paths["key"], anchors_path=paths["anchors"],
                                default_lifetime=MAX_LIFETIME + 1))
     assert binds == []
+
+
+def test_an_audit_path_that_cannot_be_written_stops_the_authority_before_it_binds(
+        world, tmp_path, monkeypatch):
+    """The audit file is opened at construction, so an authority that could
+    audit nothing never serves: it would answer every request ``Internal``
+    and still commit admin commands."""
+    paths = world.write_server_files(tmp_path)
+    saved = paths["db"].read_bytes()
+    binds = []
+    monkeypatch.setattr(wire.FrameServer, "__init__", lambda *args: binds.append(args))
+    with pytest.raises(OSError):
+        CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                               credential_path=paths["key"], anchors_path=paths["anchors"],
+                               audit_path=tmp_path / "missing" / "audit.log"))
+    assert binds == [] and paths["db"].read_bytes() == saved
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files by /proc")
+def test_a_listen_address_in_use_leaves_the_audit_file_closed(world, tmp_path):
+    paths = world.write_server_files(tmp_path)
+    audit = tmp_path / "audit.log"
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        with pytest.raises(OSError) as failed:
+            CasServer(ServerConfig(listen=taken.getsockname(), db_path=paths["db"],
+                                   credential_path=paths["key"], anchors_path=paths["anchors"],
+                                   audit_path=audit))
+        # ``failed`` keeps the half-built server alive, so an open handle shows.
+        open_files = [os.readlink(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")
+                      if os.path.islink(f"/proc/self/fd/{fd}")]
+        assert failed.value.errno and str(audit) not in open_files
 
 
 def test_audit_log_survives_stop_and_restart(world, tmp_path):

@@ -12,13 +12,18 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from caslite import authz, cache, server, vault, wire
+from caslite.credentials import save_chain
+
+from worldlib import forged_link_chain
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+START_LIMIT = 10.0
 
 
 @pytest.fixture()
@@ -35,6 +40,11 @@ def files(world, tmp_path):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
     paths["missing"] = tmp_path / "nope.json"
+    paths["audit"] = tmp_path / "audit.log"
+    paths["audit_in_missing_dir"] = tmp_path / "missing" / "audit.log"
+    paths["forged_key"] = tmp_path / "forged.chain"
+    save_chain(forged_link_chain(world.cas), paths["forged_key"])
+    paths.update(namespace="vo://esg/**", no_scheme="nonsense", mode="push", pull="pull")
     paths.update(lifetime=3600, lifetime_0=0, lifetime_86401=86401)
     return paths
 
@@ -50,9 +60,14 @@ def bound():
 
 @pytest.fixture()
 def sigterm():
-    """Restore the SIGTERM handler that ``run_service`` installs."""
-    saved = signal.getsignal(signal.SIGTERM)
+    """Restore the SIGTERM handler that ``run_service`` installs. A service
+    that starts when it should have refused gets a SIGTERM after
+    ``START_LIMIT`` seconds, so it returns 0 rather than serving forever."""
+    saved = signal.signal(signal.SIGTERM, lambda *_: None)
+    timer = threading.Timer(START_LIMIT, os.kill, (os.getpid(), signal.SIGTERM))
+    timer.start()
     yield
+    timer.cancel()
     signal.signal(signal.SIGTERM, saved)
 
 
@@ -68,12 +83,13 @@ def _argv(service: str, p: dict, listen: str, **bad) -> list:
     p = {**p, **{flag: p[name] for flag, name in bad.items()}}
     if service == "server":
         return ["--listen", listen, "--db", p["db"], "--key", p["key"], "--anchors", p["anchors"],
-                "--default-lifetime", p["lifetime"]]
+                "--default-lifetime", p["lifetime"], "--audit", p["audit"]]
     if service == "cache":
         return ["--listen", listen, "--authority", f"127.0.0.1:{_closed_port()}",
                 "--refresh", 1, "--max-age", 30, "--subscriptions", p["subs"]]
-    argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"]]
-    return argv + (["--mode", "push", "--anchors", p["anchors"]] if service == "vault" else [])
+    argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"],
+            "--pull-source", f"127.0.0.1:{_closed_port()}", "--pull-namespace", p["namespace"]]
+    return argv + (["--mode", p["mode"], "--anchors", p["anchors"]] if service == "vault" else [])
 
 
 MAINS = {"server": server.main, "cache": cache.main, "vault": vault.main, "authz": authz.main}
@@ -90,6 +106,11 @@ CASES = [
     ("vault", {"anchors": "bad_base64"}, "bad base64 in CHAIN block"),
     ("server", {"lifetime": "lifetime_0"}, "lifetime must be positive"),
     ("server", {"lifetime": "lifetime_86401"}, "lifetime 86401s exceeds the 86400s maximum"),
+    ("server", {"audit": "audit_in_missing_dir"}, "No such file or directory"),
+    ("server", {"key": "forged_key"}, "link 1 signature does not verify"),
+    ("authz", {"namespace": "no_scheme"}, "pattern 'nonsense' lacks a scheme:// prefix"),
+    ("vault", {"mode": "pull", "namespace": "no_scheme"},
+     "pattern 'nonsense' lacks a scheme:// prefix"),
 ]
 
 

@@ -12,13 +12,14 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from caslite import wire
 from caslite.assertions import assertion_to_map, issue_assertion
 from caslite.credentials import (
     CredentialChain,
+    DelegationLink,
     EndEntityCredential,
     issue_eec,
     issue_proxy,
@@ -26,6 +27,7 @@ from caslite.credentials import (
     save_chain,
 )
 from caslite.canonical import canonical_json
+from caslite.keys import generate_keys, sign_payload
 from caslite.policy import (
     AdminCapability,
     Group,
@@ -222,6 +224,14 @@ class World:
         save_chain(CredentialChain(eec=self.ca), paths["anchors"], include_private=False)
         save_site(self.site, paths["site"])
         return paths
+
+
+def forged_link_chain(eec: EndEntityCredential) -> CredentialChain:
+    """``eec`` extended by one link that holds its private key but was
+    signed by a stranger: the chain loads, and its link check fails."""
+    unsigned = DelegationLink(generate_keys(), NOW, NOW + DAY, None, None, b"")
+    forged = replace(unsigned, signature=sign_payload(generate_keys(), unsigned.signing_payload()))
+    return CredentialChain(eec=eec, links=(forged,))
 
 
 def make_world(now: int = NOW) -> World:
