@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -158,12 +158,6 @@ class DecisionQuery:
         validate_concrete(self.object)
 
 
-@dataclass(frozen=True)
-class DecisionAnswer:
-    allow: bool
-    reason: str
-
-
 def decide_local(
     q: DecisionQuery,
     site: SitePolicy,
@@ -171,8 +165,9 @@ def decide_local(
     cas_identity: Identity,
     now: int,
     fetcher: StatementFetcher | None = None,
-) -> DecisionAnswer:
-    """Combine local and community policy into one yes/no answer.
+) -> dict:
+    """Combine local and community policy into the ``{"allow", "reason"}``
+    body the decision service answers with.
 
     This is :func:`judge` without chain verification. A presented assertion
     is verified and bound to the query identity before use; as this service
@@ -184,28 +179,27 @@ def decide_local(
         decision = judge(site, cas_public, cas_identity, q.identity, q.action, q.object, now,
                          assertion=q.assertion, fetcher=fetcher)
     except DeniedError as exc:
-        return DecisionAnswer(allow=False, reason=exc.decision.reason)
+        return {"allow": False, "reason": exc.decision.reason}
     except (SourceUnavailable, StaleStatement) as exc:
-        return DecisionAnswer(allow=False, reason=f"{exc.code}: {exc.message}")
+        return {"allow": False, "reason": f"{exc.code}: {exc.message}"}
     if decision.allow:
-        return DecisionAnswer(allow=True, reason="ok")
-    return DecisionAnswer(allow=False, reason=f"{decision.stage}: {decision.reason}")
+        return {"allow": True, "reason": "ok"}
+    return {"allow": False, "reason": f"{decision.stage}: {decision.reason}"}
 
 
 def query_from_payload(payload: Any, read_assertion=assertion_from_map) -> DecisionQuery:
-    """The query ``payload`` asks; ``read_assertion`` turns a presented
-    assertion map into what :func:`decide_local` judges."""
+    """The query ``payload`` asks, checked before ``read_assertion`` turns a
+    presented assertion map into what :func:`decide_local` judges."""
     fields(payload, "decision payload", {"identity", "action", "object"},
            {"assertion"})
-    assertion = None
-    if "assertion" in payload:
-        assertion = read_assertion(payload["assertion"])
-    return DecisionQuery(
+    query = DecisionQuery(
         identity=payload["identity"],
         action=payload["action"],
         object=payload["object"],
-        assertion=assertion,
     )
+    if "assertion" in payload:
+        return replace(query, assertion=read_assertion(payload["assertion"]))
+    return query
 
 
 @dataclass
@@ -242,20 +236,18 @@ class AuthzServer(wire.FrameServer):
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":
+            fields(payload, "ping payload", frozenset())
             return {"identity": "authz", "pull": self._fetcher is not None}
         if kind != "decide":
             raise MalformedMessage(f"unknown request kind {kind!r}")
         try:
             query = query_from_payload(payload, self._assertion)
         except DeniedError as exc:
-            # refused once the query's own fields pass, as a cold query is
-            query_from_payload({k: v for k, v in payload.items() if k != "assertion"})
             return {"allow": False, "reason": exc.decision.reason}
-        answer = decide_local(
+        return decide_local(
             query, self.cfg.site, self.cfg.cas_public, self.cfg.cas_identity,
             now=int(time.time()), fetcher=self._fetcher,
         )
-        return {"allow": answer.allow, "reason": answer.reason}
 
     def _assertion(self, doc: Any) -> CheckedAssertion:
         """A presented assertion map as :func:`decide_local` will judge it:
@@ -272,9 +264,9 @@ def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
     parser.add_argument("--cas-key", required=True, type=Path,
                         help="community server credential file (public part is used)")
     parser.add_argument("--pull-source", default=None, help="HOST:PORT of authority or mirror")
-    parser.add_argument("--pull-namespace", default=PULL_NAMESPACE,
-                        help="namespace queried on the pull path; must match a "
-                             "mirror subscription when pulling through one")
+    parser.add_argument("--pull-namespace", default=None,
+                        help=f"namespace queried on the pull path (default {PULL_NAMESPACE}); "
+                             "must match a mirror subscription when pulling through one")
     parser.add_argument("--chain", type=Path, default=None,
                         help="client chain used to authenticate pull queries")
     return parser
@@ -282,13 +274,15 @@ def service_parser(prog: str, description: str) -> argparse.ArgumentParser:
 
 def service_settings(args: argparse.Namespace) -> dict:
     """The :class:`AuthzConfig` fields set by :func:`service_parser`'s flags."""
+    if args.pull_namespace is not None and not args.pull_source:
+        raise MalformedMessage("--pull-namespace needs a --pull-source")
     cas_chain = load_chain(args.cas_key)
     return dict(
         site=load_site(args.site),
         cas_public=cas_chain.innermost_keys().public(),
         cas_identity=cas_chain.subject,
         pull_source=wire.parse_endpoint(args.pull_source) if args.pull_source else None,
-        pull_namespace=args.pull_namespace,
+        pull_namespace=PULL_NAMESPACE if args.pull_namespace is None else args.pull_namespace,
         client_chain=chain_to_map(load_chain(args.chain)) if args.chain else None,
     )
 

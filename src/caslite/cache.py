@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from . import wire
-from .canonical import Encoded, canonical_json, expect
+from .canonical import Encoded, canonical_json, expect, fields
 from .credentials import chain_to_map, load_chain
 from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
 from .keys import KeyMaterial
@@ -58,37 +58,26 @@ class CacheConfig:
 
 
 class StatementCache:
-    """Subscription set plus the latest statement per subscription.
-
-    The entry table is read and changed only under ``_lock``, so readers
-    racing a refresh see either the old entry or the new one, never a mix.
-    """
+    """The configured subscriptions, checked and first fetched when the
+    cache is made (a failed fetch surfaces on serve), plus the latest
+    statement per subscription. The entry table is read and changed only
+    under ``_lock``, so readers racing a refresh see either the old entry or
+    the new one, never a mix."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self._entries: dict[bytes, CacheEntry] = {}
-        self._subscriptions: dict[bytes, dict] = {}
+        self._subscriptions = {canonical_json(query): query
+                               for query in map(validate_query, config.subscriptions)}
         self._lock = threading.Lock()
-        for query in config.subscriptions:
-            self.subscribe(query)
-
-    def subscribe(self, query: dict) -> None:
-        """Idempotently add a query and attempt a first fetch immediately;
-        fetch failures surface later on serve."""
-        query = validate_query(query)
-        key = canonical_json(query)
-        with self._lock:
-            already = key in self._subscriptions
-            self._subscriptions[key] = query
-        if not already:
+        for key, query in self._subscriptions.items():
             try:
                 self._fetch_one(key, query, int(time.time()))
             except (OSError, CasliteError) as exc:
                 logger.warning("initial fetch failed for %s: %s", query, exc)
 
     def subscriptions(self) -> list[dict]:
-        with self._lock:
-            return list(self._subscriptions.values())
+        return list(self._subscriptions.values())
 
     def entry(self, query: dict) -> CacheEntry | None:
         with self._lock:
@@ -107,7 +96,7 @@ class StatementCache:
         """Re-fetch every subscription; failures keep the old entry."""
         now = int(time.time()) if now is None else now
         updated, failed = [], []
-        for key, query in list(self._subscriptions.items()):
+        for key, query in self._subscriptions.items():
             try:
                 self._fetch_one(key, query, now)
                 updated.append(query)
@@ -122,9 +111,8 @@ class StatementCache:
         key = canonical_json(validate_query(query))
         with self._lock:
             entry = self._entries.get(key)
-            subscribed = key in self._subscriptions
         if entry is None:
-            if subscribed:
+            if key in self._subscriptions:
                 raise CacheMiss("subscription has no fetched statement yet")
             raise CacheMiss(f"never subscribed to {query!r}")
         if now - entry.fetched_at > self.config.max_age:
@@ -148,6 +136,7 @@ class CacheServer(wire.FrameServer):
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict | Encoded:
         if kind == "ping":
+            fields(payload, "ping payload", frozenset())
             return {"identity": "cache", "subscriptions": len(self.cache.subscriptions())}
         if kind == "query":
             return statement_answer(self.cache.serve_cached(payload))

@@ -140,6 +140,7 @@ class CasServer(wire.FrameServer):
         caller = "unauthenticated"
         try:
             if kind == "ping":
+                fields(payload, "ping payload", frozenset())
                 body = {"identity": self.identity, "revision": self._db.revision,
                         "vo_name": self._db.vo_name}
             elif kind in ("get_credential", "admin", "query"):

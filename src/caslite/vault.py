@@ -108,11 +108,11 @@ class ObjectStore:
 class ResourceConfig(AuthzConfig):
     """What a resource decides with (its :class:`~caslite.authz.AuthzConfig`) and enforces by.
 
-    ``anchors`` are the trust roots for verifying presented chains (typically
-    the same CA that issued both user and community credentials). Membership
-    mode enforcement needs ``group_rights`` to map asserted group names to
-    locally configured rights. Pull mode needs ``pull_source`` and uses
-    ``client_chain`` to authenticate its own queries to the source.
+    ``anchors`` are the trust roots for presented chains (typically the CA
+    that issued both user and community credentials). Only push mode takes
+    ``group_rights``, which maps the groups of a membership assertion to
+    local rights. Only pull mode takes ``pull_source``, which it needs, and
+    ``client_chain``, which authenticates its queries to that source.
     """
 
     anchors: tuple = ()
@@ -124,6 +124,9 @@ class ResourceConfig(AuthzConfig):
             raise MalformedMessage(f"unknown enforcement mode {self.mode!r}")
         if self.mode == "pull" and self.pull_source is None:
             raise MalformedMessage("pull mode requires a pull_source")
+        for name in ("group_rights",) if self.mode == "pull" else ("pull_source", "client_chain"):
+            if getattr(self, name) is not None:
+                raise MalformedMessage(f"{self.mode} mode takes no {name}")
 
 
 def _credential(label: str, check, *args):
@@ -193,13 +196,13 @@ def pull_authorize(
 
 
 class ResourceService:
-    """Enforcement plus the object store behind it.
+    """Enforcement plus the object store behind it; :meth:`answer` is the
+    one way to a file operation, in process or from :class:`VaultServer`.
 
-    ``chain`` in every method is :data:`Presented`. The time-free result of
-    received bytes or a map is remembered (see
-    :class:`~caslite.keys.CheckedMemo`), so the same bytes presented again
-    skip their parse and their signature checks; a :class:`CredentialChain`
-    is checked in full each time.
+    ``chain`` is :data:`Presented`. Received bytes or a map have their
+    time-free result remembered (see :class:`~caslite.keys.CheckedMemo`), so
+    the same bytes presented again skip their parse and signature checks; a
+    :class:`CredentialChain` is checked in full each time.
     """
 
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):
@@ -222,34 +225,35 @@ class ResourceService:
             return enforce(self.cfg, vouched, action, obj, now)
         return pull_authorize(self.cfg, vouched, action, obj, now, self._fetcher)
 
-    def _authorize_or_raise(self, chain: Presented, action: str, obj: str, now: int) -> None:
-        decision = self.authorize(chain, action, obj, now)
+    def answer(self, chain: Presented | None, kind: str, payload: Any,
+               now: int | None = None) -> dict:
+        """The wire's answer body to file operation ``kind``. The kind, the
+        chain's presence, the payload's shape and a write's hex data are
+        checked, in that order, before a deny raises :class:`DeniedError`."""
+        if kind not in ("read", "write", "list", "delete"):
+            raise MalformedMessage(f"unknown request kind {kind!r}")
+        if chain is None:
+            raise MalformedMessage("file operations require a credential chain")
+        shape = {"path", "data"} if kind == "write" else {"path"}
+        path = fields(payload, f"{kind} payload", shape)["path"]
+        data = from_hex(payload["data"]) if kind == "write" else None
+        now = int(time.time()) if now is None else now
+        decision = self.authorize(chain, kind, path, now)
         if not decision.allow:
             raise DeniedError(decision)
-
-    def read(self, chain: Presented, path: str, now: int | None = None) -> bytes:
-        now = int(time.time()) if now is None else now
-        self._authorize_or_raise(chain, "read", path, now)
+        if kind == "write":
+            self.store.write(path, data)
+            return {"path": path, "size": len(data)}
+        if kind == "list":
+            return {"path": path, "paths": self.store.list_under(path)}
+        if kind == "delete":
+            if not self.store.delete(path):
+                raise NotFound(f"no object at {path}")
+            return {"path": path, "deleted": True}
         data = self.store.read(path)
         if data is None:
             raise NotFound(f"no object at {path}")
-        return data
-
-    def write(self, chain: Presented, path: str, data: bytes, now: int | None = None) -> None:
-        now = int(time.time()) if now is None else now
-        self._authorize_or_raise(chain, "write", path, now)
-        self.store.write(path, data)
-
-    def delete(self, chain: Presented, path: str, now: int | None = None) -> None:
-        now = int(time.time()) if now is None else now
-        self._authorize_or_raise(chain, "delete", path, now)
-        if not self.store.delete(path):
-            raise NotFound(f"no object at {path}")
-
-    def list_paths(self, chain: Presented, prefix: str, now: int | None = None) -> list[str]:
-        now = int(time.time()) if now is None else now
-        self._authorize_or_raise(chain, "list", prefix, now)
-        return self.store.list_under(prefix)
+        return {"path": path, "data": to_hex(data)}
 
 
 class VaultServer(wire.FrameServer):
@@ -261,24 +265,9 @@ class VaultServer(wire.FrameServer):
 
     def handle(self, kind: str, payload: dict, chain_doc: Any) -> dict:
         if kind == "ping":
+            fields(payload, "ping payload", frozenset())
             return {"identity": "vault", "mode": self.service.cfg.mode}
-        if kind not in ("read", "write", "list", "delete"):
-            raise MalformedMessage(f"unknown request kind {kind!r}")
-        if chain_doc is None:
-            raise MalformedMessage("file operations require a credential chain")
-        shape = {"path", "data"} if kind == "write" else {"path"}
-        path = fields(payload, f"{kind} payload", shape)["path"]
-        if kind == "read":
-            data = self.service.read(chain_doc, path)
-            return {"path": path, "data": to_hex(data)}
-        if kind == "write":
-            data = from_hex(payload["data"])
-            self.service.write(chain_doc, path, data)
-            return {"path": path, "size": len(data)}
-        if kind == "list":
-            return {"path": path, "paths": self.service.list_paths(chain_doc, path)}
-        self.service.delete(chain_doc, path)
-        return {"path": path, "deleted": True}
+        return self.service.answer(chain_doc, kind, payload)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -369,7 +369,7 @@ def test_mutated_listing_answers_never_allow(world, cas_server, monkeypatch):
         fetcher = StatementFetcher(source.endpoint, namespace, key)
         try:
             return decide_local(DecisionQuery(ALICE, "read", obj), world.site, key, CAS, now,
-                                fetcher).allow
+                                fetcher)["allow"]
         except CasliteError:
             return False
 

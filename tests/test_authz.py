@@ -17,7 +17,7 @@ from caslite.authz import (
     query_from_payload,
 )
 from caslite.credentials import chain_from_map, chain_to_map
-from caslite.errors import DeniedError, MalformedMessage, ServerError
+from caslite.errors import DeniedError, MalformedMessage, MalformedPattern, ServerError
 from caslite.keys import generate_keys
 from caslite.statements import StatementFetcher
 from caslite.vault import ResourceConfig, ResourceService
@@ -41,21 +41,21 @@ def test_allow_with_presented_assertion(world, assertions):
     q = DecisionQuery(identity=ALICE, action="read",
                       object="vo://esg/data/public/a.nc", assertion=assertions[ALICE])
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
-    assert answer.allow and answer.reason == "ok"
+    assert answer["allow"] and answer["reason"] == "ok"
 
 
 def test_subject_binding(world, assertions):
     q = DecisionQuery(identity=ALICE, action="read",
                       object="vo://esg/data/public/a.nc", assertion=assertions[BOB])
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
-    assert not answer.allow and "does not match" in answer.reason
+    assert not answer["allow"] and "does not match" in answer["reason"]
 
 
 def test_bad_signature_denies(world, assertions):
     q = DecisionQuery(identity=ALICE, action="read",
                       object="vo://esg/data/public/a.nc", assertion=assertions[ALICE])
     answer = decide_local(q, world.site, generate_keys().public(), CAS, NOW)
-    assert not answer.allow and "BadSignature" in answer.reason
+    assert not answer["allow"] and "BadSignature" in answer["reason"]
 
 
 def test_membership_assertion_denies_at_vo_user(world):
@@ -69,21 +69,21 @@ def test_membership_assertion_denies_at_vo_user(world):
     with pytest.raises(DeniedError) as shared:
         assertion_rights(membership, ALICE, world.cas.keys.public(), CAS, NOW)
     assert shared.value.decision.stage == "vo_user"
-    assert not answer.allow and answer.reason == shared.value.decision.reason
+    assert not answer["allow"] and answer["reason"] == shared.value.decision.reason
 
 
 def test_no_policy_available_denies(world):
     q = DecisionQuery(identity=ALICE, action="read", object="vo://esg/data/public/a.nc")
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
-    assert not answer.allow
-    assert answer.reason == "no community policy available"
+    assert not answer["allow"]
+    assert answer["reason"] == "no community policy available"
 
 
 def test_unreachable_pull_source_becomes_deny_answer(world):
     fetcher = StatementFetcher(("127.0.0.1", 1), "vo://**", world.cas.keys.public())
     q = DecisionQuery(identity=ALICE, action="read", object="vo://esg/data/public/a.nc")
     answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, fetcher)
-    assert not answer.allow and "SourceUnavailable" in answer.reason
+    assert not answer["allow"] and "SourceUnavailable" in answer["reason"]
 
 
 @pytest.mark.parametrize("case", ["wider_namespace", "user_rights"])
@@ -138,7 +138,7 @@ def test_decision_matches_inline_enforcement(world, assertions):
                           assertion=assertions[user])
         answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
         decision = service.authorize(chains[user], action, obj, NOW)
-        assert answer.allow == decision.allow, (user, action, obj)
+        assert answer["allow"] == decision.allow, (user, action, obj)
 
 
 def test_pulled_decision_matches_pull_enforcement(world, cas_server):
@@ -156,9 +156,9 @@ def test_pulled_decision_matches_pull_enforcement(world, cas_server):
         q = DecisionQuery(identity=user, action=action, object=obj)
         answer = decide_local(q, world.site, world.cas.keys.public(), CAS, now, fetcher)
         decision = service.authorize(world.proxy(shorts[user]), action, obj, now)
-        assert answer.allow == decision.allow, (user, action, obj)
+        assert answer["allow"] == decision.allow, (user, action, obj)
         if not decision.allow:
-            assert answer.reason == f"{decision.stage}: {decision.reason}"
+            assert answer["reason"] == f"{decision.stage}: {decision.reason}"
 
 
 def test_pull_vault_decides_a_community_chain_from_the_listing(world, cas_server):
@@ -189,6 +189,10 @@ def test_query_payload_strictness():
     with pytest.raises(MalformedMessage, match="wrong fields"):
         query_from_payload({"identity": ALICE, "action": "read",
                             "object": "vo://esg/data/a", "attributes": ["k=v"]})
+    # The query's own fields are read before its assertion.
+    with pytest.raises(MalformedPattern):
+        query_from_payload({"identity": ALICE, "action": "read", "object": "no scheme",
+                            "assertion": {"x": 1}})
 
 
 @pytest.fixture()

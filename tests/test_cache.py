@@ -39,15 +39,25 @@ USER_QUERY = {"query": "user_rights", "subject": ALICE}
 RES_QUERY = {"query": "resource_rights", "namespace": "vo://esg/data/**"}
 
 
-@pytest.fixture()
-def cache(world, cas_server):
+def _mirror(world, cas_server, *subscriptions):
     return StatementCache(CacheConfig(
         authority=cas_server.endpoint,
         refresh_interval=1,
         max_age=5,
-        subscriptions=[USER_QUERY],
+        subscriptions=list(subscriptions),
         client_chain=chain_to_map(world.proxy("alice")),
     ))
+
+
+@pytest.fixture()
+def cache(world, cas_server):
+    return _mirror(world, cas_server, USER_QUERY)
+
+
+@pytest.fixture()
+def both(world, cas_server):
+    """A mirror subscribed to both queries."""
+    return _mirror(world, cas_server, USER_QUERY, RES_QUERY)
 
 
 def test_config_requires_refresh_below_max_age():
@@ -61,9 +71,11 @@ def test_subscribe_fetches_immediately(cache):
     assert statement.query == USER_QUERY
 
 
-def test_subscribe_is_idempotent(cache):
-    cache.subscribe(USER_QUERY)
-    cache.subscribe(USER_QUERY)
+def test_subscribe_is_idempotent(world, cas_server):
+    """Equal configured queries, whatever their key order, are one
+    subscription."""
+    reordered = {"subject": ALICE, "query": "user_rights"}
+    cache = _mirror(world, cas_server, USER_QUERY, reordered, USER_QUERY)
     assert cache.subscriptions() == [USER_QUERY]
 
 
@@ -72,25 +84,23 @@ def test_unsubscribed_query_misses(cache):
         cache.serve_cached(RES_QUERY, int(time.time()))
 
 
-def test_pass_through_is_byte_identical(world, cas_server, cache):
+def test_pass_through_is_byte_identical(world, cas_server, both):
     """The mirror serves the authority's statement untouched."""
     direct = wire.call(cas_server.endpoint, "query", RES_QUERY,
                        chain=chain_to_map(world.proxy("alice")))
-    cache.subscribe(RES_QUERY)
-    mirrored = cache.serve_cached(RES_QUERY, int(time.time()))
+    mirrored = both.serve_cached(RES_QUERY, int(time.time()))
     assert verify_statement(mirrored, world.cas.keys.public())
     direct_statement = statement_from_map(direct["statement"])
     assert mirrored.body == direct_statement.body  # same policy content
     assert verify_statement(direct_statement, world.cas.keys.public())
 
 
-def test_listing_answers_are_the_canonical_bytes(world, cas_server, cache):
+def test_listing_answers_are_the_canonical_bytes(world, cas_server, both):
     """Authority and mirror send a listing as the statement's signed bytes,
     which are exactly the canonical form of the answer map."""
     request = {"kind": "query", "payload": RES_QUERY,
                "chain": chain_to_map(world.proxy("alice"))}
-    cache.subscribe(RES_QUERY)
-    mirror = CacheServer(("127.0.0.1", 0), cache)
+    mirror = CacheServer(("127.0.0.1", 0), both)
     mirror.start()
     try:
         for endpoint in (cas_server.endpoint, mirror.endpoint):
@@ -98,7 +108,7 @@ def test_listing_answers_are_the_canonical_bytes(world, cas_server, cache):
             statement = statement_from_map(parse_canonical(data)["body"]["statement"])
             assert verify_statement(statement, world.cas.keys.public())
             assert data == canonical_json(wire.ok_response({"statement": statement_to_map(statement)}))
-        mirrored = cache.serve_cached(RES_QUERY, int(time.time()))
+        mirrored = both.serve_cached(RES_QUERY, int(time.time()))
         assert data == canonical_json(wire.ok_response({"statement": statement_to_map(mirrored)}))
     finally:
         mirror.stop()
@@ -218,20 +228,19 @@ def test_refresh_picks_up_policy_changes(world, cas_server, cache):
     assert rights(("list", "vo://esg/data/public/**")) <= assertion.rights
 
 
-def test_cache_server_over_the_wire(world, cas_server, cache):
-    server = CacheServer(("127.0.0.1", 0), cache)
+def test_cache_server_over_the_wire(world, cas_server, both):
+    server = CacheServer(("127.0.0.1", 0), both)
     server.start()
     try:
         body = wire.call(server.endpoint, "query", USER_QUERY)
         statement = statement_from_map(body["statement"])
         assert verify_statement(statement, world.cas.keys.public())
         # byte-for-byte what the authority handed the mirror
-        held = cache.entry(USER_QUERY).statement
+        held = both.entry(USER_QUERY).statement
         assert statement_bytes(statement) == statement_bytes(held)
         with pytest.raises(ServerError) as info:
-            wire.call(server.endpoint, "query", RES_QUERY)
+            wire.call(server.endpoint, "query", {**RES_QUERY, "namespace": "vo://esg/code/**"})
         assert info.value.code == "CacheMiss"
-        cache.subscribe(RES_QUERY)
         body = wire.call(server.endpoint, "query", RES_QUERY)
         assert statement_from_map(body["statement"]).query == RES_QUERY
     finally:

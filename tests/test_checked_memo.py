@@ -344,9 +344,9 @@ def test_remembered_assertion_keeps_its_window_at_authz(world):
     for now in (NOW, NOW + 600 + CLOCK_SKEW, NOW + 600 + CLOCK_SKEW + 1, NOW - CLOCK_SKEW - 1):
         query = authz.query_from_payload(payload, server._assertion)
         answers.append(authz.decide_local(query, world.site, world.cas.keys.public(), CAS, now))
-    assert [a.allow for a in answers] == [True, True, False, False]
-    assert answers[2].reason == "assertion rejected: Expired"
-    assert answers[3].reason == "assertion rejected: NotYetValid"
+    assert [a["allow"] for a in answers] == [True, True, False, False]
+    assert answers[2]["reason"] == "assertion rejected: Expired"
+    assert answers[3]["reason"] == "assertion rejected: NotYetValid"
 
 
 def test_authority_keeps_a_remembered_caller_chain_window(world, cas_server, monkeypatch,
@@ -507,7 +507,7 @@ def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed2551
     pull_doc = chain_to_map(world.proxy("alice"))
     requests = [
         *(lambda doc=doc: push.authorize(doc, "read", OBJ, NOW).allow for doc in push_docs),
-        lambda: pull.read(pull_doc, OBJ) == b"x",
+        lambda: pull.answer(pull_doc, "read", {"path": OBJ})["data"] == b"x".hex(),
         lambda: server.handle("decide", payload, None)["allow"],
         lambda: cas_server.handle("query", LISTING, pull_doc),
     ]

@@ -13,8 +13,10 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from caslite import wire
 from caslite.assertions import MAX_LIFETIME, assertion_from_map, assertion_to_map, issue_assertion
-from caslite.authz import query_from_payload
+from caslite.authz import AuthzConfig, AuthzServer, query_from_payload
+from caslite.cache import CacheConfig, CacheServer, StatementCache
 from caslite.credentials import (
     CredentialChain,
     chain_from_map,
@@ -25,7 +27,7 @@ from caslite.credentials import (
     link_from_map,
     link_to_map,
 )
-from caslite.errors import CasliteError, MalformedMessage
+from caslite.errors import CasliteError, MalformedMessage, ServerError
 from caslite.keys import generate_keys, key_from_map, key_to_map
 from caslite.policy import (
     AdminCapability,
@@ -42,6 +44,7 @@ from caslite.policy import (
 )
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import sign_statement, statement_from_map, statement_to_map, validate_query
+from caslite.vault import ResourceConfig, ResourceService, VaultServer
 
 from worldlib import ALICE, ANN, BOB, CAS, DAY, NOW, OWNER, db_to_map, make_world, rights
 
@@ -261,3 +264,28 @@ def test_json_true_is_no_integer(server, name):
         for field in INTEGER_FIELDS[name]:
             with pytest.raises(MalformedMessage, match=field):
                 reader({**doc, field: True})
+
+
+def test_a_ping_with_fields_is_refused_at_every_service(world, cas_server):
+    """``ping`` takes no fields: each of the four services refuses a ping
+    that carries any, and answers a bare one."""
+    listen = ("127.0.0.1", 0)
+    key = world.cas.keys.public()
+    started = [
+        CacheServer(listen, StatementCache(CacheConfig(cas_server.endpoint, 1, 30))),
+        VaultServer(listen, ResourceService(ResourceConfig(world.site, key, CAS,
+                                                           anchors=world.anchors))),
+        AuthzServer(listen, AuthzConfig(world.site, key, CAS)),
+    ]
+    for server in started:
+        server.start()
+    try:
+        for server in (cas_server, *started):
+            assert wire.call(server.endpoint, "ping")
+            with pytest.raises(ServerError) as info:
+                wire.call(server.endpoint, "ping", {"anything": [1, 2], "x": "y"})
+            assert info.value.code == MalformedMessage.code
+            assert "ping payload has wrong fields" in info.value.message
+    finally:
+        for server in started:
+            server.stop()

@@ -45,6 +45,13 @@ def files(world, tmp_path):
     paths["forged_key"] = tmp_path / "forged.chain"
     save_chain(forged_link_chain(world.cas), paths["forged_key"])
     paths.update(namespace="vo://esg/**", no_scheme="nonsense", mode="push", pull="pull")
+    paths["groups"] = tmp_path / "groups.json"
+    paths["groups"].write_text("{}")
+    # Flags that a push vault, or a pull vault, never reads.
+    paths.update(extra=[], namespace_flag=["--pull-namespace", "vo://esg/**"],
+                 source_flag=["--pull-source", "127.0.0.1:1"],
+                 chain_flag=["--chain", paths["cas_public"]],
+                 groups_flag=["--groups", paths["groups"]])
     paths.update(lifetime=3600, lifetime_0=0, lifetime_86401=86401)
     return paths
 
@@ -87,8 +94,10 @@ def _argv(service: str, p: dict, listen: str, **bad) -> list:
     if service == "cache":
         return ["--listen", listen, "--authority", f"127.0.0.1:{_closed_port()}",
                 "--refresh", 1, "--max-age", 30, "--subscriptions", p["subs"]]
-    argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"],
-            "--pull-source", f"127.0.0.1:{_closed_port()}", "--pull-namespace", p["namespace"]]
+    argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"], *p["extra"]]
+    if service == "authz" or p["mode"] == "pull":
+        argv += ["--pull-source", f"127.0.0.1:{_closed_port()}",
+                 "--pull-namespace", p["namespace"]]
     return argv + (["--mode", p["mode"], "--anchors", p["anchors"]] if service == "vault" else [])
 
 
@@ -111,6 +120,10 @@ CASES = [
     ("authz", {"namespace": "no_scheme"}, "pattern 'nonsense' lacks a scheme:// prefix"),
     ("vault", {"mode": "pull", "namespace": "no_scheme"},
      "pattern 'nonsense' lacks a scheme:// prefix"),
+    ("vault", {"extra": "namespace_flag"}, "--pull-namespace needs a --pull-source"),
+    ("vault", {"extra": "source_flag"}, "push mode takes no pull_source"),
+    ("vault", {"extra": "chain_flag"}, "push mode takes no client_chain"),
+    ("vault", {"mode": "pull", "extra": "groups_flag"}, "pull mode takes no group_rights"),
 ]
 
 

@@ -316,8 +316,8 @@ def test_decisions_follow_a_refresh_that_revokes(world):
             decision = vault.authorize(world.proxy("alice"), action, obj, now)
             answer = decide_local(DecisionQuery(ALICE, action, obj), world.site,
                                   world.cas.keys.public(), CAS, now, fetcher)
-            assert answer.allow == decision.allow
-            return decision.allow, decision.stage, answer.reason.split(":")[0]
+            assert answer["allow"] == decision.allow
+            return decision.allow, decision.stage, answer["reason"].split(":")[0]
 
         for _ in range(3):
             assert decisions("read", NOW) == (True, None, "ok")
@@ -399,7 +399,7 @@ def test_policy_churn_frees_old_revisions_and_keeps_the_intern_bounded(world, mo
                         assert (decision.allow, decision.stage) == (allow, stage)
                         answer = decide_local(DecisionQuery(user, action, obj), world.site,
                                               world.cas.keys.public(), CAS, now, fetcher)
-                        assert (answer.allow, answer.reason.split(":")[0]) == (allow,
+                        assert (answer["allow"], answer["reason"].split(":")[0]) == (allow,
                                                                                stage or "ok")
                         if user in carried:
                             decision = push.authorize(carried[user], action, obj, now)

@@ -16,6 +16,7 @@ from caslite.assertions import (
 )
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import (
+    CasliteError,
     DeniedError,
     MalformedMessage,
     NotFound,
@@ -217,15 +218,17 @@ def test_blacklisted_user_with_replayed_rights(world):
 def test_write_then_read_back(world):
     service = ResourceService(push_config(world))
     chain = assertion_chain(world, "alice")
-    service.write(chain, "vo://esg/data/x", b"payload bytes", now=NOW)
-    assert service.read(chain, "vo://esg/data/x", now=NOW) == b"payload bytes"
+    service.answer(chain, "write", {"path": "vo://esg/data/x", "data": b"payload bytes".hex()},
+                   now=NOW)
+    body = service.answer(chain, "read", {"path": "vo://esg/data/x"}, now=NOW)
+    assert bytes.fromhex(body["data"]) == b"payload bytes"
 
 
 def test_denied_delete_names_the_stage(world, seeded_store):
     service = ResourceService(push_config(world), ObjectStore(seeded_store))
     chain = assertion_chain(world, "bob")
     with pytest.raises(DeniedError) as info:
-        service.delete(chain, "vo://esg/data/public/a.nc", now=NOW)
+        service.answer(chain, "delete", {"path": "vo://esg/data/public/a.nc"}, now=NOW)
     assert info.value.decision.stage == "site_vo"
 
 
@@ -234,10 +237,10 @@ def test_authorization_precedes_existence(world):
     alice = assertion_chain(world, "alice")
     bob = assertion_chain(world, "bob")
     with pytest.raises(NotFound):
-        service.read(alice, "vo://esg/data/absent", now=NOW)
+        service.answer(alice, "read", {"path": "vo://esg/data/absent"}, now=NOW)
     # bob cannot even learn whether the private path exists
     with pytest.raises(DeniedError):
-        service.read(bob, "vo://esg/data/private/p1.nc", now=NOW)
+        service.answer(bob, "read", {"path": "vo://esg/data/private/p1.nc"}, now=NOW)
 
 
 def test_list_requires_list_right_on_prefix(world, seeded_store):
@@ -245,7 +248,7 @@ def test_list_requires_list_right_on_prefix(world, seeded_store):
     alice = assertion_chain(world, "alice")
     # alice's community rights carry read/write but not list
     with pytest.raises(DeniedError) as info:
-        service.list_paths(alice, "vo://esg/data/public", now=NOW)
+        service.answer(alice, "list", {"path": "vo://esg/data/public"}, now=NOW)
     assert info.value.decision.stage == "vo_user"
     db = fixture_db()
     grants = dict(db.grants)
@@ -254,7 +257,7 @@ def test_list_requires_list_right_on_prefix(world, seeded_store):
                        groups=db.groups, grants=grants, admin_caps=db.admin_caps,
                        revision=2)
     chain = assertion_chain(world, "alice", db=listful)
-    paths = service.list_paths(chain, "vo://esg/data/public", now=NOW)
+    paths = service.answer(chain, "list", {"path": "vo://esg/data/public"}, now=NOW)["paths"]
     assert "vo://esg/data/public/a.nc" in paths
     assert all(p.startswith("vo://esg/data/public") for p in paths)
 
@@ -343,7 +346,7 @@ def test_pull_fails_closed_without_source(world, seeded_store):
     )
     service = ResourceService(cfg, ObjectStore(seeded_store))
     with pytest.raises(SourceUnavailable):
-        service.read(world.proxy("alice"), "vo://esg/data/public/a.nc")
+        service.answer(world.proxy("alice"), "read", {"path": "vo://esg/data/public/a.nc"})
 
 
 @pytest.mark.parametrize("mode, message", [("fly", "unknown enforcement mode 'fly'"),
@@ -450,5 +453,56 @@ def test_vault_pings_lists_and_deletes_over_the_wire(world, seeded_store):
         assert (info.value.code, info.value.message) == ("NotFound", f"no object at {path}")
         assert wire.call(server.endpoint, "list", {"path": prefix}, chain=cas)["paths"] == \
             [p for p in under if p != path]
+    finally:
+        server.stop()
+
+
+def test_answers_in_process_equal_answers_over_the_wire(world, seeded_store):
+    """``ResourceService.answer`` is the one reader of a file request: a
+    request answered in process and the same request sent to a
+    :class:`VaultServer` get one body, or one error code and message,
+    whether allowed, denied or refused."""
+    site = SitePolicy(vo_accounts={CAS: "esg"}, site_rights={"esg": rights(
+        *((action, "vo://esg/data/**") for action in ("read", "write", "list", "delete")))})
+    local = ResourceService(push_config(world, site=site), ObjectStore(seeded_store))
+    server = VaultServer(("127.0.0.1", 0), ResourceService(push_config(world, site=site),
+                                                           ObjectStore(seeded_store)))
+    cas = chain_to_map(world.cas_chain)
+    alice = chain_to_map(assertion_chain(world, "alice"))
+    new, public = "vo://esg/data/public/new.nc", "vo://esg/data/public/a.nc"
+    # The checks run in order: the kind, the chain's presence, the payload's
+    # shape, a write's hex data, then authorization. Each refused request
+    # below fails at least two of them and must be refused by the first.
+    requests = [
+        ("write", {"path": new, "data": "00ff"}, alice, "ok"),
+        ("read", {"path": new}, alice, "ok"),
+        ("list", {"path": "vo://esg/data/public"}, cas, "ok"),
+        ("list", {"path": "vo://esg/data/public"}, alice, "Denied: stage=vo_user"),
+        ("delete", {"path": public}, alice, "Denied: stage=vo_user"),
+        ("write", {"path": "vo://esg/code/x", "data": "00"}, alice, "Denied: stage=site_vo"),
+        ("delete", {"path": new}, cas, "ok"),
+        ("delete", {"path": new}, cas, "NotFound"),
+        ("read", {"path": new}, alice, "NotFound"),
+        ("fly", {"data": "0G"}, None, "MalformedMessage: unknown request kind"),
+        ("read", {"path": public, "data": "00"}, None, "MalformedMessage: file operations"),
+        ("read", {"path": "vo://esg/code/x", "data": "00"}, alice,
+         "MalformedMessage: read payload"),
+        ("write", {"path": "vo://esg/code/x", "data": "0G"}, alice,
+         "MalformedMessage: expected lowercase base16"),
+    ]
+
+    def outcome(ask):
+        try:
+            return "ok", ask()
+        except CasliteError as exc:
+            return exc.code, exc.message
+
+    server.start()
+    try:
+        for kind, payload, chain, expected in requests:
+            here = outcome(lambda: local.answer(chain, kind, payload))
+            there = outcome(lambda: wire.call(server.endpoint, kind, payload, chain=chain))
+            assert here == there, (kind, payload)
+            assert f"{here[0]}: {here[1]}".startswith(expected), (kind, payload, here)
     finally:
         server.stop()
