@@ -79,10 +79,6 @@ class StatementCache:
     def subscriptions(self) -> list[dict]:
         return list(self._subscriptions.values())
 
-    def entry(self, query: dict) -> CacheEntry | None:
-        with self._lock:
-            return self._entries.get(canonical_json(validate_query(query)))
-
     def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
         statement = fetch_statement(self.config.authority, query, self.config.client_chain,
                                     self.config.authority_public)

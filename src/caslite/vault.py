@@ -127,6 +127,7 @@ class ResourceConfig(AuthzConfig):
         for name in ("group_rights",) if self.mode == "pull" else ("pull_source", "client_chain"):
             if getattr(self, name) is not None:
                 raise MalformedMessage(f"{self.mode} mode takes no {name}")
+        super().__post_init__()
 
 
 def _credential(label: str, check, *args):
@@ -169,14 +170,11 @@ def enforce(
 ) -> EnforcementDecision:
     """Push mode: the community half travels in the presented chain, as an
     embedded assertion or as a chain the community server issued itself.
-    The chain has passed :func:`vouch` already, so only the clock checks,
-    the subject binding and the decision run."""
-    try:
-        _credential("chain rejected", check_windows, vouched.chain.windows, now)
-        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
-                     obj, now, assertion=vouched.assertion, community_chain=vouched.chain)
-    except DeniedError as exc:
-        return exc.decision
+    The chain has passed :func:`vouch` and its window check already, so only
+    the assertion's clock check, the subject binding and the decision run.
+    Raises :class:`DeniedError` as :func:`~caslite.authz.judge` does."""
+    return judge(cfg.site, cfg.cas_identity, vouched.chain.subject, action, obj, now,
+                 assertion=vouched.assertion, community_chain=vouched.chain)
 
 
 def pull_authorize(
@@ -184,15 +182,11 @@ def pull_authorize(
     fetcher: StatementFetcher,
 ) -> EnforcementDecision:
     """Pull mode: authorize a vouched bare user chain, as :func:`enforce`
-    takes it, from a fetched rights listing. Raises
-    SourceUnavailable/StaleStatement when no trustworthy listing can be had;
-    both amount to deny."""
-    try:
-        _credential("chain rejected", check_windows, vouched.chain.windows, now)
-        return judge(cfg.site, cfg.cas_public, cfg.cas_identity, vouched.chain.subject, action,
-                     obj, now, fetcher=fetcher)
-    except DeniedError as exc:
-        return exc.decision
+    takes it, from a fetched rights listing. Raises :class:`DeniedError` as
+    :func:`enforce` does, and SourceUnavailable/StaleStatement when no
+    trustworthy listing can be had; both amount to deny."""
+    return judge(cfg.site, cfg.cas_identity, vouched.chain.subject, action, obj, now,
+                 fetcher=fetcher)
 
 
 class ResourceService:
@@ -208,10 +202,11 @@ class ResourceService:
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):
         self.cfg = cfg
         self.store = store if store is not None else ObjectStore()
-        self._fetcher = cfg.fetcher() if cfg.mode == "pull" else None
+        self._fetcher = cfg.fetcher()
         self._checked = CheckedMemo()
 
     def authorize(self, chain: Presented, action: str, obj: str, now: int) -> EnforcementDecision:
+        """The decision on a presented chain; a deny is returned, not raised."""
         push = self.cfg.mode == "push"
         try:
             if isinstance(chain, CredentialChain):
@@ -219,11 +214,12 @@ class ResourceService:
             else:
                 vouched = self._checked.recall(
                     chain, lambda doc: vouch(self.cfg, chain_from_map(doc), push))
+            _credential("chain rejected", check_windows, vouched.chain.windows, now)
+            if push:
+                return enforce(self.cfg, vouched, action, obj, now)
+            return pull_authorize(self.cfg, vouched, action, obj, now, self._fetcher)
         except DeniedError as exc:
             return exc.decision
-        if push:
-            return enforce(self.cfg, vouched, action, obj, now)
-        return pull_authorize(self.cfg, vouched, action, obj, now, self._fetcher)
 
     def answer(self, chain: Presented | None, kind: str, payload: Any,
                now: int | None = None) -> dict:

@@ -40,6 +40,7 @@ from caslite.credentials import (
     verify_chain,
 )
 from caslite.errors import CasliteError, ServerError, StaleEntry
+from caslite.keys import CheckedMemo
 from caslite.policy import VOPolicyDatabase, db_canonical_bytes, load_database
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import (
@@ -48,7 +49,7 @@ from caslite.statements import (
     verify_statement,
 )
 from caslite.vault import ResourceConfig, ResourceService
-from caslite.authz import AuthzConfig, AuthzServer, DecisionQuery, decide_local
+from caslite.authz import AuthzConfig, AuthzServer, decide_local
 
 import oracles
 from worldlib import (
@@ -368,8 +369,8 @@ def test_mutated_listing_answers_never_allow(world, cas_server, monkeypatch):
     def authz_allows() -> bool:
         fetcher = StatementFetcher(source.endpoint, namespace, key)
         try:
-            return decide_local(DecisionQuery(ALICE, "read", obj), world.site, key, CAS, now,
-                                fetcher)["allow"]
+            return decide_local({"identity": ALICE, "action": "read", "object": obj},
+                                world.site, key, CAS, now, fetcher, memo=CheckedMemo())["allow"]
         except CasliteError:
             return False
 
@@ -461,12 +462,14 @@ def test_cache_availability_and_propagation(world, tmp_path):
 
         # availability: kill the authority, let one refresh cycle fail
         authority.stop()
+        stopped = int(time.time())  # the held statement was fetched by now
         time.sleep(1.5)
-        entry = cache.entry(query)
         assert statement_from_map(
             wire.call(mirror.endpoint, "query", query)["statement"]
-        ).signature == entry.statement.signature  # still serving, untouched
-        window_end = entry.fetched_at + cache.config.max_age
+        ).signature == cache.serve_cached(query).signature  # still serving, untouched
+        with pytest.raises(StaleEntry, match=r"^entry fetched at \d+ ") as stale:
+            cache.serve_cached(query, stopped + cache.config.max_age + 1)
+        window_end = int(stale.value.message.split()[3]) + cache.config.max_age
         served = cache.serve_cached(query, window_end)  # the whole window holds
         assert verify_statement(served, world.cas.keys.public())
         with pytest.raises(StaleEntry):

@@ -11,20 +11,23 @@ from caslite.assertions import assertion_to_map, embed_in_proxy, issue_assertion
 from caslite.authz import (
     AuthzConfig,
     AuthzServer,
-    DecisionQuery,
     assertion_rights,
     decide_local,
     query_from_payload,
+    vouch_assertion,
 )
 from caslite.credentials import chain_from_map, chain_to_map
-from caslite.errors import DeniedError, MalformedMessage, MalformedPattern, ServerError
-from caslite.keys import generate_keys
+from caslite.errors import (
+    CasliteError, DeniedError, MalformedMessage, MalformedPattern, ServerError,
+)
+from caslite.keys import CheckedMemo, generate_keys
 from caslite.statements import StatementFetcher
 from caslite.vault import ResourceConfig, ResourceService
 
 import oracles
 from worldlib import (
-    ALICE, BOB, CAROL, CAS, NOW, PULLED, USER_NAMES, RawSource, fixture_db, misbound_answers,
+    ALICE, BOB, CAROL, CAS, DAY, NOW, PULLED, USER_NAMES, RawSource, fixture_db, fixture_site,
+    misbound_answers,
 )
 
 
@@ -38,23 +41,23 @@ def assertions(world):
 
 
 def test_allow_with_presented_assertion(world, assertions):
-    q = DecisionQuery(identity=ALICE, action="read",
-                      object="vo://esg/data/public/a.nc", assertion=assertions[ALICE])
-    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+    q = {"identity": ALICE, "action": "read",
+         "object": "vo://esg/data/public/a.nc", "assertion": assertion_to_map(assertions[ALICE])}
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, memo=CheckedMemo())
     assert answer["allow"] and answer["reason"] == "ok"
 
 
 def test_subject_binding(world, assertions):
-    q = DecisionQuery(identity=ALICE, action="read",
-                      object="vo://esg/data/public/a.nc", assertion=assertions[BOB])
-    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+    q = {"identity": ALICE, "action": "read",
+         "object": "vo://esg/data/public/a.nc", "assertion": assertion_to_map(assertions[BOB])}
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, memo=CheckedMemo())
     assert not answer["allow"] and "does not match" in answer["reason"]
 
 
 def test_bad_signature_denies(world, assertions):
-    q = DecisionQuery(identity=ALICE, action="read",
-                      object="vo://esg/data/public/a.nc", assertion=assertions[ALICE])
-    answer = decide_local(q, world.site, generate_keys().public(), CAS, NOW)
+    q = {"identity": ALICE, "action": "read",
+         "object": "vo://esg/data/public/a.nc", "assertion": assertion_to_map(assertions[ALICE])}
+    answer = decide_local(q, world.site, generate_keys().public(), CAS, NOW, memo=CheckedMemo())
     assert not answer["allow"] and "BadSignature" in answer["reason"]
 
 
@@ -63,26 +66,27 @@ def test_membership_assertion_denies_at_vo_user(world):
     denial is the one the shared assertion check gives the vault."""
     membership = issue_assertion(fixture_db(), world.cas.keys, CAS, ALICE,
                                  mode="membership", now=NOW)
-    q = DecisionQuery(identity=ALICE, action="read",
-                      object="vo://esg/data/public/a.nc", assertion=membership)
-    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+    q = {"identity": ALICE, "action": "read",
+         "object": "vo://esg/data/public/a.nc", "assertion": assertion_to_map(membership)}
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, memo=CheckedMemo())
     with pytest.raises(DeniedError) as shared:
-        assertion_rights(membership, ALICE, world.cas.keys.public(), CAS, NOW)
+        assertion_rights(vouch_assertion(membership, world.cas.keys.public(), CAS), ALICE, NOW)
     assert shared.value.decision.stage == "vo_user"
     assert not answer["allow"] and answer["reason"] == shared.value.decision.reason
 
 
 def test_no_policy_available_denies(world):
-    q = DecisionQuery(identity=ALICE, action="read", object="vo://esg/data/public/a.nc")
-    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+    q = {"identity": ALICE, "action": "read", "object": "vo://esg/data/public/a.nc"}
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, memo=CheckedMemo())
     assert not answer["allow"]
     assert answer["reason"] == "no community policy available"
 
 
 def test_unreachable_pull_source_becomes_deny_answer(world):
     fetcher = StatementFetcher(("127.0.0.1", 1), "vo://**", world.cas.keys.public())
-    q = DecisionQuery(identity=ALICE, action="read", object="vo://esg/data/public/a.nc")
-    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, fetcher)
+    q = {"identity": ALICE, "action": "read", "object": "vo://esg/data/public/a.nc"}
+    answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW, fetcher,
+                          memo=CheckedMemo())
     assert not answer["allow"] and "SourceUnavailable" in answer["reason"]
 
 
@@ -134,9 +138,10 @@ def test_decision_matches_inline_enforcement(world, assertions):
     for user, action, obj in oracles.universe():
         if user == CAROL:
             continue
-        q = DecisionQuery(identity=user, action=action, object=obj,
-                          assertion=assertions[user])
-        answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW)
+        q = {"identity": user, "action": action, "object": obj,
+             "assertion": assertion_to_map(assertions[user])}
+        answer = decide_local(q, world.site, world.cas.keys.public(), CAS, NOW,
+                              memo=CheckedMemo())
         decision = service.authorize(chains[user], action, obj, NOW)
         assert answer["allow"] == decision.allow, (user, action, obj)
 
@@ -153,8 +158,9 @@ def test_pulled_decision_matches_pull_enforcement(world, cas_server):
     shorts = {user: short for short, user in USER_NAMES.items()}
     now = int(time.time())
     for user, action, obj in oracles.universe():
-        q = DecisionQuery(identity=user, action=action, object=obj)
-        answer = decide_local(q, world.site, world.cas.keys.public(), CAS, now, fetcher)
+        q = {"identity": user, "action": action, "object": obj}
+        answer = decide_local(q, world.site, world.cas.keys.public(), CAS, now, fetcher,
+                              memo=CheckedMemo())
         decision = service.authorize(world.proxy(shorts[user]), action, obj, now)
         assert answer["allow"] == decision.allow, (user, action, obj)
         if not decision.allow:
@@ -193,6 +199,65 @@ def test_query_payload_strictness():
     with pytest.raises(MalformedPattern):
         query_from_payload({"identity": ALICE, "action": "read", "object": "no scheme",
                             "assertion": {"x": 1}})
+
+
+def test_answers_in_process_equal_answers_over_the_wire(world, assertions):
+    """``decide_local`` is the one reader of a decide request: a payload
+    decided in process with a fresh memo and the same payload sent to an
+    :class:`AuthzServer` get one body, or one error code and message,
+    whether allowed, denied at any stage or refused."""
+    site = fixture_site(blacklist=frozenset({BOB}))
+    key, source = world.cas.keys.public(), ("127.0.0.1", 1)  # a source that refuses
+    server = AuthzServer(("127.0.0.1", 0), AuthzConfig(
+        site=site, cas_public=key, cas_identity=CAS, pull_source=source,
+        pull_namespace=PULLED["namespace"]))
+    fetcher = StatementFetcher(source, PULLED["namespace"], key)
+    alice, bob = (assertion_to_map(assertions[user]) for user in (ALICE, BOB))
+    forged = {**alice, "signature": ("1" if alice["signature"][0] == "0" else "0")
+              + alice["signature"][1:]}
+    expired = assertion_to_map(issue_assertion(fixture_db(), world.cas.keys, CAS, ALICE,
+                                               lifetime=600, now=int(time.time()) - DAY))
+    membership = assertion_to_map(issue_assertion(fixture_db(), world.cas.keys, CAS, ALICE,
+                                                  mode="membership", now=NOW))
+    public, code = "vo://esg/data/public/a.nc", "vo://esg/code/x"
+
+    def query(identity, action, obj, assertion=None, **extra):
+        payload = {"identity": identity, "action": action, "object": obj, **extra}
+        return payload if assertion is None else {**payload, "assertion": assertion}
+
+    requests = [
+        (query(ALICE, "read", public, alice), "ok"),
+        (query(ALICE, "read", code, alice), "site_vo: "),
+        (query(BOB, "write", public, bob), "vo_user: "),
+        (query(BOB, "read", public, bob), "site_user: "),
+        (query(ALICE, "read", public, forged), "assertion rejected: BadSignature"),
+        (query(ALICE, "read", public, bob), f"assertion subject {BOB} does not match"),
+        (query(ALICE, "read", public, expired), "assertion rejected: Expired"),
+        (query(ALICE, "read", public, membership), "membership assertion presented"),
+        (query(ALICE, "read", public), "SourceUnavailable: policy source unreachable"),
+        (query(ALICE, "read", public, alice, attributes=[]), "MalformedMessage: decision payload"),
+        (query(ALICE, "read", "no scheme", forged), "MalformedPattern: "),
+    ]
+
+    def outcome(decide):
+        try:
+            body = decide()
+        except CasliteError as exc:
+            return exc.code, exc.message
+        assert body["allow"] is (body["reason"] == "ok")
+        return "ok", body
+
+    server.start()
+    try:
+        for payload, expected in requests:
+            here = outcome(lambda: decide_local(payload, site, key, CAS, int(time.time()),
+                                                fetcher, memo=CheckedMemo()))
+            there = outcome(lambda: wire.call(server.endpoint, "decide", payload))
+            assert here == there, payload
+            text = here[1]["reason"] if here[0] == "ok" else f"{here[0]}: {here[1]}"
+            assert text.startswith(expected), (payload, here)
+    finally:
+        server.stop()
 
 
 @pytest.fixture()

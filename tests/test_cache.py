@@ -184,6 +184,7 @@ def test_authority_killed_mid_refresh_fails_closed(world, cas_server, monkeypatc
         cache = StatementCache(CacheConfig(authority=cas_server.endpoint, refresh_interval=1,
                                            max_age=60, subscriptions=[RES_QUERY],
                                            client_chain=chain))
+        fetched_by = int(time.time())  # read after the cache made its one good fetch
         before = cache.serve_cached(RES_QUERY, now)
     else:
         fetcher = StatementFetcher(cas_server.endpoint, RES_QUERY["namespace"],
@@ -204,7 +205,7 @@ def test_authority_killed_mid_refresh_fails_closed(world, cas_server, monkeypatc
         assert died.is_set()
     if consumer == "mirror":
         with pytest.raises(StaleEntry):
-            cache.serve_cached(RES_QUERY, cache.entry(RES_QUERY).fetched_at + 61)
+            cache.serve_cached(RES_QUERY, fetched_by + 61)
     deadline = time.monotonic() + 5
     while set(threading.enumerate()) - baseline and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -236,7 +237,7 @@ def test_cache_server_over_the_wire(world, cas_server, both):
         statement = statement_from_map(body["statement"])
         assert verify_statement(statement, world.cas.keys.public())
         # byte-for-byte what the authority handed the mirror
-        held = both.entry(USER_QUERY).statement
+        held = both.serve_cached(USER_QUERY)
         assert statement_bytes(statement) == statement_bytes(held)
         with pytest.raises(ServerError) as info:
             wire.call(server.endpoint, "query", {**RES_QUERY, "namespace": "vo://esg/code/**"})
@@ -258,7 +259,8 @@ def test_subscriptions_cannot_be_added_over_the_wire(cache):
             wire.call(server.endpoint, "subscribe", RES_QUERY)
         assert info.value.code == MalformedMessage.code
         assert cache.subscriptions() == before == [USER_QUERY]
-        assert cache.entry(RES_QUERY) is None
+        with pytest.raises(CacheMiss, match="never subscribed"):
+            cache.serve_cached(RES_QUERY)
     finally:
         server.stop()
 

@@ -342,8 +342,8 @@ def test_remembered_assertion_keeps_its_window_at_authz(world):
     payload = decide_payload(assertion_to_map(assertion))
     answers = []
     for now in (NOW, NOW + 600 + CLOCK_SKEW, NOW + 600 + CLOCK_SKEW + 1, NOW - CLOCK_SKEW - 1):
-        query = authz.query_from_payload(payload, server._assertion)
-        answers.append(authz.decide_local(query, world.site, world.cas.keys.public(), CAS, now))
+        answers.append(authz.decide_local(payload, world.site, world.cas.keys.public(), CAS, now,
+                                          memo=server._checked))
     assert [a["allow"] for a in answers] == [True, True, False, False]
     assert answers[2]["reason"] == "assertion rejected: Expired"
     assert answers[3]["reason"] == "assertion rejected: NotYetValid"

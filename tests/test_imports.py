@@ -5,7 +5,8 @@ each defaulted parameter of its module-level functions and of the methods
 of its module-level classes (a method's by a call of its name, ``__init__``'s
 also by a call of its class or a subclass) and each defaulted
 ``__init__`` field of its dataclasses, every encode that
-skips the type walk is one that ``canonical_json`` documents, and the
+skips the type walk is one that ``canonical_json`` documents, a deny
+raised as ``DeniedError`` is caught in one place per service, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
 service the decision point."""
@@ -402,6 +403,50 @@ def test_the_check_sees_an_undocumented_trusted_encode():
         "wire._gone makes no trusted encode",
         "wire.take (line 5) is not in the list",
     ]
+
+
+# --- deny exits ---------------------------------------------------------------------------
+
+# Where a deny raised as ``DeniedError`` becomes an answer: one place per
+# service that decides.
+DENY_EXITS = ["authz.decide_local", "vault.ResourceService.authorize"]
+
+
+def deny_catches(trees: dict) -> list:
+    """``module.function`` (``module.Class.method``) of each ``except``
+    clause in ``trees``, by module name, that names ``DeniedError``."""
+    found = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "DeniedError"
+                for n in ast.walk(node.type)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for module, tree in trees.items():
+        walk(tree, module)
+    return sorted(found)
+
+
+def test_a_deny_becomes_an_answer_in_one_place_per_service():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert deny_catches(trees) == DENY_EXITS
+
+
+def test_the_check_sees_a_deny_caught_elsewhere():
+    trees = {name: ast.parse(source) for name, source in {
+        "vault": ("def enforce():\n    try:\n        pass\n"
+                  "    except (ValueError, errors.DeniedError):\n        pass\n"
+                  "class S:\n    def authorize(self):\n        try:\n            pass\n"
+                  "        except DeniedError as exc:\n            return exc\n"
+                  "        except Exception:\n            pass\n"),
+        "authz": "try:\n    import x\nexcept ImportError:\n    pass\n",
+    }.items()}
+    assert deny_catches(trees) == ["vault.S.authorize", "vault.enforce"]
 
 
 # --- layering -------------------------------------------------------------------------------

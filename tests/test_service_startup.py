@@ -53,6 +53,8 @@ def files(world, tmp_path):
                  chain_flag=["--chain", paths["cas_public"]],
                  groups_flag=["--groups", paths["groups"]])
     paths.update(lifetime=3600, lifetime_0=0, lifetime_86401=86401)
+    # A decision service's pull source: a closed port by default, or none.
+    paths.update(source="closed", no_source=None, empty_source_flag=["--pull-source", ""])
     return paths
 
 
@@ -95,9 +97,9 @@ def _argv(service: str, p: dict, listen: str, **bad) -> list:
         return ["--listen", listen, "--authority", f"127.0.0.1:{_closed_port()}",
                 "--refresh", 1, "--max-age", 30, "--subscriptions", p["subs"]]
     argv = ["--listen", listen, "--site", p["site"], "--cas-key", p["cas_public"], *p["extra"]]
-    if service == "authz" or p["mode"] == "pull":
-        argv += ["--pull-source", f"127.0.0.1:{_closed_port()}",
-                 "--pull-namespace", p["namespace"]]
+    if (service == "authz" and p["source"] is not None) or p["mode"] == "pull":
+        source = f"127.0.0.1:{_closed_port()}" if p["source"] == "closed" else p["source"]
+        argv += ["--pull-source", source, "--pull-namespace", p["namespace"]]
     return argv + (["--mode", p["mode"], "--anchors", p["anchors"]] if service == "vault" else [])
 
 
@@ -118,6 +120,9 @@ CASES = [
     ("server", {"audit": "audit_in_missing_dir"}, "No such file or directory"),
     ("server", {"key": "forged_key"}, "link 1 signature does not verify"),
     ("authz", {"namespace": "no_scheme"}, "pattern 'nonsense' lacks a scheme:// prefix"),
+    ("authz", {"source": "no_source", "extra": "chain_flag"}, "client_chain needs a pull_source"),
+    ("authz", {"source": "no_source", "extra": "empty_source_flag"},
+     "endpoint must be HOST:PORT, got ''"),
     ("vault", {"mode": "pull", "namespace": "no_scheme"},
      "pattern 'nonsense' lacks a scheme:// prefix"),
     ("vault", {"extra": "namespace_flag"}, "--pull-namespace needs a --pull-source"),

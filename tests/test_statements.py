@@ -22,8 +22,8 @@ from caslite.cache import CacheConfig, StatementCache
 from caslite.canonical import canonical_json
 from caslite.credentials import chain_to_map
 from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
-from caslite.keys import generate_keys, sign_payload
-from caslite.authz import DecisionQuery, decide_local, vouch_assertion
+from caslite.keys import CheckedMemo, generate_keys, sign_payload
+from caslite.authz import decide_local, vouch_assertion
 from caslite.policy import RightsSet, apply_admin, decide, rights_from_list, rights_to_list
 from caslite.statements import (
     StatementFetcher,
@@ -314,8 +314,9 @@ def test_decisions_follow_a_refresh_that_revokes(world):
 
         def decisions(action, now):
             decision = vault.authorize(world.proxy("alice"), action, obj, now)
-            answer = decide_local(DecisionQuery(ALICE, action, obj), world.site,
-                                  world.cas.keys.public(), CAS, now, fetcher)
+            answer = decide_local({"identity": ALICE, "action": action, "object": obj},
+                                  world.site, world.cas.keys.public(), CAS, now, fetcher,
+                                  memo=CheckedMemo())
             assert answer["allow"] == decision.allow
             return decision.allow, decision.stage, answer["reason"].split(":")[0]
 
@@ -397,8 +398,10 @@ def test_policy_churn_frees_old_revisions_and_keeps_the_intern_bounded(world, mo
                         allow, stage = oracles.naive_decide(CAS, pairs, user, action, obj)
                         decision = pull.authorize(proxies[user], action, obj, now)
                         assert (decision.allow, decision.stage) == (allow, stage)
-                        answer = decide_local(DecisionQuery(user, action, obj), world.site,
-                                              world.cas.keys.public(), CAS, now, fetcher)
+                        answer = decide_local({"identity": user, "action": action,
+                                               "object": obj}, world.site,
+                                              world.cas.keys.public(), CAS, now, fetcher,
+                                              memo=CheckedMemo())
                         assert (answer["allow"], answer["reason"].split(":")[0]) == (allow,
                                                                                stage or "ok")
                         if user in carried:
