@@ -12,6 +12,11 @@ frame, which is neither decoded nor encoded again when it is remembered. The
 digest comes from ``cryptography`` rather than ``hashlib``: importing
 ``hashlib`` loads the system libcrypto beside the one ``cryptography``
 carries, about 3.7 MiB more resident memory per service.
+
+Beneath those memos, :func:`verify_payload` remembers each Ed25519 check that
+passed for the whole process, keyed on every byte it read. A signature check
+depends on its key, signature and payload alone, never on a service's anchors
+or authority, so that memo needs no per-service scope.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ ED25519 = "ed25519"
 # working set is a few hundred chains; an LRU smaller than a cyclic working
 # set never hits.
 CHECKED_MEMO_SIZE = 1024
+# Signature checks that passed: a remembered document carries about four.
+VERIFIED_SIZE = 4 * CHECKED_MEMO_SIZE
+_verified: OrderedDict[bytes, None] = OrderedDict()
+_verified_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,11 @@ def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
     return signer.sign(payload)
 
 
-def digest(data: bytes) -> bytes:
-    """The SHA-256 digest of ``data``."""
+def digest(*parts: bytes) -> bytes:
+    """The SHA-256 digest of ``parts`` in order, each hashed without a copy."""
     h = hashes.Hash(hashes.SHA256())
-    h.update(data)
+    for part in parts:
+        h.update(part)
     return h.finalize()
 
 
@@ -141,10 +151,24 @@ class CheckedMemo:
 
 
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
+    """Whether ``signature`` is an Ed25519 signature of ``payload`` by
+    ``keys``. Passes are remembered (an LRU of ``VERIFIED_SIZE``) under the
+    digest of the key's and the signature's lengths, the key, the signature
+    and the payload, so only an exact repeat skips the check."""
+    lengths = len(keys.public_part).to_bytes(8, "big") + len(signature).to_bytes(8, "big")
+    key = digest(lengths, keys.public_part, signature, payload)
+    with _verified_lock:
+        if key in _verified:
+            _verified.move_to_end(key)
+            return True
     try:
         Ed25519PublicKey.from_public_bytes(keys.public_part).verify(signature, payload)
     except (InvalidSignature, ValueError):
         return False
+    with _verified_lock:
+        _verified[key] = None
+        while len(_verified) > VERIFIED_SIZE:
+            _verified.popitem(last=False)
     return True
 
 

@@ -494,6 +494,41 @@ def test_a_refused_assertion_is_checked_once_at_authz(world, ed25519_checks, par
         server.stop()
 
 
+def test_a_tampered_document_costs_one_signature_check(world, ed25519_checks):
+    """As in the benchmark's probes: once alice's good chain is allowed at a
+    push vault, every signature it carries is remembered, so a tampered
+    chain costs one Ed25519 check, of the signature that no longer matches,
+    and not one per link. Her chain with its last link's signature flipped
+    costs that one check; a well-signed new link carrying a forged
+    assertion costs two the first time, its own and the assertion's, then
+    one. A decision service's flipped-signature assertion costs one."""
+    service = ResourceService(push_config(world))
+    good = alice_chain(world)
+    assert service.authorize(chain_to_map(good), "read", OBJ, NOW).allow
+    forged = dataclasses.replace(alice_assertion(world), db_revision=99)
+    tampered = {
+        "flipped link signature": _flip_hex(chain_to_map(good), "links", -1, "signature"),
+        "forged assertion": chain_to_map(embed_in_proxy(world.proxy("alice"), forged)),
+    }
+    checks = {name: [] for name in tampered}
+    for _ in range(4):
+        for name, doc in tampered.items():
+            ed25519_checks.clear()
+            decision = service.authorize(doc, "read", OBJ, NOW)
+            assert not decision.allow and decision.stage == "credential", name
+            checks[name].append(len(ed25519_checks))
+    assert checks == {"flipped link signature": [1, 1, 1, 1], "forged assertion": [2, 1, 1, 1]}
+
+    server = AuthzServer(("127.0.0.1", 0), authz_config(world))
+    assertion = assertion_to_map(alice_assertion(world))
+    assert server.handle("decide", decide_payload(assertion), None)["allow"]
+    for _ in range(3):
+        ed25519_checks.clear()
+        assert server.handle("decide", decide_payload(_flip_hex(assertion, "signature")), None) == {
+            "allow": False, "reason": "assertion rejected: BadSignature"}
+        assert len(ed25519_checks) == 1
+
+
 def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed25519_checks, parses):
     """A repeat request makes no Ed25519 check, parses no chain or assertion
     map, and encodes no signing payload. A repeat issuance at the authority

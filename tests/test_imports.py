@@ -6,7 +6,8 @@ of its module-level classes (a method's by a call of its name, ``__init__``'s
 also by a call of its class or a subclass) and each defaulted
 ``__init__`` field of its dataclasses, every encode that
 skips the type walk is one that ``canonical_json`` documents, a deny
-raised as ``DeniedError`` is caught in one place per service, and the
+raised as ``DeniedError`` is caught in one place per service, only
+``keys`` names the Ed25519 classes and their ``InvalidSignature``, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
 service the decision point."""
@@ -447,6 +448,54 @@ def test_the_check_sees_a_deny_caught_elsewhere():
         "authz": "try:\n    import x\nexcept ImportError:\n    pass\n",
     }.items()}
     assert deny_catches(trees) == ["vault.S.authorize", "vault.enforce"]
+
+
+# --- the signature scheme -------------------------------------------------------------------
+
+# The names through which code could check or make an Ed25519 signature
+# without ``keys.verify_payload`` and its memo of passed checks.
+SCHEME_NAMES = {"Ed25519PublicKey", "Ed25519PrivateKey", "InvalidSignature"}
+
+
+def scheme_names_outside_keys(trees: dict) -> list:
+    """``module: name (line n)`` for each of ``SCHEME_NAMES`` that a module
+    in ``trees``, by module name, other than ``keys`` names: as a variable,
+    an attribute or an imported name."""
+    found = []
+    for module, tree in trees.items():
+        if module == "keys":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [f"{module}: {name} (line {node.lineno})"
+                      for name in names if name in SCHEME_NAMES]
+    return sorted(found)
+
+
+def test_only_keys_names_the_signature_scheme():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert "keys" in trees
+    assert scheme_names_outside_keys(trees) == []
+
+
+def test_the_check_sees_the_signature_scheme_named_outside_keys():
+    trees = {name: ast.parse(source) for name, source in {
+        "keys": "from cryptography.exceptions import InvalidSignature\n",
+        "credentials": ("from cryptography.hazmat.primitives.asymmetric import ed25519\n"
+                        "def check(k, s, p):\n"
+                        "    ed25519.Ed25519PublicKey.from_public_bytes(k).verify(s, p)\n"),
+        "wire": ("import cryptography.exceptions.InvalidSignature\n"
+                 "from cryptography.hazmat.primitives.asymmetric.ed25519 import (\n"
+                 "    Ed25519PrivateKey as Signer)\n"),
+    }.items()}
+    assert scheme_names_outside_keys(trees) == [
+        "credentials: Ed25519PublicKey (line 3)",
+        "wire: Ed25519PrivateKey (line 2)",
+        "wire: InvalidSignature (line 1)",
+    ]
 
 
 # --- layering -------------------------------------------------------------------------------
