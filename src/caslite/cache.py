@@ -1,19 +1,20 @@
 """A lightweight partial mirror of the community authority.
 
-The mirror subscribes to query payloads, re-fetches each on an interval, and
-serves the authority's signed statements back over the same wire protocol as
-the bytes it received. It holds no signing key, never re-signs and decodes no
-listing: a served statement is byte-identical to what the authority produced,
-so consumers verify it against the authority's key as if they had asked
-directly. Given that key too (``authority_public``, ``--cas-key``), the
-mirror checks each answer's signature over the received bytes before the
-answer may replace an entry.
+The mirror keeps a :class:`~caslite.statements.StatementFetcher` per
+subscribed query, re-fetches each on an interval, and serves the
+authority's signed statements back over the same wire protocol as the
+bytes it received. It holds no signing key, never re-signs and decodes no
+listing: a served statement is byte-identical to what the authority
+produced, so consumers verify it against the authority's key as if they
+had asked directly. Given that key too (``authority_public``,
+``--cas-key``), the mirror checks each answer's signature over the
+received bytes before the answer may replace a held statement.
 
 Failed refreshes, an expired, unsigned or badly signed answer among them,
-keep the previous entry; an entry is served only while it is younger than
-``max_age`` and inside its own validity, and requests fail closed
-afterwards. That bounds both staleness and the window the mirror can bridge
-across an authority outage.
+keep the held statement; it is served only while it was fetched at most
+``max_age`` ago and is inside its own validity, and requests fail closed
+afterwards. That bounds both staleness and the window the mirror can
+bridge across an authority outage.
 """
 
 from __future__ import annotations
@@ -32,15 +33,9 @@ from .canonical import Encoded, canonical_json, expect, fields
 from .credentials import chain_to_map, load_chain
 from .errors import CacheMiss, CasliteError, MalformedMessage, StaleEntry
 from .keys import KeyMaterial
-from .statements import SignedStatement, fetch_statement, statement_answer, validate_query
+from .statements import SignedStatement, StatementFetcher, statement_answer, validate_query
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    statement: SignedStatement
-    fetched_at: int
 
 
 @dataclass
@@ -58,66 +53,53 @@ class CacheConfig:
 
 
 class StatementCache:
-    """The configured subscriptions, checked and first fetched when the
-    cache is made (a failed fetch surfaces on serve), plus the latest
-    statement per subscription. The entry table is read and changed only
-    under ``_lock``, so readers racing a refresh see either the old entry or
-    the new one, never a mix."""
+    """The configured subscriptions, each a :class:`StatementFetcher` of the
+    authority, checked and first fetched when the cache is made (a failed
+    fetch surfaces on serve) and refreshed by :meth:`refresh`."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._entries: dict[bytes, CacheEntry] = {}
-        self._subscriptions = {canonical_json(query): query
-                               for query in map(validate_query, config.subscriptions)}
-        self._lock = threading.Lock()
-        for key, query in self._subscriptions.items():
+        fetchers = (StatementFetcher(config.authority, query, config.authority_public,
+                                     config.client_chain) for query in config.subscriptions)
+        self._fetchers = {canonical_json(fetcher.query): fetcher for fetcher in fetchers}
+        now = int(time.time())
+        for fetcher in self._fetchers.values():
             try:
-                self._fetch_one(key, query, int(time.time()))
-            except (OSError, CasliteError) as exc:
-                logger.warning("initial fetch failed for %s: %s", query, exc)
+                fetcher.refresh(now)
+            except CasliteError as exc:
+                logger.warning("initial fetch failed for %s: %s", fetcher.query, exc)
 
     def subscriptions(self) -> list[dict]:
-        return list(self._subscriptions.values())
-
-    def _fetch_one(self, key: bytes, query: dict, now: int) -> None:
-        statement = fetch_statement(self.config.authority, query, self.config.client_chain,
-                                    self.config.authority_public)
-        if not statement.fresh_at(now):
-            raise StaleEntry(f"fetched statement already expired at {statement.expires_at}")
-        entry = CacheEntry(statement=statement, fetched_at=now)
-        with self._lock:
-            self._entries[key] = entry
+        return [fetcher.query for fetcher in self._fetchers.values()]
 
     def refresh(self, now: int | None = None) -> dict:
-        """Re-fetch every subscription; failures keep the old entry."""
+        """Re-fetch every subscription; failures keep the old statement."""
         now = int(time.time()) if now is None else now
         updated, failed = [], []
-        for key, query in self._subscriptions.items():
+        for fetcher in self._fetchers.values():
             try:
-                self._fetch_one(key, query, now)
-                updated.append(query)
-            except (OSError, CasliteError) as exc:
-                logger.debug("refresh failed for %s: %s", query, exc)
-                failed.append(query)
+                fetcher.refresh(now)
+                updated.append(fetcher.query)
+            except CasliteError as exc:
+                logger.debug("refresh failed for %s: %s", fetcher.query, exc)
+                failed.append(fetcher.query)
         return {"updated": updated, "failed": failed}
 
     def serve_cached(self, query: dict, now: int | None = None) -> SignedStatement:
         """The authority's statement, unchanged, while it is still fresh."""
         now = int(time.time()) if now is None else now
-        key = canonical_json(validate_query(query))
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None:
-            if key in self._subscriptions:
-                raise CacheMiss("subscription has no fetched statement yet")
+        fetcher = self._fetchers.get(canonical_json(validate_query(query)))
+        if fetcher is None:
             raise CacheMiss(f"never subscribed to {query!r}")
-        if now - entry.fetched_at > self.config.max_age:
-            raise StaleEntry(
-                f"entry fetched at {entry.fetched_at} is older than max_age"
-            )
-        if not entry.statement.fresh_at(now):
-            raise StaleEntry(f"statement expired at {entry.statement.expires_at}")
-        return entry.statement
+        held = fetcher.held
+        if held is None:
+            raise CacheMiss("subscription has no fetched statement yet")
+        statement, fetched_at = held
+        if now - fetched_at > self.config.max_age:
+            raise StaleEntry(f"entry fetched at {fetched_at} is older than max_age")
+        if not statement.fresh_at(now):
+            raise StaleEntry(f"statement expired at {statement.expires_at}")
+        return statement
 
 
 class CacheServer(wire.FrameServer):

@@ -204,10 +204,10 @@ def _index(payload: bytes) -> dict[str, tuple[int, int]]:
 
 
 def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None,
-                    authority_public: KeyMaterial | None = None) -> SignedStatement:
+                    authority_public: KeyMaterial | None) -> SignedStatement:
     """Ask ``source`` for ``query`` and take in the answer's bytes: with
     ``authority_public`` the signature is checked over them before anything
-    is read (a mirror has no key and forwards them unchecked). A source
+    is read (a mirror without it forwards them unchecked). A source
     that sends no answer fails the fetch within ``wire.FRAME_DEADLINE``."""
     answer = wire.call(source, "query", query, chain=chain, timeout=wire.FRAME_DEADLINE, raw=True)
     signed = _SIGNED.fullmatch(answer)
@@ -251,71 +251,76 @@ class _Flight:
 
 
 class StatementFetcher:
-    """Lazily refreshed view of one resource_rights statement.
+    """The latest statement answering one query, held with the ``now`` it
+    was fetched at: the pull consumers' policy and each mirror subscription.
+    ``query`` is checked when the fetcher is made; a namespace stands for
+    its resource_rights query.
 
-    Fetched statements are cached until their own expiry; on fetch failure
-    the decision is fail-closed: a still-fresh cached statement is used, an
-    expired one raises :class:`StaleStatement`, and having none raises
-    :class:`SourceUnavailable`. Refreshes are single-flight: one caller
-    fetches while the others wait for its outcome, a failure included.
-    Replacement is a single reference swap so concurrent readers never see a
-    partial update. A bad namespace is refused when the fetcher is made.
-    """
+    :meth:`refresh` is single-flight: one caller fetches while the others
+    wait for its outcome, and on failure each raises its own exception. Only
+    a statement fresh at ``now`` replaces the held one, in one reference
+    swap; a failure keeps it. :meth:`current`, the pull path, fails closed:
+    it uses the held statement while fresh; when the source fails it raises
+    :class:`StaleStatement` with an expired one held, else
+    :class:`SourceUnavailable`, and an answer already expired raises
+    :class:`StaleStatement`."""
 
     def __init__(
         self,
         source: wire.Endpoint | str,
-        namespace: str,
-        authority_public: KeyMaterial,
+        query: dict | str,
+        authority_public: KeyMaterial | None,
         client_chain: dict | None = None,
     ):
+        if isinstance(query, str):
+            query = {"query": "resource_rights", "namespace": query}
         self._source = source
-        self._query = validate_query({"query": "resource_rights", "namespace": namespace})
+        self.query = validate_query(query)
         self._authority_public = authority_public
         self._client_chain = client_chain
         self._lock = threading.Lock()
-        self._current: SignedStatement | None = None
+        self.held: tuple[SignedStatement, int] | None = None
         self._flight: _Flight | None = None
 
     def fetch(self) -> SignedStatement:
-        return fetch_statement(self._source, self._query, self._client_chain,
+        return fetch_statement(self._source, self.query, self._client_chain,
                                self._authority_public)
 
-    def current(self, now: int) -> SignedStatement:
+    def refresh(self, now: int) -> SignedStatement:
         with self._lock:
-            cached = self._current
-            if cached is not None and cached.fresh_at(now):
-                return cached
             flight, leader = self._flight, self._flight is None
             if leader:
                 flight = self._flight = _Flight()
         if leader:
             try:
-                flight.statement = self._refresh(cached, now)
-            except CasliteError as exc:
-                flight.error = exc
+                statement = self.fetch()
+                if statement.fresh_at(now):
+                    self.held = (statement, now)
+                    flight.statement = statement
+                else:
+                    flight.error = StaleStatement(
+                        f"fetched statement already expired at {statement.expires_at}")
+            except (OSError, CasliteError) as exc:
+                flight.error = SourceUnavailable(f"policy source unreachable: {exc}")
             finally:
                 with self._lock:
                     self._flight = None
-                    if flight.statement is not None:
-                        self._current = flight.statement
                 flight.done.set()
         else:
             flight.done.wait()
         if flight.statement is None:
             error = flight.error or SourceUnavailable("policy refresh failed")
-            raise type(error)(error.message) from None
+            raise type(error)(error.message)
         return flight.statement
 
-    def _refresh(self, cached: SignedStatement | None, now: int) -> SignedStatement:
+    def current(self, now: int) -> SignedStatement:
+        held = self.held
+        if held is not None and held[0].fresh_at(now):
+            return held[0]
         try:
-            statement = self.fetch()
-        except (OSError, CasliteError) as exc:
-            if cached is not None:
-                raise StaleStatement(
-                    f"cached statement expired at {cached.expires_at} and refresh failed: {exc}"
-                ) from None
-            raise SourceUnavailable(f"policy source unreachable: {exc}") from None
-        if not statement.fresh_at(now):
-            raise StaleStatement(f"fetched statement already expired at {statement.expires_at}")
-        return statement
+            return self.refresh(now)
+        except SourceUnavailable as exc:
+            if held is None:
+                raise
+            raise StaleStatement(f"cached statement expired at {held[0].expires_at} "
+                                 f"and refresh failed: {exc}") from None

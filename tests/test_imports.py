@@ -7,7 +7,8 @@ also by a call of its class or a subclass) and each defaulted
 ``__init__`` field of its dataclasses, every encode that
 skips the type walk is one that ``canonical_json`` documents, a deny
 raised as ``DeniedError`` is caught in one place per service, only
-``keys`` names the Ed25519 classes and their ``InvalidSignature``, and the
+``keys`` names the Ed25519 classes and their ``InvalidSignature``, only
+``statements`` names ``fetch_statement``, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
 service the decision point."""
@@ -457,28 +458,27 @@ def test_the_check_sees_a_deny_caught_elsewhere():
 SCHEME_NAMES = {"Ed25519PublicKey", "Ed25519PrivateKey", "InvalidSignature"}
 
 
-def scheme_names_outside_keys(trees: dict) -> list:
-    """``module: name (line n)`` for each of ``SCHEME_NAMES`` that a module
-    in ``trees``, by module name, other than ``keys`` names: as a variable,
-    an attribute or an imported name."""
+def names_outside(trees: dict, names: set, home: str) -> list:
+    """``module: name (line n)`` for each of ``names`` that a module in
+    ``trees``, by module name, other than ``home`` names: as a variable, an
+    attribute or an imported name."""
     found = []
     for module, tree in trees.items():
-        if module == "keys":
+        if module == home:
             continue
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [alias.name.split(".")[-1] for alias in node.names]
+                read = [alias.name.split(".")[-1] for alias in node.names]
             else:
-                names = [getattr(node, "id", getattr(node, "attr", None))]
-            found += [f"{module}: {name} (line {node.lineno})"
-                      for name in names if name in SCHEME_NAMES]
+                read = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [f"{module}: {name} (line {node.lineno})" for name in read if name in names]
     return sorted(found)
 
 
 def test_only_keys_names_the_signature_scheme():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     assert "keys" in trees
-    assert scheme_names_outside_keys(trees) == []
+    assert names_outside(trees, SCHEME_NAMES, "keys") == []
 
 
 def test_the_check_sees_the_signature_scheme_named_outside_keys():
@@ -491,10 +491,38 @@ def test_the_check_sees_the_signature_scheme_named_outside_keys():
                  "from cryptography.hazmat.primitives.asymmetric.ed25519 import (\n"
                  "    Ed25519PrivateKey as Signer)\n"),
     }.items()}
-    assert scheme_names_outside_keys(trees) == [
+    assert names_outside(trees, SCHEME_NAMES, "keys") == [
         "credentials: Ed25519PublicKey (line 3)",
         "wire: Ed25519PrivateKey (line 2)",
         "wire: InvalidSignature (line 1)",
+    ]
+
+
+# --- the kept statement ---------------------------------------------------------------------
+
+# ``StatementFetcher`` is the one holder of fetched statements, for the pull
+# consumers and the mirror alike; a module that fetches a statement itself
+# would keep a second one.
+FETCH_NAMES = {"fetch_statement"}
+
+
+def test_only_statements_names_fetch_statement():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert "statements" in trees
+    assert names_outside(trees, FETCH_NAMES, "statements") == []
+
+
+def test_the_check_sees_fetch_statement_named_outside_statements():
+    trees = {name: ast.parse(source) for name, source in {
+        "statements": "def fetch_statement(source, query, chain, key):\n    pass\n",
+        "cache": ("from .statements import SignedStatement, fetch_statement\n"
+                  "entry = statements.fetch_statement(source, query, None, None)\n"),
+        "authz": "fetch = fetch_statement\n",
+    }.items()}
+    assert names_outside(trees, FETCH_NAMES, "statements") == [
+        "authz: fetch_statement (line 1)",
+        "cache: fetch_statement (line 1)",
+        "cache: fetch_statement (line 2)",
     ]
 
 

@@ -503,6 +503,34 @@ def test_concurrent_refreshes_share_one_fetch(flaky_source, authority_keys, case
     else:
         expected = StaleStatement if case == "stale" else SourceUnavailable
         assert all(type(r) is expected for r in results)
+        # each its own: one exception raised in eight threads would carry
+        # a traceback written by all of them
+        assert len({id(r) for r in results}) == 8
+
+
+def test_concurrent_mirror_refreshes_share_one_fetch_per_subscription(flaky_source):
+    """Two refreshes of the mirror that overlap make one fetch per
+    subscription, and each reports every subscription updated."""
+    queries = [QUERY, {"query": "resource_rights", "namespace": "vo://esg/code/**"}]
+    cache = StatementCache(CacheConfig(authority=flaky_source.server.endpoint,
+                                       refresh_interval=1, max_age=60, subscriptions=queries))
+    assert flaky_source.calls == 2
+    flaky_source.calls = 0
+    flaky_source.delay = 0.3  # each fetch stays open while the other refresh arrives
+    start, reports = threading.Barrier(2), []
+
+    def refresh():
+        start.wait(timeout=10)
+        reports.append(cache.refresh(NOW))
+
+    threads = [threading.Thread(target=refresh) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert flaky_source.calls == 2
+    assert reports == [{"updated": queries, "failed": []}] * 2
 
 
 class _TruncatingSource:
