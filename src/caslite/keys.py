@@ -9,6 +9,8 @@ Each service remembers the checks it made of presented documents in its own
 :class:`CheckedMemo`, keyed on the SHA-256 :func:`digest` of a document's
 canonical bytes as they arrived: a :class:`Received` span of the request
 frame, which is neither decoded nor encoded again when it is remembered. The
+memo keeps what each check returned and, apart, each domain refusal, so a
+replayed bad document is refused again without being parsed or checked. The
 digest comes from ``cryptography`` rather than ``hashlib``: importing
 ``hashlib`` loads the system libcrypto beside the one ``cryptography``
 carries, about 3.7 MiB more resident memory per service.
@@ -34,13 +36,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .canonical import canonical_json, fields, from_hex, parse_canonical, to_hex
-from .errors import CasliteError, MalformedMessage
+from .errors import CasliteError, DeniedError, MalformedMessage
 
 ED25519 = "ed25519"
 
-# Presented documents whose time-free results one service remembers. The push
-# working set is a few hundred chains; an LRU smaller than a cyclic working
-# set never hits.
+# Presented documents whose time-free results one service remembers, and apart
+# as many refused ones. The push working set is a few hundred chains; an LRU
+# smaller than a cyclic working set never hits.
 CHECKED_MEMO_SIZE = 1024
 # Signature checks that passed: a remembered document carries about four.
 VERIFIED_SIZE = 4 * CHECKED_MEMO_SIZE
@@ -109,30 +111,40 @@ class Received:
 
 
 class CheckedMemo:
-    """Successful time-free checks of presented documents, keyed on the
-    SHA-256 of each document's canonical bytes as received, so any changed
-    byte misses. Only bytes that passed
-    :func:`~caslite.canonical.parse_canonical` are remembered, so a key the
-    memo knows names canonical bytes. One memo belongs to one service,
-    because a result holds only for that service's anchors and authority."""
+    """Time-free checks of presented documents, keyed on the SHA-256 of each
+    document's canonical bytes as received, so any changed byte misses.
+    Only bytes that passed :func:`~caslite.canonical.parse_canonical` are
+    remembered, so a key the memo knows names canonical bytes. One memo
+    belongs to one service, because a result holds only for that service's
+    anchors and authority.
+
+    What a check returned is kept in one LRU, and each
+    :class:`~caslite.errors.CasliteError` it raised in another, of the same
+    size, so a flood of refused documents never evicts a passed one. A
+    refusal is kept as its class and message, or a deny's decision, never as
+    the exception, whose traceback holds the frames of the failed check."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[bytes, Any] = OrderedDict()
+        self._refused: OrderedDict[bytes, tuple[type[CasliteError], Any]] = OrderedDict()
         self._lock = threading.Lock()
 
     def knows(self, key: bytes) -> bool:
         """Whether a check of the bytes whose digest is ``key`` is remembered."""
         with self._lock:
-            return key in self._entries
+            return key in self._entries or key in self._refused
 
     def recall(self, doc: Received | Any, check: Callable[[Any], Any]) -> Any:
-        """``check`` of the parsed document, remembered when it returns; a
-        check that raises is run again next time. ``doc`` is
-        :class:`Received`, or a map, which is encoded first: one given in
-        process, or one from a request frame parsed whole, whose canonical
-        form is its span of the frame. A remembered :class:`Received` is
-        neither parsed nor encoded; on a miss, ``check`` gets the parse of
-        the keyed bytes, which ``doc`` keeps."""
+        """``check`` of the parsed document, remembered when it returns or
+        raises a :class:`~caslite.errors.CasliteError`; any other exception
+        runs the check again next time. ``doc`` is :class:`Received`, or a
+        map, which is encoded first: one given in process, or one from a
+        request frame parsed whole, whose canonical form is its span of the
+        frame. A remembered :class:`Received` is neither parsed nor encoded,
+        and a remembered refusal raises a new exception of its class with its
+        message, or a deny's decision (a chain error's ``index`` is not
+        kept); on a miss, ``check`` gets the parse of the keyed bytes, which
+        ``doc`` keeps, and a parse failure is not remembered."""
         if not isinstance(doc, Received):
             doc = Received(canonical_json(doc))
         with self._lock:
@@ -140,14 +152,26 @@ class CheckedMemo:
             if value is not None:
                 self._entries.move_to_end(doc.key)
                 return value
+            refusal = self._refused.get(doc.key)
+            if refusal is not None:
+                self._refused.move_to_end(doc.key)
+                raise refusal[0](refusal[1])
         if doc.doc is None:
             doc.doc = parse_canonical(doc.data)
-        value = check(doc.doc)
-        with self._lock:
-            self._entries[doc.key] = value
-            while len(self._entries) > CHECKED_MEMO_SIZE:
-                self._entries.popitem(last=False)
+        try:
+            value = check(doc.doc)
+        except CasliteError as exc:
+            self._keep(self._refused, doc.key, (
+                type(exc), exc.decision if isinstance(exc, DeniedError) else exc.message))
+            raise
+        self._keep(self._entries, doc.key, value)
         return value
+
+    def _keep(self, lru: OrderedDict, key: bytes, value: Any) -> None:
+        with self._lock:
+            lru[key] = value
+            while len(lru) > CHECKED_MEMO_SIZE:
+                lru.popitem(last=False)
 
 
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:

@@ -22,9 +22,10 @@ mode, the carried assertion's form, signature and issuer), and a clock half
 that runs on every request: each element's window, then in ``judge`` the
 assertion's window, its binding to the authenticated subject and the
 decision. :class:`ResourceService` remembers the time-free result of each
-presented chain's bytes in its own :class:`~caslite.keys.CheckedMemo`; the
-decision service keeps one for presented assertions, and the authority one
-for its callers' chains.
+presented chain's bytes in its own :class:`~caslite.keys.CheckedMemo`, a
+refusal as well as a pass, so a replayed bad chain is denied again without
+a parse or a signature check; the decision service keeps one for presented
+assertions, and the authority one for its callers' chains.
 """
 
 from __future__ import annotations
@@ -194,9 +195,10 @@ class ResourceService:
     one way to a file operation, in process or from :class:`VaultServer`.
 
     ``chain`` is :data:`Presented`. Received bytes or a map have their
-    time-free result remembered (see :class:`~caslite.keys.CheckedMemo`), so
-    the same bytes presented again skip their parse and signature checks; a
-    :class:`CredentialChain` is checked in full each time.
+    time-free result, or refusal, remembered (see
+    :class:`~caslite.keys.CheckedMemo`), so the same bytes presented again
+    skip their parse and signature checks; a :class:`CredentialChain` is
+    checked in full each time.
     """
 
     def __init__(self, cfg: ResourceConfig, store: ObjectStore | None = None):

@@ -11,6 +11,7 @@ as a cold check would, and any changed byte must be checked afresh.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 import socket
@@ -18,6 +19,7 @@ import struct
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 
@@ -419,7 +421,11 @@ def _flip_hex(doc, *path):
     return copy
 
 
-def test_failed_checks_are_never_remembered(world, cas_server, ed25519_checks, parses):
+def test_refused_documents_are_remembered_apart_from_passes(world, cas_server, ed25519_checks,
+                                                           parses):
+    """A refused document is checked once: presented again, it costs no
+    parse of its map and no Ed25519 check, and gets the same answer. It is
+    remembered apart from the passes, which stay empty."""
     service = ResourceService(push_config(world))
     good = alice_chain(world)
     forged = dataclasses.replace(alice_assertion(world), db_revision=99)
@@ -433,43 +439,52 @@ def test_failed_checks_are_never_remembered(world, cas_server, ed25519_checks, p
             issue_proxy(CredentialChain(eec=make_ca("rogue", now=NOW - DAY)), (NOW, NOW + 600))),
     }
     for name, doc in failing.items():
-        checks = []
+        checks, maps, decisions = [], [], []
         for _ in range(3):
-            before = len(ed25519_checks)
+            before = len(ed25519_checks), parses.count("chain_from_map")
             decision = service.authorize(doc, "read", OBJ, NOW)
             assert not decision.allow and decision.stage == "credential", name
-            checks.append(len(ed25519_checks) - before)
-        assert len(service._checked._entries) == 0, name
+            checks.append(len(ed25519_checks) - before[0])
+            maps.append(parses.count("chain_from_map") - before[1])
+            decisions.append(decision)
+        assert maps == [1, 0, 0] and checks[1:] == [0, 0], (name, maps, checks)
+        assert decisions[0] == decisions[1] == decisions[2], name
         if name in ("bad signature", "forged assertion"):
-            assert all(count >= 1 for count in checks), (name, checks)
-    assert parses.count("chain_from_map") == 3 * len(failing)
+            assert checks[0] >= 1, (name, checks)
+    assert len(service._checked._entries) == 0
+    assert len(service._checked._refused) == len(failing)
 
     server = AuthzServer(("127.0.0.1", 0), authz_config(world))
     bad = _flip_hex(assertion_to_map(alice_assertion(world)), "signature")
+    checks = []
     for _ in range(3):
         before = len(ed25519_checks)
         assert server.handle("decide", decide_payload(bad), None) == {
             "allow": False, "reason": "assertion rejected: BadSignature"}
-        assert len(ed25519_checks) > before
+        checks.append(len(ed25519_checks) - before)
+    assert checks == [1, 0, 0]
     assert len(server._checked._entries) == 0
 
     # the authority reads no extension, so only the chain's own faults refuse a caller
     for name in ("bad signature", "untrusted root"):
+        before = len(ed25519_checks), parses.count("chain_from_map")
+        messages = []
         for _ in range(3):
-            before = len(ed25519_checks), parses.count("chain_from_map")
-            with pytest.raises(AuthFailed, match="^caller chain rejected: "):
+            with pytest.raises(AuthFailed, match="^caller chain rejected: ") as refused:
                 cas_server.handle("query", LISTING, failing[name])
-            assert parses.count("chain_from_map") == before[1] + 1, name
-            if name == "bad signature":
-                assert len(ed25519_checks) > before[0]
+            messages.append(refused.value.message)
+        assert parses.count("chain_from_map") == before[1] + 1, name
+        assert len(set(messages)) == 1, messages
+        if name == "bad signature":
+            assert len(ed25519_checks) == before[0] + 1
     assert len(cas_server._checked._entries) == 0
 
 
 def test_a_refused_assertion_is_checked_once_at_authz(world, ed25519_checks, parses):
     """A badly signed assertion costs the decision service one parse of its
-    map and one Ed25519 check per request, in process and over the wire,
-    and is refused only once the query's own fields pass: from an identity
-    that is not one, the same frame is malformed."""
+    map and one Ed25519 check in all, however often it comes, in process or
+    over the wire, and is refused only once the query's own fields pass:
+    from an identity that is not one, the same frame is malformed."""
     server = AuthzServer(("127.0.0.1", 0), authz_config(world))
     server.start()
     try:
@@ -478,12 +493,10 @@ def test_a_refused_assertion_is_checked_once_at_authz(world, ed25519_checks, par
                 lambda payload: wire.call(server.endpoint, "decide", payload))
         for ask in asks:
             for _ in range(3):
-                ed25519_checks.clear()
-                parses.clear()
                 assert ask(decide_payload(bad)) == {
                     "allow": False, "reason": "assertion rejected: BadSignature"}
-                assert len(ed25519_checks) == 1
-                assert parses.count("assertion_from_map") == 1
+        assert len(ed25519_checks) == 1
+        assert parses.count("assertion_from_map") == 1
         with pytest.raises(MalformedMessage):
             server.handle("decide", {**decide_payload(bad), "identity": "nobody"}, None)
         with pytest.raises(ServerError) as refused:
@@ -500,8 +513,9 @@ def test_a_tampered_document_costs_one_signature_check(world, ed25519_checks):
     chain costs one Ed25519 check, of the signature that no longer matches,
     and not one per link. Her chain with its last link's signature flipped
     costs that one check; a well-signed new link carrying a forged
-    assertion costs two the first time, its own and the assertion's, then
-    one. A decision service's flipped-signature assertion costs one."""
+    assertion costs two, its own and the assertion's. Either is refused
+    from memory when it comes again, with no check, as is a decision
+    service's flipped-signature assertion, which costs one the first time."""
     service = ResourceService(push_config(world))
     good = alice_chain(world)
     assert service.authorize(chain_to_map(good), "read", OBJ, NOW).allow
@@ -517,16 +531,190 @@ def test_a_tampered_document_costs_one_signature_check(world, ed25519_checks):
             decision = service.authorize(doc, "read", OBJ, NOW)
             assert not decision.allow and decision.stage == "credential", name
             checks[name].append(len(ed25519_checks))
-    assert checks == {"flipped link signature": [1, 1, 1, 1], "forged assertion": [2, 1, 1, 1]}
+    assert checks == {"flipped link signature": [1, 0, 0, 0], "forged assertion": [2, 0, 0, 0]}
 
     server = AuthzServer(("127.0.0.1", 0), authz_config(world))
     assertion = assertion_to_map(alice_assertion(world))
     assert server.handle("decide", decide_payload(assertion), None)["allow"]
+    checks = []
     for _ in range(3):
         ed25519_checks.clear()
         assert server.handle("decide", decide_payload(_flip_hex(assertion, "signature")), None) == {
             "allow": False, "reason": "assertion rejected: BadSignature"}
-        assert len(ed25519_checks) == 1
+        checks.append(len(ed25519_checks))
+    assert checks == [1, 0, 0]
+
+
+def test_a_check_that_fails_outside_the_domain_runs_every_time(world):
+    """A check that raises an exception other than a domain error is not
+    remembered: each request runs it again and is answered ``Internal``."""
+    service = ResourceService(push_config(world), ObjectStore({OBJ: b"x"}))
+    server = VaultServer(("127.0.0.1", 0), service)
+    doc = chain_to_map(alice_chain(world))
+    calls = []
+
+    def broken(chain, anchors):
+        calls.append(chain)
+        raise RuntimeError("check crashed")
+
+    server.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vault, "check_chain", broken)
+            answers = [_vault_answer(server.endpoint, doc) for _ in range(3)]
+        assert answers == [("Internal", "internal server error")] * 3
+        assert len(calls) == 3
+        assert not service._checked._entries and not service._checked._refused
+        assert _vault_answer(server.endpoint, doc) == ("allow", "")
+    finally:
+        server.stop()
+
+
+def test_bytes_that_fail_to_parse_are_not_remembered(world, monkeypatch):
+    """Bytes that are not canonical never reach the check, in process or
+    over the wire, and nothing is remembered of them."""
+    memo = keys.CheckedMemo()
+    received = keys.Received(b'{"a": 1}')
+    checks = []
+    for _ in range(2):
+        with pytest.raises(MalformedMessage):
+            memo.recall(received, checks.append)
+    assert checks == [] and not memo.knows(received.key) and not memo._refused
+
+    service = ResourceService(push_config(world), ObjectStore({OBJ: b"x"}))
+    server = VaultServer(("127.0.0.1", 0), service)
+    span = canonical_json(chain_to_map(alice_chain(world)))
+    spaced = span.replace(b'":', b'": ', 1)
+    data = b'{"chain":%s,"kind":"read","payload":{"path":"%s"}}' % (spaced, OBJ.encode())
+    parsed = []
+    real = wire.parse_canonical
+    monkeypatch.setattr(wire, "parse_canonical", lambda data: parsed.append(data) or real(data))
+    server.start()
+    try:
+        with socket.create_connection(server.endpoint, timeout=10) as sock:
+            for _ in range(2):
+                parsed.clear()
+                assert _raw_answer(sock, data)[0] == "MalformedRequest"
+                assert bytes(spaced) in [bytes(arg) for arg in parsed]
+    finally:
+        server.stop()
+    assert not service._checked.knows(keys.digest(spaced))
+    assert not service._checked._entries and not service._checked._refused
+
+
+def test_a_chain_not_yet_valid_is_allowed_once_it_is(world, parses):
+    """A window refusal comes from the clock half, which is never
+    remembered: a chain refused ``NotYetValid`` is allowed once its window
+    opens, from its remembered time-free pass."""
+    assertion = alice_assertion(world, now=WIDE[0], lifetime=WIDE[1] - WIDE[0])
+    late = (NOW + 1000, NOW + 5000)
+    doc = chain_to_map(_edge_chain(world, [WIDE, WIDE, late], assertion))
+    service = ResourceService(push_config(world))
+    decision = service.authorize(doc, "read", OBJ, NOW)
+    assert not decision.allow and decision.stage == "credential"
+    assert decision.reason.startswith("chain rejected: NotYetValid")
+    assert len(service._checked._entries) == 1 and not service._checked._refused
+    parses.clear()
+    assert service.authorize(doc, "read", OBJ, late[0]).allow
+    assert parses == []
+
+
+def test_refusals_never_evict_passes(world, monkeypatch, parses):
+    """With room for three of each, ten refused documents leave the three
+    remembered passes in place, and hold at most three refusals."""
+    monkeypatch.setattr(keys, "CHECKED_MEMO_SIZE", 3)
+    service = ResourceService(push_config(world))
+
+    def proxy(i):
+        return chain_to_map(issue_proxy(CredentialChain(eec=world.eec("alice")),
+                                        (NOW, NOW + 600 + i)))
+
+    passed = [proxy(i) for i in range(3)]
+    refused = [_flip_hex(proxy(100 + i), "links", 0, "signature") for i in range(10)]
+    for doc in passed:
+        service.authorize(doc, "read", OBJ, NOW)
+    for doc in refused:
+        decision = service.authorize(doc, "read", OBJ, NOW)
+        assert "BadSignature" in decision.reason
+        assert len(service._checked._refused) <= 3
+    parses.clear()
+    for doc in passed:
+        service.authorize(doc, "read", OBJ, NOW)
+    assert parses == []
+    assert len(service._checked._entries) == 3
+
+
+def test_concurrent_replays_of_a_tampered_chain_agree_with_a_cold_check(world, parses):
+    """Eight threads replaying one tampered chain all get the answer a cold
+    check gives, and parse it no more than once each."""
+    doc = _flip_hex(chain_to_map(alice_chain(world)), "links", 1, "signature")
+    expected = ResourceService(push_config(world)).authorize(
+        chain_from_map(doc), "read", OBJ, NOW)
+    assert not expected.allow
+    service = ResourceService(push_config(world))
+    parses.clear()
+    start = threading.Barrier(8)
+    wrong = []
+
+    def worker():
+        start.wait()
+        for _ in range(30):
+            decision = service.authorize(doc, "read", OBJ, NOW)
+            if decision != expected:
+                wrong.append(decision)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert 1 <= parses.count("chain_from_map") <= 8
+
+
+def test_remembered_refusals_hold_no_exception(world, cas_server):
+    """What the memos keep of their refusals reaches no exception, traceback
+    or frame, so no failed check's frames stay alive."""
+    service = ResourceService(push_config(world))
+    bad = _flip_hex(chain_to_map(alice_chain(world)), "links", 0, "signature")
+    assert not service.authorize(bad, "read", OBJ, NOW).allow
+    with pytest.raises(MalformedMessage):
+        service.authorize({"eec": 1}, "read", OBJ, NOW)
+    with pytest.raises(AuthFailed):
+        cas_server.handle("query", LISTING, bad)
+    memos = [service._checked._refused, cas_server._checked._refused]
+    assert [len(refused) for refused in memos] == [2, 1]
+    seen, todo = set(), list(memos)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (BaseException, types.TracebackType, types.FrameType)), obj
+        todo.extend(gc.get_referents(obj))
+
+
+def test_the_authority_audits_each_refusal_it_remembers(world, cas_server, parses):
+    """A refused caller chain sent three times is parsed once, and each
+    refusal is audited alike."""
+    bad = _flip_hex(chain_to_map(world.proxy("alice")), "links", 0, "signature")
+    parses.clear()
+    for _ in range(3):
+        with pytest.raises(AuthFailed):
+            cas_server.handle("query", LISTING, bad)
+    assert parses.count("chain_from_map") == 1
+    records = [json.loads(line) for line in
+               Path(str(cas_server.config.db_path) + ".audit").read_text().splitlines()]
+    refusals = [r for r in records if r["outcome"] == "error:AuthFailed"]
+    assert len(refusals) == 3
+    assert len({r["detail"] for r in refusals}) == 1
+    assert refusals[0]["detail"].startswith("caller chain rejected: BadSignature")
 
 
 def test_repeat_request_skips_parse_and_signature_work(world, cas_server, ed25519_checks, parses):
