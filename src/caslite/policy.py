@@ -30,7 +30,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .canonical import Encoded, canonical_json, expect, fields, parse_canonical, set_of, write_atomic
+from .canonical import canonical_json, expect, fields, parse_canonical, set_of, write_atomic
 from .errors import (
     DuplicateGroup,
     MalformedMessage,
@@ -323,7 +323,9 @@ class _Derived:
     encoded ``"ref":[...]`` fragment of :func:`db_canonical_bytes`; the
     namespace listed last with each member's encoded ``"member":[...]``
     entry of :func:`scoped_listing` there, empty for a member with no rights
-    (``listing``, replaced whole when another namespace is listed); the
+    (``listing``, replaced whole when another namespace is listed; its
+    fragments are the one kept copy of the listing, which a listing answer
+    refers to chunk by chunk until it is signed); the
     encoded ``"groups":{...},"members":[...]`` of the database file
     (``sections``); and the members in sorted order. Readers fill the dicts
     without a lock, so a copy is one ``dict(...)``."""
@@ -386,11 +388,15 @@ def user_rights(db: VOPolicyDatabase, who: Identity) -> frozenset[Right]:
     return frozenset(rights)
 
 
-def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
+def scoped_listing(db: VOPolicyDatabase, namespace: str) -> tuple[bytes, ...]:
     """The map of each member's rights within ``namespace`` as
-    :func:`rights_to_list` entries, members with none left out, as an
-    :class:`~caslite.canonical.Encoded` map joined from each entry's encoded
-    ``"member":[...]`` fragment in member order.
+    :func:`rights_to_list` entries, members with none left out, as chunks
+    whose concatenation is its canonical form: ``{``, each entry's encoded
+    ``"member":[...]`` fragment in member order with ``,`` between, ``}``.
+    Nothing is joined here: beside the kept fragments, the one copy of a
+    listing is the payload :func:`~caslite.statements.sign_statement` joins.
+    A large listing has more chunks than ``sendmsg`` takes buffers (IOV_MAX),
+    so they are a plain tuple, never an ``Encoded`` for ``write_frame``.
 
     The fragments are kept on ``db`` for the namespace listed last and
     carried to later revisions for every member a command does not touch;
@@ -400,15 +406,15 @@ def scoped_listing(db: VOPolicyDatabase, namespace: str) -> Encoded:
         kept = db._derived.listing = (namespace, {})
     entries = kept[1]
     scope = frozenset(Right(action, namespace) for action in ACTIONS)
-    fragments = []
+    chunks = []
     for member in db._derived.sorted_members:
         fragment = entries.get(member)
         if fragment is None:
             rights = rights_to_list(intersect_rights(user_rights(db, member), scope))
             fragment = entries[member] = _fragment(member, rights) if rights else b""
         if fragment:
-            fragments.append(fragment)
-    return Encoded((b"{", b",".join(fragments), b"}"))
+            chunks += (b",", fragment)
+    return (b"{", *chunks[1:], b"}")
 
 
 def _fragment(key: str, value: Any) -> bytes:

@@ -232,8 +232,7 @@ class CasServer(wire.FrameServer):
             )
             body = {"assertion": assertion_to_map(assertion)}
         else:
-            body = Encoded((b'{"listing":', *scoped_listing(db, query["namespace"]).chunks,
-                            b"}"))
+            body = (b'{"listing":', *scoped_listing(db, query["namespace"]), b"}")
         statement = sign_statement(
             self._chain.innermost_keys(), query, body,
             issued_at=now, expires_at=now + lifetime,

@@ -6,7 +6,9 @@ within a namespace. Downstream parties check the authority's untouched
 signature over the bytes that arrived, before reading them (the caching
 mirror forwards them as they came), so none of them needs a key of its own.
 A statement is only those signed bytes and the signature: one reader takes
-it in, whether it came off the wire or from a statement document.
+it in, whether it came off the wire or from a statement document. A fetched
+statement's signed bytes are the received frame's buffer itself, trimmed in
+place, so a process holds one copy of each listing it pulls.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ QUERY_KINDS = {"user_rights": ("subject", validate_identity),
 
 
 class _Memo:
-    """What one statement object keeps: its signing ``payload``; its
-    ``body``, once decoded; its listing entries' ``spans`` in the payload,
-    once indexed; and the entries parsed so far, by subject, each a set of
-    its own (see :func:`~caslite.policy.shared_rights`)."""
+    """What one statement object keeps: its signing ``payload``, the signed
+    bytes or, for a fetched statement, the received frame's ``bytearray``,
+    never written after :func:`_take_in`; its ``body``, once decoded; its
+    listing entries' ``spans`` in the payload, once indexed; and the entries
+    parsed so far, by subject, each a set of its own (see
+    :func:`~caslite.policy.shared_rights`)."""
 
-    def __init__(self, payload: bytes) -> None:
+    def __init__(self, payload: bytes | bytearray) -> None:
         self.lock = threading.Lock()
         self.payload, self.body = payload, None
         self.spans: dict[str, tuple[int, int]] | None = None
@@ -81,7 +85,7 @@ class SignedStatement:
             memo.body = parse_canonical(memo.payload)["body"]
         return memo.body
 
-    def signing_payload(self) -> bytes:
+    def signing_payload(self) -> bytes | bytearray:
         """The bytes the signature covers, as signed or received."""
         return self._memo.payload
 
@@ -101,16 +105,16 @@ def validate_query(payload: Any) -> dict:
 
 
 def sign_statement(
-    keys: KeyMaterial, query: dict, body: dict | Encoded, issued_at: int, expires_at: int
+    keys: KeyMaterial, query: dict, body: dict | tuple, issued_at: int, expires_at: int
 ) -> SignedStatement:
     """Sign ``body`` as the answer to ``query``. The payload's first key is
-    ``body``, so its bytes are spliced after ``{"body":`` (the chunks of a
-    ``Encoded`` body, encoded no further), then the other fields. Only
-    the payload is kept: the statement's ``body`` is decoded from it."""
+    ``body``, so its bytes are spliced after ``{"body":`` (a tuple body is
+    chunks whose concatenation is its canonical form, encoded no further),
+    then the other fields, in one join. Only the payload is kept: the
+    statement's ``body`` is decoded from it."""
     rest = canonical_json({"caslite": STATEMENT_FORMAT, "expires_at": expires_at,
                            "issued_at": issued_at, "query": query}, trusted=True)
-    chunks = (body.chunks if isinstance(body, Encoded)
-              else (canonical_json(body, trusted=True),))
+    chunks = body if isinstance(body, tuple) else (canonical_json(body, trusted=True),)
     payload = b"".join((b'{"body":', *chunks, b",", memoryview(rest)[1:]))
     return SignedStatement(query, issued_at, expires_at, sign_payload(keys, payload),
                            _Memo(payload))
@@ -208,19 +212,25 @@ def fetch_statement(source: wire.Endpoint | str, query: dict, chain: dict | None
     """Ask ``source`` for ``query`` and take in the answer's bytes: with
     ``authority_public`` the signature is checked over them before anything
     is read (a mirror without it forwards them unchecked). A source
-    that sends no answer fails the fetch within ``wire.FRAME_DEADLINE``."""
+    that sends no answer fails the fetch within ``wire.FRAME_DEADLINE``.
+
+    The signing payload is the received buffer itself: the payload's
+    closing brace is written over the comma before ``"signature"``, and the
+    bytes after it and before the payload are deleted in place, which for
+    the leading bytes of a ``bytearray`` copies nothing."""
     answer = wire.call(source, "query", query, chain=chain, timeout=wire.FRAME_DEADLINE, raw=True)
     signed = _SIGNED.fullmatch(answer)
     if signed is None:
         raise MalformedMessage("query response is not a signed statement")
-    payload = b"".join((answer[signed.start(1):signed.end(1)], b"}"))
     signature = bytes.fromhex(signed.group(2).decode())
-    if authority_public is not None and not verify_payload(authority_public, signature, payload):
+    answer[signed.end(1):] = b"}"
+    del answer[:signed.start(1)]
+    if authority_public is not None and not verify_payload(authority_public, signature, answer):
         raise MalformedMessage("statement signature does not verify")
-    return _take_in(payload, signature, query)
+    return _take_in(answer, signature, query)
 
 
-def _take_in(payload: bytes, signature: bytes, query: dict) -> SignedStatement:
+def _take_in(payload: bytes | bytearray, signature: bytes, query: dict) -> SignedStatement:
     """The statement whose signing payload is ``payload``. The fields after
     the body must answer ``query``; the body must be a user_rights assertion,
     read whole, or a listing, whose entries are indexed."""

@@ -161,10 +161,14 @@ def _parse(data: bytes) -> Any:
 
 def read_frame(sock: socket.socket, raw: bool = False) -> Any | None:
     """Read one document; None on clean end of stream. Waits as
-    :func:`_receive` does. With ``raw``, an ok answer's frame comes back as
-    its bytes, unparsed."""
+    :func:`_receive` does. With ``raw``, an ok answer comes back unparsed as
+    the received ``bytearray``, its ok head and tail deleted in place so
+    that only the body's bytes are left; the caller owns the buffer."""
     data = _receive(sock)
-    if data is None or raw and data.startswith(_OK_HEAD) and data.endswith(_OK_TAIL):
+    if data is None:
+        return None
+    if raw and data.startswith(_OK_HEAD) and data.endswith(_OK_TAIL):
+        del data[-len(_OK_TAIL):], data[:len(_OK_HEAD)]
         return data
     return _parse(data)
 
@@ -238,10 +242,11 @@ def call(
     chain: dict | None = None,
     timeout: float = 10.0,
     raw: bool = False,
-) -> dict | memoryview:
+) -> dict | bytearray:
     """One request/response exchange; returns the response body or raises
     :class:`ServerError` with the server's error code; with ``raw``, an ok
-    body as the bytes that arrived, for the caller to check.
+    body as the received ``bytearray`` (see :func:`read_frame`), unchecked
+    and the caller's own to trim in place.
 
     The connection stays open for the calling thread's next call to the same
     endpoint. When a reused connection turns out to have been closed before
@@ -273,7 +278,7 @@ def call(
         _pool.sockets = _Sockets()
     _pool.sockets[endpoint] = (sock, time.monotonic())
     if answered:
-        return memoryview(response)[len(_OK_HEAD):-len(_OK_TAIL)]
+        return response
     if response["ok"]:
         body = response.get("body")
         if not isinstance(body, dict):

@@ -8,7 +8,8 @@ also by a call of its class or a subclass) and each defaulted
 skips the type walk is one that ``canonical_json`` documents, a deny
 raised as ``DeniedError`` is caught in one place per service, only
 ``keys`` names the Ed25519 classes and their ``InvalidSignature``, only
-``statements`` names ``fetch_statement``, and the
+``statements`` names ``fetch_statement``, only
+``statements.fetch_statement`` asks ``wire.call`` for a raw answer, and the
 modules keep their layers: no import cycle, no model module imports the
 transport or a service, and no service module imports another but the file
 service the decision point."""
@@ -523,6 +524,64 @@ def test_the_check_sees_fetch_statement_named_outside_statements():
         "authz: fetch_statement (line 1)",
         "cache: fetch_statement (line 1)",
         "cache: fetch_statement (line 2)",
+    ]
+
+
+# A raw answer is the received buffer, handed to its caller to trim in
+# place into a statement's kept payload; only the statement reader takes one.
+RAW_CALLERS = {("statements", "fetch_statement")}
+
+
+def raw_callers(trees: dict) -> list:
+    """``module: function (line n)`` for each ``wire.call`` in ``trees``, by
+    module name, that may ask for a raw answer (``raw`` given by keyword as
+    anything but ``False``, or by position) outside ``RAW_CALLERS``; code
+    outside any function is ``<module>``."""
+    found = []
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "wire.call" \
+                    and (module, function) not in RAW_CALLERS \
+                    and (len(child.args) > 5 or any(
+                        k.arg == "raw" and not (isinstance(k.value, ast.Constant)
+                                                and k.value.value is False)
+                        for k in child.keywords)):
+                found.append(f"{module}: {function or '<module>'} (line {child.lineno})")
+            visit(module, child, function)
+
+    for module, tree in trees.items():
+        visit(module, tree, None)
+    return sorted(found)
+
+
+def test_only_fetch_statement_asks_for_a_raw_answer():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert "statements" in trees
+    assert "raw=True" in ast.unparse(trees["statements"])
+    assert raw_callers(trees) == []
+
+
+def test_the_check_sees_a_raw_answer_asked_for_elsewhere():
+    trees = {name: ast.parse(source) for name, source in {
+        "statements": ("def fetch_statement(source, query, chain, key):\n"
+                       "    return wire.call(source, 'query', query, chain=chain, raw=True)\n"
+                       "def again(source, flag):\n"
+                       "    return wire.call(source, 'query', {}, raw=flag)\n"),
+        "cache": ("class Mirror:\n"
+                  "    def serve(self, source):\n"
+                  "        return wire.call(source, 'query', {}, raw=True)\n"),
+        "authz": "answer = wire.call(source, 'query', {}, None, 10.0, True)\n",
+        "vault": ("def read(source):\n"
+                  "    return wire.call(source, 'read', {}, raw=False)\n"),
+    }.items()}
+    assert raw_callers(trees) == [
+        "authz: <module> (line 1)",
+        "cache: serve (line 3)",
+        "statements: again (line 4)",
     ]
 
 

@@ -742,7 +742,7 @@ carried_admin_cmds = st.one_of(
 def _listing_bytes(db, namespace):
     """The joined bytes of ``namespace``'s listing, after checking that they
     are ``canonical_json`` of the listing built from ``db``'s fields alone."""
-    joined = b"".join(scoped_listing(db, namespace).chunks)
+    joined = b"".join(scoped_listing(db, namespace))
     assert joined == canonical_json(listing_to_map(db, namespace))
     return joined
 

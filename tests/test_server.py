@@ -8,6 +8,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,9 +16,11 @@ from caslite import wire
 from caslite.assertions import MAX_LIFETIME, assertion_from_map
 from caslite.credentials import CredentialChain, chain_from_map, chain_to_map, issue_proxy
 from caslite.errors import LifetimeTooLong, ResponseTooLarge, ServerError
-from caslite.canonical import canonical_json
+from caslite.keys import verify_payload
+from caslite.canonical import canonical_json, parse_canonical
 from caslite.policy import (
-    db_canonical_bytes, intersect_rights, load_database, rights_to_list, user_rights,
+    VOPolicyDatabase, db_canonical_bytes, intersect_rights, load_database, rights_to_list,
+    save_database, user_rights,
 )
 from caslite.server import CasServer, ServerConfig
 from caslite.statements import statement_from_map, verify_statement
@@ -302,6 +305,50 @@ def test_commits_and_listings_are_byte_identical_to_their_documents(world, cas_s
     listing = statement.body["listing"]
     assert listing[astral] == [{"action": "write", "object": "vo://esg/data/**"}]
     assert quote not in listing
+
+
+def test_a_listing_answer_holds_one_copy_beside_the_kept_fragments(world, tmp_path):
+    """A listing answer from a database of 320 members, each granted 30
+    rights in the namespace, peaks below the fragments it keeps plus 1.3
+    times its signing payload: the listing is joined once, as the payload.
+    The payload is the canonical document the test builds from the
+    database's fields alone, and the signature verifies over it."""
+    members = [f"/VO=esg/CN=member{i:03d}" for i in range(320)]
+    db = VOPolicyDatabase(
+        vo_name="esg", owner=OWNER, members=frozenset(members), groups={},
+        grants={who: rights(*((action, f"vo://esg/data/m{i}/d{k}/**")
+                              for k in range(15) for action in ("read", "write")))
+                for i, who in enumerate(members)},
+        admin_caps=(), revision=1)
+    paths = world.write_server_files(tmp_path)
+    save_database(db, paths["db"])
+    server = CasServer(ServerConfig(listen=("127.0.0.1", 0), db_path=paths["db"],
+                                    credential_path=paths["key"],
+                                    anchors_path=paths["anchors"]))
+    query = {"query": "resource_rights", "namespace": "vo://esg/data/**"}
+    try:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            answer = server.handle_query(query, ALICE)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        fragments = server.db._derived.listing[1].values()
+    finally:
+        assert stops_within(server, 5)
+    kept = sum(map(sys.getsizeof, fragments))
+    frame = b"".join(answer.chunks)
+    statement = parse_canonical(frame)["statement"]
+    signature = statement.pop("signature")
+    listing = listing_to_map(db, query["namespace"])
+    payload = canonical_json({**statement, "body": {"listing": listing}})
+    assert frame == b"".join((b'{"statement":', payload[:-1],
+                              b',"signature":"%s"}}' % signature.encode()))
+    assert verify_payload(world.cas.keys.public(), bytes.fromhex(signature), payload)
+    assert len(fragments) == len(members) and len(payload) > 2**19
+    assert peak < kept + 1.3 * len(payload), (peak - kept) / len(payload)
 
 
 PAD = "x" * 1_000_000

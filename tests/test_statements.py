@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from caslite import policy, statements, wire
 from caslite.assertions import embed_in_proxy, issue_assertion
-from caslite.cache import CacheConfig, StatementCache
+from caslite.cache import CacheConfig, CacheServer, StatementCache
 from caslite.canonical import canonical_json
 from caslite.credentials import chain_to_map
 from caslite.errors import CasliteError, MalformedMessage, SourceUnavailable, StaleStatement
@@ -824,3 +824,59 @@ def test_intake_memory_stays_within_bounds(authority_keys):
     assert listing_rights(statement, "/VO=esg/CN=user00007")
     assert retained <= 3 * len(doc), retained / len(doc)
     assert peak <= 5 * len(doc), peak / len(doc)
+
+
+def test_a_fetched_listing_is_held_once_in_its_received_buffer(authority_keys):
+    """A signed listing of over 1 MB, served by a ``FrameServer``, is taken
+    in at a peak below 1.3 times its frame: the received buffer, trimmed in
+    place, is the kept signing payload. That payload equals the signed
+    bytes, verifies, and stays unchanged while the same thread makes more
+    calls on its pooled connection and while a mirror serves it again."""
+    listing = {f"/VO=esg/CN=user{i:04d}": [
+        {"action": action, "object": f"vo://esg/data/g{i % 97}/s{k}/**"}
+        for k in range(20) for action in ("read", "write")]
+        for i in range(500)}
+    signed = sign_statement(authority_keys, QUERY, {"listing": listing}, NOW, NOW + 600)
+    del listing
+    answer = statement_answer(signed)
+    frame = wire.ok_response(answer).size
+    assert frame > 2**20
+    source = wire.FrameServer(("127.0.0.1", 0), lambda kind, payload, chain:
+                              answer if kind == "query" else {"kind": kind})
+    source.start()
+    try:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fetched = statements.fetch_statement(source.endpoint, QUERY, None,
+                                                 authority_keys.public())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = fetched.signing_payload()
+        assert kept == signed.signing_payload()
+        assert verify_statement(fetched, authority_keys.public())
+        signed_bytes = bytes(kept)
+        for _ in range(3):
+            assert wire.call(source.endpoint, "ping", {}) == {"kind": "ping"}
+            assert wire.call(source.endpoint, "query", QUERY, raw=True)
+        assert fetched.signing_payload() is kept and kept == signed_bytes
+        mirror = CacheServer(("127.0.0.1", 0), StatementCache(CacheConfig(
+            authority=source.endpoint, refresh_interval=60, max_age=120,
+            subscriptions=[QUERY], authority_public=authority_keys.public())))
+        mirror.start()
+        try:
+            held = mirror.cache.serve_cached(QUERY)
+            for _ in range(3):
+                served = statements.fetch_statement(mirror.endpoint, QUERY, None,
+                                                    authority_keys.public())
+                assert served.signing_payload() == signed_bytes
+            assert mirror.cache.serve_cached(QUERY) is held
+            assert held.signing_payload() == signed_bytes
+        finally:
+            mirror.stop()
+    finally:
+        source.stop()
+    assert kept == signed_bytes and listing_rights(fetched, "/VO=esg/CN=user0007")
+    assert peak < 1.3 * frame, peak / frame
