@@ -144,6 +144,7 @@ def get_cred_main(argv: list[str] | None = None) -> int:
             payload["mode"] = "restricted_proxy"
             body = wire.call(args.server, "get_credential", payload, chain=chain_doc)
             new_chain = chain_from_map(body["chain"])
+            verify_chain(new_chain, anchors, int(time.time()))
         save_chain(new_chain, args.out)
         return {
             "written": str(args.out),

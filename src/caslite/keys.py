@@ -13,12 +13,9 @@ memo keeps what each check returned and, apart, each domain refusal, so a
 replayed bad document is refused again without being parsed or checked. The
 digest comes from ``cryptography`` rather than ``hashlib``: importing
 ``hashlib`` loads the system libcrypto beside the one ``cryptography``
-carries, about 3.7 MiB more resident memory per service.
-
-Beneath those memos, :func:`verify_payload` remembers each Ed25519 check that
-passed for the whole process, keyed on every byte it read. A signature check
-depends on its key, signature and payload alone, never on a service's anchors
-or authority, so that memo needs no per-service scope.
+carries, about 3.7 MiB more resident memory per service. Nothing below
+those memos remembers: :func:`verify_payload` runs the Ed25519 check on every
+call.
 """
 
 from __future__ import annotations
@@ -44,10 +41,6 @@ ED25519 = "ed25519"
 # as many refused ones. The push working set is a few hundred chains; an LRU
 # smaller than a cyclic working set never hits.
 CHECKED_MEMO_SIZE = 1024
-# Signature checks that passed: a remembered document carries about four.
-VERIFIED_SIZE = 4 * CHECKED_MEMO_SIZE
-_verified: OrderedDict[bytes, None] = OrderedDict()
-_verified_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,10 @@ def sign_payload(keys: KeyMaterial, payload: bytes) -> bytes:
     return signer.sign(payload)
 
 
-def digest(*parts: bytes) -> bytes:
-    """The SHA-256 digest of ``parts`` in order, each hashed without a copy."""
+def digest(data: bytes) -> bytes:
+    """The SHA-256 digest of ``data``."""
     h = hashes.Hash(hashes.SHA256())
-    for part in parts:
-        h.update(part)
+    h.update(data)
     return h.finalize()
 
 
@@ -175,24 +167,11 @@ class CheckedMemo:
 
 
 def verify_payload(keys: KeyMaterial, signature: bytes, payload: bytes) -> bool:
-    """Whether ``signature`` is an Ed25519 signature of ``payload`` by
-    ``keys``. Passes are remembered (an LRU of ``VERIFIED_SIZE``) under the
-    digest of the key's and the signature's lengths, the key, the signature
-    and the payload, so only an exact repeat skips the check."""
-    lengths = len(keys.public_part).to_bytes(8, "big") + len(signature).to_bytes(8, "big")
-    key = digest(lengths, keys.public_part, signature, payload)
-    with _verified_lock:
-        if key in _verified:
-            _verified.move_to_end(key)
-            return True
+    """Whether ``signature`` is an Ed25519 signature of ``payload`` by ``keys``."""
     try:
         Ed25519PublicKey.from_public_bytes(keys.public_part).verify(signature, payload)
     except (InvalidSignature, ValueError):
         return False
-    with _verified_lock:
-        _verified[key] = None
-        while len(_verified) > VERIFIED_SIZE:
-            _verified.popitem(last=False)
     return True
 
 

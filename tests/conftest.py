@@ -23,11 +23,7 @@ def world():
 
 @pytest.fixture
 def ed25519_checks(monkeypatch):
-    """Count the Ed25519 signature checks actually run, from an empty
-    memo of passed checks, so that no count depends on which test checked
-    the same signature earlier."""
-    from collections import OrderedDict
-
+    """Count the Ed25519 signature checks actually run."""
     from caslite import keys
 
     calls = []
@@ -40,7 +36,6 @@ def ed25519_checks(monkeypatch):
             return real.from_public_bytes(data)
 
     monkeypatch.setattr(keys, "Ed25519PublicKey", Counting)
-    monkeypatch.setattr(keys, "_verified", OrderedDict())
     return calls
 
 

@@ -149,6 +149,40 @@ def test_get_cred_restricted_mode_passes_the_request_on(world, served_world):
         {"action": "read", "object": "vo://esg/data/public/**"}]
 
 
+def test_get_cred_restricted_mode_refuses_a_chain_that_does_not_verify(served_world, capsys):
+    """A restricted chain from the authority is checked against the anchors
+    before it is written: one whose link signature was changed in transit
+    gives one error line, exit 1 and no file."""
+    from caslite import wire
+    from caslite.cli import get_cred_main
+
+    tmp, paths, server = served_world
+    host, port = server.split(":")
+
+    def tampering(kind, payload, chain):
+        body = wire.call((host, int(port)), kind, payload, chain=chain)
+        link = body["chain"]["links"][-1]
+        link["signature"] = format(int(link["signature"][0], 16) ^ 1, "x") + link["signature"][1:]
+        return body
+
+    proxy = proxy_for(tmp, "alice")
+    capsys.readouterr()
+    relay = wire.FrameServer(("127.0.0.1", 0), tampering)
+    relay.start()
+    try:
+        out = tmp / "alice.restricted"
+        assert get_cred_main(["--server", "%s:%d" % relay.endpoint, "--chain", str(proxy),
+                              "--anchors", str(paths["anchors"]), "--out", str(out),
+                              "--mode", "restricted"]) == 1
+    finally:
+        relay.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "signature" in line
+    assert not out.exists()
+
+
 def test_get_cred_non_member_maps_error_code(world, served_world):
     tmp, paths, server = served_world
     proxy = proxy_for(tmp, "carol")

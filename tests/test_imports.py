@@ -455,7 +455,7 @@ def test_the_check_sees_a_deny_caught_elsewhere():
 # --- the signature scheme -------------------------------------------------------------------
 
 # The names through which code could check or make an Ed25519 signature
-# without ``keys.verify_payload`` and its memo of passed checks.
+# without ``keys.verify_payload``.
 SCHEME_NAMES = {"Ed25519PublicKey", "Ed25519PrivateKey", "InvalidSignature"}
 
 
