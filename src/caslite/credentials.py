@@ -15,6 +15,7 @@ private part so the holder can keep delegating.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Any
 
@@ -55,10 +56,19 @@ CLOCK_SKEW = 60
 
 CA_VALIDITY = 10 * 365 * 86400
 
+# The most delegation links a chain may hold, as RFC 3820's proxy path length
+# bounds a proxy chain: a longer one is refused before any link is parsed.
+MAX_LINKS = 16
+
 EEC_FORMAT = "eec/1"
 LINK_FORMAT = "link/1"
 CHAIN_FORMAT = "chain/1"
 CHAIN_TAG = "CHAIN"
+
+
+def _check_links(count: int) -> None:
+    if count > MAX_LINKS:
+        raise MalformedMessage(f"{count} delegation links exceed the bound of {MAX_LINKS}")
 
 
 def _check_interval(not_before: Any, not_after: Any) -> None:
@@ -135,12 +145,7 @@ class CredentialChain:
     def effective_restriction(self) -> frozenset | None:
         """Intersection of all restrictions present; None means unrestricted."""
         present = [l.restriction for l in self.links if l.restriction is not None]
-        if not present:
-            return None
-        out = present[0]
-        for rs in present[1:]:
-            out = intersect_rights(out, rs)
-        return out
+        return reduce(intersect_rights, present) if present else None
 
     def extensions(self) -> list[bytes]:
         """All extension payloads, outermost last."""
@@ -206,9 +211,11 @@ def issue_proxy(
     asserts the full rights of the chain's subject. The returned chain holds
     the private part only for the new link; ancestors are publicized.
     Whoever loads ``parent`` checks it once, by :func:`check_chain_internal`.
+    A ``parent`` of :data:`MAX_LINKS` links is not extended.
     """
     not_before, not_after = validity
     _check_interval(not_before, not_after)
+    _check_links(len(parent.links) + 1)
     signer = parent.innermost_keys()
     if signer.private_part is None:
         raise ParentUnverifiable("parent chain does not include its innermost private key")
@@ -386,10 +393,9 @@ def chain_from_map(doc: Any) -> CredentialChain:
     fields(doc, "chain document", {"caslite", "eec", "links"})
     if doc["caslite"] != CHAIN_FORMAT:
         raise MalformedMessage(f"not a chain document: {doc['caslite']!r}")
-    return CredentialChain(
-        eec=eec_from_map(doc["eec"]),
-        links=tuple(link_from_map(l) for l in expect(doc["links"], list, "chain links")),
-    )
+    links = expect(doc["links"], list, "chain links")
+    _check_links(len(links))
+    return CredentialChain(eec_from_map(doc["eec"]), tuple(map(link_from_map, links)))
 
 
 def chain_bytes(chain: CredentialChain, include_private: bool = False) -> bytes:

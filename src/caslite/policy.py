@@ -15,10 +15,10 @@ without the wildcard match one concrete path exactly.
 
 Each pattern is parsed once: a :class:`Right` keeps its (scheme, segments,
 wildcard) from construction, and ``decide`` parses the request object once,
-so covering and intersecting only compare tuples. The functions taking
-pattern strings parse them and share the same matcher. ``decide`` matches a
-request through a :class:`RightsSet`'s per-action prefix index instead, so
-its cost follows the request path's depth, not the number of rights.
+so matching only compares tuples. Sets of rights have one matcher,
+:meth:`RightsSet.matches`, whose per-action prefix index ``decide`` and
+``intersect_rights`` look patterns up in at a cost of their depth, not of
+the number of rights; ``_covers`` compares two single patterns.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def validate_concrete(path: Any) -> str:
 
 
 def _covers(outer, inner) -> bool:
-    """The one matcher. ``outer`` and ``inner`` are parsed patterns, each a
-    :class:`Pattern` or a :class:`Right`; true iff every path matched by
-    ``inner`` is matched by ``outer``. For a concrete ``inner`` that is
-    exactly "``outer`` matches ``inner``"."""
+    """One pattern against another. ``outer`` and ``inner`` are parsed
+    patterns, each a :class:`Pattern` or a :class:`Right`; true iff every
+    path matched by ``inner`` is matched by ``outer``. For a concrete
+    ``inner`` that is exactly "``outer`` matches ``inner``"."""
     if outer.scheme != inner.scheme:
         return False
     if outer.wildcard:
@@ -159,13 +159,6 @@ class Right:
         _setattr(self, "wildcard", wildcard)
 
 
-def _by_action(rights: Iterable[Right]) -> dict[str, list[Right]]:
-    out: dict[str, list[Right]] = {}
-    for right in rights:
-        out.setdefault(right.action, []).append(right)
-    return out
-
-
 # A RightsSet index's kinds of right on one segments tuple, as bits.
 _EXACT, _PREFIX = 1, 2
 
@@ -174,9 +167,8 @@ class RightsSet(frozenset):
     """A frozenset of :class:`Right` that keeps a per-action prefix index of
     itself, built on its first :meth:`matches`: for each action and scheme,
     the rights' ``segments``, each with the bits of its kinds (exact,
-    wildcard prefix). A concrete target then costs one exact lookup and at
-    most one prefix lookup per segment plus one, however many rights the
-    set holds.
+    wildcard prefix). A target then costs one exact lookup and at most one
+    prefix lookup per segment plus one, however many rights the set holds.
 
     Equality, hashing and iteration are frozenset's, and set operations on
     it return plain frozensets. :func:`rights_from_list` hands these out, and
@@ -186,9 +178,10 @@ class RightsSet(frozenset):
 
     __slots__ = ("_index",)
 
-    def matches(self, action: str, target: Pattern) -> bool:
-        """Whether some right permits ``action`` on ``target``, an already
-        validated concrete path."""
+    def matches(self, action: str, target: Pattern | Right) -> bool:
+        """Whether some right of ``action`` covers ``target``, any parsed
+        pattern (see :func:`_covers`): for a concrete path, whether some right
+        permits ``action`` on it."""
         try:
             index = self._index
         except AttributeError:
@@ -202,7 +195,7 @@ class RightsSet(frozenset):
         if kinds is None:
             return False
         segments = target.segments
-        if kinds.get(segments, 0) & _EXACT:
+        if not target.wildcard and kinds.get(segments, 0) & _EXACT:
             return True
         for depth in range(len(segments) + 1):
             if kinds.get(segments[:depth], 0) & _PREFIX:
@@ -232,29 +225,21 @@ def shared_rights(rights: frozenset | None) -> RightsSet | None:
     return RightsSet(map(_intern, rights))
 
 
-def _any_matches(rights: Iterable[Right], action: str, target: Pattern) -> bool:
-    """``target`` is an already validated concrete path. A set that is not a
-    :class:`RightsSet` is indexed for this one call."""
-    if not isinstance(rights, RightsSet):
-        rights = RightsSet(rights)
-    return rights.matches(action, target)
+def _indexed(rights: Iterable[Right]) -> RightsSet:
+    """``rights`` as a :class:`RightsSet`, indexed for this call if not one."""
+    return rights if isinstance(rights, RightsSet) else RightsSet(rights)
 
 
 def intersect_rights(a: Iterable[Right], b: Iterable[Right]) -> frozenset[Right]:
     """Semantic intersection: the result matches a request exactly when both
     inputs match it, narrowing patterns where they overlap.
 
-    Prefix-only patterns overlap only when one covers the other, so each
-    common right is the narrower input right itself."""
-    b_by_action = _by_action(b)
-    out = set()
-    for ra in a:
-        for rb in b_by_action.get(ra.action, ()):
-            if _covers(ra, rb):
-                out.add(rb)
-            elif _covers(rb, ra):
-                out.add(ra)
-    return frozenset(out)
+    Prefix-only patterns overlap only when one covers the other, so the
+    common rights are those of each input that the other covers, each looked
+    up in the other's index: O((n + m) · depth) for n and m rights."""
+    a, b = _indexed(a), _indexed(b)
+    return frozenset([r for r in b if a.matches(r.action, r)]
+                     + [r for r in a if b.matches(r.action, r)])
 
 
 _RIGHT_KEY = attrgetter("action", "object")
@@ -405,12 +390,19 @@ def scoped_listing(db: VOPolicyDatabase, namespace: str) -> tuple[bytes, ...]:
     if kept is None or kept[0] != namespace:
         kept = db._derived.listing = (namespace, {})
     entries = kept[1]
-    scope = frozenset(Right(action, namespace) for action in ACTIONS)
+    scope = {action: Right(action, namespace) for action in ACTIONS}
     chunks = []
     for member in db._derived.sorted_members:
         fragment = entries.get(member)
         if fragment is None:
-            rights = rights_to_list(intersect_rights(user_rights(db, member), scope))
+            narrowed = set()
+            for right in user_rights(db, member):
+                bound = scope[right.action]
+                if _covers(bound, right):
+                    narrowed.add(right)
+                elif _covers(right, bound):
+                    narrowed.add(bound)
+            rights = rights_to_list(narrowed)
             fragment = entries[member] = _fragment(member, rights) if rights else b""
         if fragment:
             chunks += (b",", fragment)
@@ -661,9 +653,9 @@ def decide(
     account = site.vo_accounts.get(issuer)
     if account is None:
         return deny("credential", f"issuer {issuer} is not mapped to a local account")
-    if not _any_matches(site.site_rights.get(account, frozenset()), action, target):
+    if not _indexed(site.site_rights.get(account, frozenset())).matches(action, target):
         return deny("site_vo", f"site grants the community no {action} on {obj}")
-    if not _any_matches(asserted, action, target):
+    if not _indexed(asserted).matches(action, target):
         return deny("vo_user", f"no asserted community right matches {action} on {obj}")
     if user in site.blacklist:
         return deny("site_user", f"user {user} is blacklisted at this site")
